@@ -3,8 +3,9 @@
 A digital-twin catalog describes the plant; prompt builders turn it into
 five-section agent prompts; completion backends (replay, oracle, remote)
 answer them; parsers and validators turn answers into judged plans; the
-orchestrator executes plans against the simulated plant's HTTP services;
-and the evaluation harness scores recorded completion corpora.
+orchestrator executes plans against the simulated plant's services, over
+HTTP or in-process; and the evaluation harness scores recorded completion
+corpora.
 """
 
 from .backends import (
@@ -47,6 +48,7 @@ from .evaluation import (
 )
 from .orchestrator import (
     ExecutionTrace,
+    HttpPlant,
     OrchestrationError,
     TraceRecord,
     perform_skill_via_operator,
@@ -79,9 +81,10 @@ from .prompts import (
     parse_transport_demand,
     render_transport_demand,
 )
-from .service import DEFAULT_PORT, PlantService, serve_plant
-from .stubserver import StubCompletionsServer
-from .tasks import TaskError, TaskSpec, bundled_task_spec, bundled_task_specs, load_task_specs, random_task_spec
+from .service import DEFAULT_PORT, LocalPlant, PlantService, serve_plant
+from .tasks import (
+    TaskError, TaskSpec, bundled_task_for, bundled_task_spec, bundled_task_specs, load_task_specs, random_task_spec,
+)
 from .validation import (
     GrammarViolation,
     ValidationReport,

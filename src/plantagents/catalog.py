@@ -128,6 +128,7 @@ class Registry:
     _skills: dict[str, tuple[Module, Skill]] = field(init=False, repr=False)
     _modules: dict[str, Module] = field(init=False, repr=False)
     _phrases: dict[str, Module] = field(init=False, repr=False)
+    _endpoints: frozenset[str] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._modules = {m.id: m for m in self.modules}
@@ -139,6 +140,14 @@ class Registry:
             for m in self.modules
             if m.transport_phrase is not None
         }
+        urls = [s.endpoint for m in self.modules for s in m.skills]
+        urls += [
+            fn.url
+            for m in self.modules
+            for comp in m.components
+            for fn in comp.functionalities
+        ]
+        self._endpoints = frozenset(canonical_url(u) for u in urls)
 
     # -- lookups ---------------------------------------------------------
 
@@ -219,14 +228,7 @@ class Registry:
 
     def known_endpoints(self) -> frozenset[str]:
         """Every service URL in the catalog, in canonical form."""
-        urls = [s.endpoint for m in self.modules for s in m.skills]
-        urls += [
-            fn.url
-            for m in self.modules
-            for comp in m.components
-            for fn in comp.functionalities
-        ]
-        return frozenset(canonical_url(u) for u in urls)
+        return self._endpoints
 
     # -- derivation ------------------------------------------------------
 

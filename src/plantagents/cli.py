@@ -37,11 +37,8 @@ from .parsing import (
 from .plant import PlantSim
 from .prompts import PromptError, build_manager_prompt, build_operator_prompt
 from .service import DEFAULT_PORT, PlantService, serve_plant
-from .tasks import TaskError, TaskSpec, bundled_task_spec, bundled_task_specs, load_task_specs
-from .validation import (
-    simulate_function_steps,
-    validate_plan,
-)
+from .tasks import TaskError, bundled_task_for, bundled_task_spec, bundled_task_specs, load_task_specs
+from .validation import move_dock_target, simulate_function_steps, validate_plan
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -91,7 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("parse", "parse completion text from standard input", _cmd_parse)
     p.add_argument("--kind", choices=["skills", "steps"], required=True)
-    p.add_argument("--json", action="store_true", help="JSON output (always on; kept for symmetry)")
 
     p = add("validate", "judge a plan read from standard input", _cmd_validate)
     group = p.add_mutually_exclusive_group(required=True)
@@ -200,8 +196,6 @@ def _cmd_validate(args) -> int:
         # starting with the workpiece ready at the first step's module.
         steps = steps_from_json(stripped)
         start_module = None
-        from .validation import move_dock_target
-
         for step in steps:
             if step.action == "move_dock":
                 start_module = move_dock_target(registry, step.description)
@@ -221,14 +215,10 @@ def _cmd_validate(args) -> int:
 
 def _cmd_run_task(args) -> int:
     base_registry = _registry(args)
-    spec = None
     if args.task_spec:
         spec = load_task_specs(args.task_spec)[0]
     else:
-        for bundled in bundled_task_specs():
-            if bundled.instruction == args.task:
-                spec = bundled
-                break
+        spec = bundled_task_for(args.task)
 
     service = None
     try:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Protocol
 
 import requests
 
@@ -24,7 +25,8 @@ from .prompts import (
     build_operator_prompt,
     render_transport_demand,
 )
-from .tasks import TaskSpec, bundled_task_specs
+from .service import call_result
+from .tasks import TaskSpec, bundled_task_for
 from .validation import function_step_params, goal_details, plan_route, validate_grammar
 
 PLANT_TIMEOUT_SECONDS = 10.0
@@ -95,24 +97,73 @@ class ExecutionTrace:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2), "utf-8")
 
 
+class PlantPort(Protocol):
+    """What run_task needs of a plant: `service.LocalPlant` in-process, or
+    `HttpPlant` for a plant service.
+
+    `state()` returns the plant snapshot and raises OrchestrationError when
+    the plant cannot give one; `call(url, body)` runs one service call and
+    returns its ok/fault/error dict (see `service.call_result`).
+    """
+
+    def state(self) -> dict: ...
+
+    def call(self, url: str, body: dict) -> dict: ...
+
+
+class HttpPlant:
+    """The plant port for a plant service reached over HTTP."""
+
+    def __init__(self, base_url: str, session: requests.Session | None = None) -> None:
+        self.base_url = base_url.rstrip("/")
+        self.session = session or requests.Session()
+
+    def state(self) -> dict:
+        url = f"{self.base_url}/plant/state"
+        try:
+            response = self.session.get(url, timeout=PLANT_TIMEOUT_SECONDS)
+        except requests.RequestException as exc:
+            raise OrchestrationError(f"connection error: {exc}") from exc
+        if response.status_code != 200:
+            raise OrchestrationError(f"HTTP {response.status_code} from {url}")
+        try:
+            return response.json()
+        except ValueError as exc:
+            raise OrchestrationError(f"non-JSON response from {url}") from exc
+
+    def call(self, url: str, body: dict) -> dict:
+        try:
+            response = self.session.post(url, json=body, timeout=PLANT_TIMEOUT_SECONDS)
+        except requests.RequestException as exc:
+            return {"status": "error", "reason": f"connection error: {exc}", "state_version": None}
+        try:
+            payload = response.json()
+        except ValueError:
+            payload = {}
+        return call_result(response.status_code, payload if isinstance(payload, dict) else {})
+
+
 def perform_skill_via_operator(
     registry: Registry,
     module_id: str,
     demand_text: str,
     backend: CompletionBackend,
-    session: requests.Session | None = None,
+    plant: PlantPort | None = None,
     temperature: float = 0.0,
     exchanges: list[dict] | None = None,
 ) -> list[tuple[FunctionStep, dict]]:
     """Expand one transport demand into functionality calls and run them.
 
-    Returns (step, response) pairs in call order; dispatch stops after the
-    first non-ok response, so only the last pair can be non-ok.  Raises
-    OrchestrationError when the completion or its parse fails, before any
-    call is made.  Parsed URLs are canonicalized and must be registered in
-    the catalog; unregistered endpoints are refused, not called.
+    Returns (step, response) pairs in call order; each response is the
+    call's ok/fault/error dict plus the `request` body it was given.
+    Dispatch stops after the first non-ok response, so only the last pair
+    can be non-ok.  Raises OrchestrationError when the completion or its
+    parse fails, before any call is made.  Parsed URLs are canonicalized
+    and must be registered in the catalog; unregistered endpoints are
+    refused, not called.  Without a plant port the calls go over HTTP to
+    the parsed URLs.
     """
-    session = session or requests.Session()
+    plant = plant or HttpPlant("")
     try:
         prompt = build_operator_prompt(registry, module_id, demand_text)
     except (PromptError, CatalogError) as exc:
@@ -134,16 +185,14 @@ def perform_skill_via_operator(
     pairs: list[tuple[FunctionStep, dict]] = []
     for step in steps:
         url = canonical_url(step.url)
-        if url not in allowed:
-            pairs.append((step, {"status": "error", "reason": f"unregistered endpoint: {step.url}"}))
-            break
         try:
-            params = function_step_params(registry, step)
+            body, refusal = {"params": function_step_params(registry, step)}, None
         except PlantFault as exc:
-            pairs.append((step, {"status": "error", "reason": exc.reason}))
-            break
-        response = _post(session, url, {"params": params})
-        pairs.append((step, response))
+            body, refusal = {"params": {}}, exc.reason
+        if url not in allowed:
+            refusal = f"unregistered endpoint: {step.url}"
+        response = plant.call(url, body) if refusal is None else {"status": "error", "reason": refusal}
+        pairs.append((step, {**response, "request": body}))
         if response["status"] != "ok":
             break
     return pairs
@@ -153,24 +202,24 @@ def run_task(
     task_text: str,
     backend: CompletionBackend,
     registry: Registry,
-    plant_url: str,
+    plant: str | PlantPort,
     task_spec: TaskSpec | None = None,
     temperature: float = 0.0,
-    session: requests.Session | None = None,
 ) -> ExecutionTrace:
-    """Run one task end to end against a live plant service.
+    """Run one task end to end against a plant.
 
-    The registry must describe the plant being called (rebase it onto the
+    `plant` is a plant port or the base URL of a plant service.  The
+    registry must describe the plant being called (rebase it onto the
     service URL first).  Failures of any stage produce an aborted trace
     whose last record carries the reason; this function does not raise for
     them.
     """
     trace = ExecutionTrace(task_text=task_text, backend_id=backend.backend_id)
-    session = session or requests.Session()
-    base = plant_url.rstrip("/")
+    if isinstance(plant, str):
+        plant = HttpPlant(plant)
 
     try:
-        state = _get_json(session, f"{base}/plant/state")
+        state = plant.state()
     except OrchestrationError as exc:
         return _abort(trace, "plant", f"plant unreachable: {exc}")
     trace.start_state = state
@@ -204,68 +253,50 @@ def run_task(
         return _abort(trace, "manager", f"grammar violation: {summary}")
 
     if task_spec is None:
-        task_spec = _bundled_spec_for(task_text)
+        task_spec = bundled_task_for(task_text)
     details = goal_details(task_spec, registry) if task_spec else {}
 
     robot = registry.transport_module()
     transport_index = 0
     for step in plan_route(registry, plan, wp_module):
+        # Every route step becomes (name, url, response) calls, dispatched
+        # up to the first non-ok one; a transport is several, a skill one.
         if step.transport:
             transport_index += 1
             assert step.start is not None and step.target is not None
             demand = render_transport_demand(registry, step.start, step.target)
             try:
                 pairs = perform_skill_via_operator(
-                    registry,
-                    robot.id,
-                    demand,
-                    backend,
-                    session=session,
-                    temperature=temperature,
-                    exchanges=trace.exchanges,
+                    registry, robot.id, demand, backend, plant, temperature, trace.exchanges
                 )
             except OrchestrationError as exc:
                 return _abort(trace, "operator", str(exc))
-            failure = None
-            for fn_step, response in pairs:
-                record = TraceRecord(
-                    kind="functionality",
-                    name=fn_step.action,
-                    endpoint=canonical_url(fn_step.url),
-                    request={"params": _params_or_empty(registry, fn_step)},
+            kind, index = "functionality", transport_index
+            calls = [(fn_step.action, fn_step.url, response) for fn_step, response in pairs]
+        else:
+            skill = registry.skill(step.code)
+            body = {"workpiece_id": wp_id, "detail": details.get(step.code)}
+            kind, index = "skill", None
+            calls = [(step.code, skill.endpoint, {**plant.call(skill.endpoint, body), "request": body})]
+        for name, url, response in calls:
+            trace.records.append(
+                TraceRecord(
+                    kind=kind,
+                    name=name,
+                    endpoint=canonical_url(url),
+                    request=response["request"],
                     status=response["status"],
                     reason=response.get("reason"),
                     state_version=response.get("state_version"),
-                    transport_index=transport_index,
+                    transport_index=index,
                 )
-                trace.records.append(record)
-                if response["status"] != "ok":
-                    failure = response.get("reason") or "service call failed"
-            if failure is not None:
-                trace.outcome = "aborted"
-                trace.abort_reason = failure
-                return trace
-        else:
-            skill = registry.skill(step.code)
-            request_body = {"workpiece_id": wp_id, "detail": details.get(step.code)}
-            response = _post(session, skill.endpoint, request_body)
-            record = TraceRecord(
-                kind="skill",
-                name=step.code,
-                endpoint=canonical_url(skill.endpoint),
-                request=request_body,
-                status=response["status"],
-                reason=response.get("reason"),
-                state_version=response.get("state_version"),
             )
-            trace.records.append(record)
             if response["status"] != "ok":
-                trace.outcome = "aborted"
                 trace.abort_reason = response.get("reason") or "service call failed"
                 return trace
 
     try:
-        trace.final_state = _get_json(session, f"{base}/plant/state")
+        trace.final_state = plant.state()
     except OrchestrationError as exc:
         return _abort(trace, "plant", f"plant state unavailable after completion: {exc}")
     trace.outcome = "completed"
@@ -281,59 +312,3 @@ def _abort(trace: ExecutionTrace, stage: str, reason: str) -> ExecutionTrace:
     trace.outcome = "aborted"
     trace.abort_reason = reason
     return trace
-
-
-def _bundled_spec_for(task_text: str) -> TaskSpec | None:
-    for spec in bundled_task_specs():
-        if spec.instruction == task_text:
-            return spec
-    return None
-
-
-def _params_or_empty(registry: Registry, step: FunctionStep) -> dict:
-    try:
-        return function_step_params(registry, step)
-    except PlantFault:
-        return {}
-
-
-def _post(session: requests.Session, url: str, payload: dict) -> dict:
-    try:
-        response = session.post(url, json=payload, timeout=PLANT_TIMEOUT_SECONDS)
-    except requests.RequestException as exc:
-        return {"status": "error", "reason": f"connection error: {exc}"}
-    try:
-        body = response.json()
-    except ValueError:
-        body = {}
-    if response.status_code == 200:
-        return {
-            "status": "ok",
-            "reason": None,
-            "state_version": body.get("state_version"),
-        }
-    if response.status_code == 409:
-        return {
-            "status": "fault",
-            "reason": body.get("reason", "precondition violated"),
-            "state_version": None,
-        }
-    return {
-        "status": "error",
-        "reason": body.get("reason", f"HTTP {response.status_code}"),
-        "state_version": None,
-    }
-
-
-def _get_json(session: requests.Session, url: str) -> dict:
-    try:
-        response = session.get(url, timeout=PLANT_TIMEOUT_SECONDS)
-    except requests.RequestException as exc:
-        raise OrchestrationError(f"connection error: {exc}") from exc
-    if response.status_code != 200:
-        raise OrchestrationError(f"HTTP {response.status_code} from {url}")
-    try:
-        body = response.json()
-    except ValueError as exc:
-        raise OrchestrationError(f"non-JSON response from {url}") from exc
-    return body

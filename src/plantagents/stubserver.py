@@ -10,17 +10,17 @@ from __future__ import annotations
 import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+from .service import BackgroundServer, JsonHandler
 
 MODES = ("ok", "error", "stall")
 
 
-class _StubHandler(BaseHTTPRequestHandler):
+class _StubHandler(JsonHandler):
     server: "StubCompletionsServer"
 
     def do_POST(self) -> None:  # noqa: N802 (stdlib handler naming)
-        length = int(self.headers.get("Content-Length", "0"))
-        raw = self.rfile.read(length) if length else b""
+        raw = self._read_body()
         try:
             payload = json.loads(raw.decode("utf-8")) if raw else {}
         except json.JSONDecodeError:
@@ -35,34 +35,20 @@ class _StubHandler(BaseHTTPRequestHandler):
             time.sleep(self.server.stall_seconds)
             mode = "ok"
         if mode == "error":
-            body = json.dumps({"error": {"message": "stub failure"}}).encode("utf-8")
-            self.send_response(self.server.error_status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self._reply(self.server.error_status, {"error": {"message": "stub failure"}})
             return
-        body = json.dumps(
+        self._reply(
+            200,
             {
                 "id": "stub-completion",
                 "object": "text_completion",
                 "model": payload.get("model", "stub"),
                 "choices": [{"index": 0, "text": self.server.completion_text}],
-            }
-        ).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format: str, *args) -> None:
-        pass  # keep test output quiet
+            },
+        )
 
 
-class StubCompletionsServer(ThreadingHTTPServer):
-    daemon_threads = True
-
+class StubCompletionsServer(BackgroundServer):
     def __init__(
         self,
         completion_text: str = "",
@@ -81,27 +67,7 @@ class StubCompletionsServer(ThreadingHTTPServer):
         self.error_status = error_status
         self.requests: list[dict] = []
         self.lock = threading.Lock()
-        self._thread: threading.Thread | None = None
 
     @property
     def url(self) -> str:
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}/v1/completions"
-
-    def start(self) -> "StubCompletionsServer":
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self.shutdown()
-        self.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-
-    def __enter__(self) -> "StubCompletionsServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+        return f"{self.base_url}/v1/completions"

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .catalog import Registry
+from .catalog import CatalogError, Registry
 from .plant import MATERIALS, Feature
 
 # Check features applied before any goal feature (incoming inspection)
@@ -84,7 +84,7 @@ def check_achievable(registry: Registry, spec: TaskSpec) -> None:
     for feat in spec.goal_features + spec.required_checks:
         try:
             registry.feature_provider(feat.kind)
-        except Exception as exc:
+        except CatalogError as exc:
             raise TaskError(str(exc)) from exc
     registry.module(spec.initial_location)
 
@@ -111,6 +111,14 @@ def bundled_task_spec(task_id: str) -> TaskSpec:
         if spec.id == task_id:
             return spec
     raise TaskError(f"no bundled task named {task_id!r}")
+
+
+def bundled_task_for(instruction: str) -> TaskSpec | None:
+    """The bundled task with exactly this instruction text, if any."""
+    for spec in bundled_task_specs():
+        if spec.instruction == instruction:
+            return spec
+    return None
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import requests
 
 from plantagents import (
     ExecutionTrace,
+    LocalPlant,
     OracleBackend,
     OrchestrationError,
     PlantSim,
@@ -374,3 +375,59 @@ def test_transport_expansions_grouping():
     ]
     groups = trace.transport_expansions()
     assert [[r.name for r in g] for g in groups] == [["move_dock", "load"], ["move_dock"]]
+
+
+# -- the plant port --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec_index", [0, 1, 2])
+def test_in_process_trace_equals_http_trace(registry, task_specs, spec_index):
+    spec = task_specs[spec_index]
+    srv = serve_plant(PlantSim.standard_start(registry))
+    try:
+        reg = registry.rebased(srv.base_url)
+        over_http = run_task(spec.instruction, OracleBackend(reg, task_specs), reg, srv.base_url)
+    finally:
+        srv.stop()
+    sim = PlantSim.standard_start(registry)
+    in_process = run_task(spec.instruction, OracleBackend(reg, task_specs), reg, LocalPlant(sim))
+
+    assert in_process.outcome == "completed"
+    assert in_process.to_dict() == over_http.to_dict()
+    assert sim.state.version == len(in_process.records)
+
+
+class FailingPlant:
+    """A plant port that answers `status` instead of running call number k."""
+
+    def __init__(self, sim, k, status):
+        self.plant = LocalPlant(sim)
+        self.k, self.status, self.calls = k, status, 0
+
+    def state(self):
+        return self.plant.state()
+
+    def call(self, url, body):
+        self.calls += 1
+        if self.calls == self.k:
+            return {"status": self.status, "reason": f"injected {self.status} at call {self.k}"}
+        return self.plant.call(url, body)
+
+
+@pytest.mark.parametrize("status", ["error", "fault"])
+def test_failing_call_aborts_with_one_final_record(registry, task_specs, drilled_spec, status):
+    clean = run_task(drilled_spec.instruction, OracleBackend(registry, task_specs), registry,
+                     LocalPlant(PlantSim.standard_start(registry)))
+    assert clean.outcome == "completed"
+    for k in range(1, len(clean.records) + 1):
+        sim = PlantSim.standard_start(registry)
+        trace = run_task(drilled_spec.instruction, OracleBackend(registry, task_specs), registry,
+                         FailingPlant(sim, k, status))
+        assert trace.outcome == "aborted"
+        assert len(trace.records) == k
+        failures = non_ok(trace)
+        assert failures == [trace.records[-1]]
+        assert failures[0].status == status
+        assert failures[0].reason == trace.abort_reason == f"injected {status} at call {k}"
+        assert sim.state.version == k - 1 == len(trace.records) - 1
+        assert trace.final_state is None

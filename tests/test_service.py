@@ -1,4 +1,5 @@
 import json
+import socket
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -179,3 +180,44 @@ def test_get_content_type_json(service):
     r = requests.get(f"{service.base_url}/plant/state", timeout=5)
     assert r.headers["Content-Type"] == "application/json"
     json.loads(r.text)
+
+
+@pytest.mark.parametrize(
+    "path, body, length, ends_early",
+    [
+        ("/storage_module/skills/S1", b'{"workpiece_id": ["a"]}', None, False),
+        ("/robotino_7/functionalities/move_dock", b'{"params": ["x"]}', None, False),
+        ("/robotino_7/functionalities/move_dock", b'{"params": {"target_module": ["x"]}}', None, False),
+        ("/robotino_7/functionalities/move_dock", b"{}", "abc", False),
+        ("/robotino_7/functionalities/move_dock", b"", "-1", False),
+        ("/storage_module/skills/S1", b'{"detail": {"a": 1}}', None, False),
+        ("/storage_module/skills/S1", b"", str(10**9), False),
+        ("/storage_module/skills/S1", b"\xff{", None, False),
+        ("/storage_module/skills/S1", b"[]", None, False),
+        ("/storage_module/skills/S1", b"{}", "10", True),
+    ],
+)
+def test_malformed_request_gets_400_json(service, path, body, length, ends_early):
+    """Each request gets a 400 JSON reply without touching the plant, and
+    the server goes on answering.  With ends_early the client stops sending
+    before the body is complete."""
+    length = str(len(body)) if length is None else length
+    request = (
+        f"POST {path} HTTP/1.1\r\nHost: plant\r\nContent-Type: application/json\r\n"
+        f"Content-Length: {length}\r\nConnection: close\r\n\r\n"
+    ).encode("ascii") + body
+    with socket.create_connection(service.server_address[:2], timeout=5) as sock:
+        sock.sendall(request)
+        if ends_early:
+            sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    head, _, payload = reply.partition(b"\r\n\r\n")
+    assert head.split(b"\r\n")[0].split()[1] == b"400"
+    assert b"Content-Type: application/json" in head
+    assert json.loads(payload)["status"] == "error"
+
+    assert requests.get(f"{service.base_url}/plant/state", timeout=5).json()["version"] == 0
+    r = requests.post(f"{service.base_url}/storage_module/skills/S1", json={}, timeout=5)
+    assert r.json() == {"status": "ok", "state_version": 1}
