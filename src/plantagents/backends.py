@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -212,9 +211,6 @@ class RemoteBackend(CompletionBackend):
         model: str,
         api_key: str | None = None,
         timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS,
-        max_in_flight: int = 4,
-        retry_once: bool = False,
-        session: requests.Session | None = None,
     ) -> None:
         if not endpoint_url:
             raise BackendError("remote backend needs an endpoint URL")
@@ -224,9 +220,7 @@ class RemoteBackend(CompletionBackend):
         self.model = model
         self.api_key = api_key
         self.timeout_seconds = timeout_seconds
-        self.retry_once = retry_once
-        self._gate = threading.BoundedSemaphore(max_in_flight)
-        self._session = session or requests.Session()
+        self._session = requests.Session()
 
     @classmethod
     def from_env(cls, environ: dict | None = None) -> "RemoteBackend":
@@ -251,18 +245,6 @@ class RemoteBackend(CompletionBackend):
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
         started = time.perf_counter()
-        attempts = 2 if self.retry_once else 1
-        last_error: RemoteError | None = None
-        for _ in range(attempts):
-            try:
-                text = self._call_once(request)
-                return self._result(text, started)
-            except RemoteError as exc:
-                last_error = exc
-        assert last_error is not None
-        raise last_error
-
-    def _call_once(self, request: CompletionRequest) -> str:
         payload = {
             "model": self.model,
             "prompt": request.prompt,
@@ -272,20 +254,19 @@ class RemoteBackend(CompletionBackend):
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        with self._gate:
-            try:
-                response = self._session.post(
-                    self.endpoint_url,
-                    json=payload,
-                    headers=headers,
-                    timeout=self.timeout_seconds,
-                )
-            except requests.Timeout as exc:
-                raise RemoteError(
-                    f"completion request timed out after {self.timeout_seconds}s"
-                ) from exc
-            except requests.RequestException as exc:
-                raise RemoteError(f"completion request failed: {exc}") from exc
+        try:
+            response = self._session.post(
+                self.endpoint_url,
+                json=payload,
+                headers=headers,
+                timeout=self.timeout_seconds,
+            )
+        except requests.Timeout as exc:
+            raise RemoteError(
+                f"completion request timed out after {self.timeout_seconds}s"
+            ) from exc
+        except requests.RequestException as exc:
+            raise RemoteError(f"completion request failed: {exc}") from exc
         if not 200 <= response.status_code < 300:
             raise RemoteError(f"completion endpoint returned {response.status_code}")
         try:
@@ -295,4 +276,4 @@ class RemoteBackend(CompletionBackend):
             raise RemoteError(f"malformed completion response: {exc}") from exc
         if not isinstance(text, str) or not text:
             raise RemoteError("completion response carries no text")
-        return text
+        return self._result(text, started)

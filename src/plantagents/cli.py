@@ -37,7 +37,7 @@ from .parsing import (
 from .plant import PlantSim
 from .prompts import PromptError, build_manager_prompt, build_operator_prompt
 from .service import DEFAULT_PORT, PlantService, serve_plant
-from .tasks import TaskError, bundled_task_for, bundled_task_spec, bundled_task_specs, load_task_specs
+from .tasks import TaskError, TaskSpec, bundled_task_for, bundled_task_spec, bundled_task_specs, load_task_specs
 from .validation import move_dock_target, simulate_function_steps, validate_plan
 
 
@@ -101,7 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plant-url", help="existing plant service; omit to serve a fresh one")
     p.add_argument("--trace-out", help="write the execution trace JSON here")
     p.add_argument("--replay-file", help="replay corpus (backend=replay)")
-    p.add_argument("--tasks", help="extra task specs the oracle may be asked about")
 
     p = add("collect", "record completions for a task suite into a corpus", _cmd_collect)
     p.add_argument("--tasks", required=True, help="task specification file")
@@ -124,14 +123,11 @@ def _registry(args) -> Registry:
     return bundled_catalog()
 
 
-def _make_backend(args, registry: Registry) -> CompletionBackend:
+def _make_backend(args, registry: Registry, specs: list[TaskSpec]) -> CompletionBackend:
+    """The backend `--backend` names; the oracle knows the bundled tasks and
+    `specs`."""
     if args.backend == "oracle":
-        specs = list(bundled_task_specs())
-        if getattr(args, "tasks", None):
-            specs.extend(load_task_specs(args.tasks))
-        if getattr(args, "task_spec", None):
-            specs.extend(load_task_specs(args.task_spec))
-        return OracleBackend(registry, specs)
+        return OracleBackend(registry, bundled_task_specs() + specs)
     if args.backend == "replay":
         if not getattr(args, "replay_file", None):
             raise BackendError("backend=replay needs --replay-file")
@@ -143,9 +139,8 @@ def _make_backend(args, registry: Registry) -> CompletionBackend:
 # Handlers
 
 def _cmd_serve(args) -> int:
-    registry = _registry(args).rebased(f"http://{args.host}:{args.port}")
     sim = PlantSim.standard_start(
-        registry, workpiece_id=args.workpiece_id, material=args.material
+        _registry(args), workpiece_id=args.workpiece_id, material=args.material
     )
     service = PlantService(sim, host=args.host, port=args.port)
     print(f"plant service listening on {service.base_url}", flush=True)
@@ -215,10 +210,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_run_task(args) -> int:
     base_registry = _registry(args)
-    if args.task_spec:
-        spec = load_task_specs(args.task_spec)[0]
-    else:
-        spec = bundled_task_for(args.task)
+    specs = load_task_specs(args.task_spec) if args.task_spec else []
+    spec = specs[0] if specs else bundled_task_for(args.task)
 
     service = None
     try:
@@ -232,7 +225,7 @@ def _cmd_run_task(args) -> int:
             plant_url = service.base_url
         # Prompts and dispatch must name URLs the live plant answers at.
         registry = base_registry.rebased(plant_url)
-        backend = _make_backend(args, registry)
+        backend = _make_backend(args, registry, specs)
         trace = run_task(
             args.task, backend, registry, plant_url, task_spec=spec
         )
@@ -254,7 +247,7 @@ def _cmd_run_task(args) -> int:
 def _cmd_collect(args) -> int:
     registry = _registry(args)
     specs = load_task_specs(args.tasks)
-    backend = _make_backend(args, registry)
+    backend = _make_backend(args, registry, specs)
     samples = collect_corpus(
         registry, specs, backend, per_task=args.n, temperature=args.temperature
     )

@@ -18,7 +18,7 @@ import requests
 from .backends import BackendError, CompletionBackend, CompletionRequest
 from .catalog import CatalogError, Registry, canonical_url
 from .parsing import FunctionStep, ParseError, parse_function_steps, parse_skill_sequence
-from .plant import PlantFault
+from .plant import ON_ROBOT, PlantFault
 from .prompts import (
     PromptError,
     build_manager_prompt,
@@ -114,9 +114,9 @@ class PlantPort(Protocol):
 class HttpPlant:
     """The plant port for a plant service reached over HTTP."""
 
-    def __init__(self, base_url: str, session: requests.Session | None = None) -> None:
+    def __init__(self, base_url: str) -> None:
         self.base_url = base_url.rstrip("/")
-        self.session = session or requests.Session()
+        self.session = requests.Session()
 
     def state(self) -> dict:
         url = f"{self.base_url}/plant/state"
@@ -148,8 +148,7 @@ def perform_skill_via_operator(
     module_id: str,
     demand_text: str,
     backend: CompletionBackend,
-    plant: PlantPort | None = None,
-    temperature: float = 0.0,
+    plant: PlantPort,
     exchanges: list[dict] | None = None,
 ) -> list[tuple[FunctionStep, dict]]:
     """Expand one transport demand into functionality calls and run them.
@@ -160,16 +159,14 @@ def perform_skill_via_operator(
     can be non-ok.  Raises OrchestrationError when the completion or its
     parse fails, before any call is made.  Parsed URLs are canonicalized
     and must be registered in the catalog; unregistered endpoints are
-    refused, not called.  Without a plant port the calls go over HTTP to
-    the parsed URLs.
+    refused, not called.
     """
-    plant = plant or HttpPlant("")
     try:
         prompt = build_operator_prompt(registry, module_id, demand_text)
     except (PromptError, CatalogError) as exc:
         raise OrchestrationError(f"operator prompt failed: {exc}") from exc
     try:
-        result = backend.complete(CompletionRequest(prompt=prompt, temperature=temperature))
+        result = backend.complete(CompletionRequest(prompt=prompt))
     except BackendError as exc:
         raise OrchestrationError(f"operator completion failed: {exc}") from exc
     if exchanges is not None:
@@ -204,7 +201,6 @@ def run_task(
     registry: Registry,
     plant: str | PlantPort,
     task_spec: TaskSpec | None = None,
-    temperature: float = 0.0,
 ) -> ExecutionTrace:
     """Run one task end to end against a plant.
 
@@ -228,7 +224,7 @@ def run_task(
         return _abort(trace, "plant", f"plant must hold exactly one workpiece, found {len(workpieces)}")
     wp_id, wp = next(iter(workpieces.items()))
     wp_module = wp.get("location")
-    if wp_module == "robot":
+    if wp_module == ON_ROBOT:
         return _abort(trace, "plant", "workpiece is already on the transport robot")
 
     try:
@@ -236,7 +232,7 @@ def run_task(
     except (PromptError, CatalogError) as exc:
         return _abort(trace, "manager", f"prompt failed: {exc}")
     try:
-        result = backend.complete(CompletionRequest(prompt=prompt, temperature=temperature))
+        result = backend.complete(CompletionRequest(prompt=prompt))
     except BackendError as exc:
         return _abort(trace, "manager", f"completion failed: {exc}")
     trace.exchanges.append({"agent": "manager", "prompt": prompt, "completion": result.text})
@@ -247,7 +243,7 @@ def run_task(
         return _abort(trace, "manager", f"parse failed: {exc}")
     trace.skill_plan = list(plan.steps)
 
-    violations = validate_grammar(plan, registry)
+    violations = validate_grammar(plan.steps, registry)
     if violations:
         summary = "; ".join(f"rule {v.rule}: {v.message}" for v in violations)
         return _abort(trace, "manager", f"grammar violation: {summary}")
@@ -258,7 +254,7 @@ def run_task(
 
     robot = registry.transport_module()
     transport_index = 0
-    for step in plan_route(registry, plan, wp_module):
+    for step in plan_route(registry, plan.steps, wp_module):
         # Every route step becomes (name, url, response) calls, dispatched
         # up to the first non-ok one; a transport is several, a skill one.
         if step.transport:
@@ -267,7 +263,7 @@ def run_task(
             demand = render_transport_demand(registry, step.start, step.target)
             try:
                 pairs = perform_skill_via_operator(
-                    registry, robot.id, demand, backend, plant, temperature, trace.exchanges
+                    registry, robot.id, demand, backend, plant, trace.exchanges
                 )
             except OrchestrationError as exc:
                 return _abort(trace, "operator", str(exc))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
@@ -129,6 +130,10 @@ class LocalPlant:
 class JsonHandler(BaseHTTPRequestHandler):
     """Request handler base: JSON replies, a bounded body read, no logging."""
 
+    # Seconds a socket read or write may wait, so a client that stops
+    # sending cannot hold a handler thread.
+    timeout = 10.0
+
     def _reply(self, status: int, payload: dict) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
@@ -139,13 +144,16 @@ class JsonHandler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> bytes:
         """The request body; ValueError when Content-Length is not a number
-        from 0 to MAX_BODY_BYTES (then nothing is read) or the client ends
-        the body early."""
+        from 0 to MAX_BODY_BYTES (then nothing is read), or the client ends
+        the body early or does not send it within `timeout`."""
         header = self.headers.get("Content-Length", "0")
         length = int(header) if header.strip().isdigit() else -1
         if not 0 <= length <= MAX_BODY_BYTES:
             raise ValueError(f"Content-Length must be a number from 0 to {MAX_BODY_BYTES}, got {header!r}")
-        raw = self.rfile.read(length) if length else b""
+        try:
+            raw = self.rfile.read(length) if length else b""
+        except TimeoutError:
+            raise ValueError(f"body of {length} bytes did not arrive within {self.timeout}s") from None
         if len(raw) != length:
             raise ValueError(f"body ended after {len(raw)} of {length} bytes")
         return raw
@@ -170,6 +178,11 @@ class BackgroundServer(ThreadingHTTPServer):
         self._thread = threading.Thread(target=self.serve_forever, daemon=True)
         self._thread.start()
         return self
+
+    def handle_error(self, request, client_address) -> None:
+        # A client that hung up before its reply is not a server fault.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
 
     def stop(self) -> None:
         self.shutdown()

@@ -10,10 +10,11 @@ planner's shortest solution.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .catalog import Registry
-from .parsing import ParseError, SkillPlan, FunctionStep, parse_skill_sequence
+from .catalog import CatalogError, Registry
+from .parsing import FunctionStep, ParseError, parse_skill_sequence
 from .planner import PlanningError, oracle_plan_skills
 from .plant import PlantFault, PlantSim, transport_functionality_calls
 from .tasks import TaskSpec
@@ -68,13 +69,7 @@ class ValidationReport:
         }
 
 
-def _step_codes(plan: SkillPlan | list[str] | tuple[str, ...]) -> list[str]:
-    if isinstance(plan, SkillPlan):
-        return list(plan.steps)
-    return list(plan)
-
-
-def validate_grammar(plan: SkillPlan | list[str], registry: Registry) -> list[GrammarViolation]:
+def validate_grammar(steps: Sequence[str], registry: Registry) -> list[GrammarViolation]:
     """Check the task-independent process rules; violations are data.
 
     Checked rules: every code must name a catalog skill (rule 8), the plan
@@ -83,7 +78,6 @@ def validate_grammar(plan: SkillPlan | list[str], registry: Registry) -> list[Gr
     in between (rule 3).  Transport steps themselves are not location-bound
     (rules 4 and 5).
     """
-    steps = _step_codes(plan)
     violations: list[GrammarViolation] = []
     if not steps:
         return [GrammarViolation(1, "a production process needs at least one process step")]
@@ -134,10 +128,9 @@ def validate_grammar(plan: SkillPlan | list[str], registry: Registry) -> list[Gr
     return violations
 
 
-def nonstandard_skills(plan: SkillPlan | list[str], registry: Registry) -> list[str]:
+def nonstandard_skills(steps: Sequence[str], registry: Registry) -> list[str]:
     """Catalog skills with no execution semantics (robot skills other than
     the inter-module transport); their presence is flagged, not rejected."""
-    steps = _step_codes(plan)
     transport_code = registry.transport_skill().code
     flagged = []
     for code in steps:
@@ -161,14 +154,13 @@ class RouteStep:
     target: str | None = None
 
 
-def plan_route(registry: Registry, plan: SkillPlan | list[str], initial_module: str) -> list[RouteStep]:
+def plan_route(registry: Registry, steps: Sequence[str], initial_module: str) -> list[RouteStep]:
     """Resolve each step to a dispatch unit, deriving transport endpoints.
 
     A transport step starts where the workpiece currently is and targets
     the host module of the next location-bound step (itself, when the plan
     ends on transports).  Location-bound steps never move the workpiece.
     """
-    steps = _step_codes(plan)
     transport_code = registry.transport_skill().code
 
     def is_location_bound(code: str) -> bool:
@@ -196,9 +188,10 @@ _MOVE_DOCK_TARGET_RE = re.compile(r"to (?:the )?(.+?) module")
 def move_dock_target(registry: Registry, description: str) -> str | None:
     """Module id a move_dock step drives to, read from its description."""
     for phrase in _MOVE_DOCK_TARGET_RE.findall(description):
-        for module in registry.modules:
-            if module.transport_phrase == phrase:
-                return module.id
+        try:
+            return registry.module_by_phrase(phrase).id
+        except CatalogError:
+            continue
     return None
 
 
@@ -207,7 +200,7 @@ def move_dock_target(registry: Registry, description: str) -> str | None:
 
 def simulate_skill_plan(
     registry: Registry,
-    plan: SkillPlan | list[str],
+    plan: Sequence[str],
     plant: PlantSim,
     details: dict[str, str] | None = None,
 ) -> tuple[bool, str | None, PlantSim]:
@@ -324,13 +317,12 @@ def check_satisfaction(
 
 def check_minimality(
     registry: Registry,
-    plan: SkillPlan | list[str],
+    plan: Sequence[str],
     spec: TaskSpec,
 ) -> tuple[bool, int, int]:
     """Minimal iff the plan is as short as the planner's shortest solution."""
-    steps = _step_codes(plan)
     oracle = oracle_plan_skills(registry, spec)
-    return len(steps) == len(oracle), len(steps), len(oracle)
+    return len(plan) == len(oracle), len(plan), len(oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +330,7 @@ def check_minimality(
 
 def validate_plan(
     registry: Registry,
-    plan_or_text: str | SkillPlan | list[str],
+    plan_or_text: str | Sequence[str],
     spec: TaskSpec,
 ) -> ValidationReport:
     """Parse (if needed), then judge grammar, executability, satisfaction,
@@ -351,17 +343,15 @@ def validate_plan(
 
     if isinstance(plan_or_text, str):
         try:
-            plan = parse_skill_sequence(plan_or_text)
+            plan = list(parse_skill_sequence(plan_or_text).steps)
         except ParseError as exc:
             report.parse_error = str(exc)
             return report
-    elif isinstance(plan_or_text, SkillPlan):
-        plan = plan_or_text
     else:
-        plan = SkillPlan(steps=tuple(plan_or_text))
+        plan = list(plan_or_text)
     report.parsed = True
-    report.plan = list(plan.steps)
-    report.plan_length = len(plan.steps)
+    report.plan = plan
+    report.plan_length = len(plan)
 
     report.violations = validate_grammar(plan, registry)
     report.nonstandard_skills = nonstandard_skills(plan, registry)

@@ -167,12 +167,12 @@ def test_remote_timeout():
             backend.complete(CompletionRequest(prompt="p"))
 
 
-def test_remote_retry_once_counts_attempts():
+def test_remote_error_makes_one_request():
     with StubCompletionsServer(mode="error") as stub:
-        backend = RemoteBackend(endpoint_url=stub.url, model="m", retry_once=True)
+        backend = RemoteBackend(endpoint_url=stub.url, model="m")
         with pytest.raises(RemoteError):
             backend.complete(CompletionRequest(prompt="p"))
-        assert len(stub.requests) == 2
+        assert len(stub.requests) == 1
 
 
 def test_remote_rejects_empty_completion():

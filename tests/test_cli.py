@@ -203,6 +203,37 @@ def test_run_task_aborted_exits_nonzero(tmp_path, capsys):
     assert trace["abort_reason"].startswith("completion failed: ")
 
 
+def test_run_task_with_task_spec_file(tmp_path, capsys):
+    """--task-spec hands a task the bundled set lacks to the oracle, and its
+    goal detail to the skill call that makes the feature."""
+    detail = "serial number 0042"
+    spec_path = tmp_path / "task.json"
+    spec_path.write_text(json.dumps({
+        "instruction": "engrave a wood nameplate with its serial number",
+        "material": "wood",
+        "initial_location": "storage_module",
+        "goal_features": [{"kind": "laser_pattern", "detail": detail}],
+        "required_checks": [{"kind": "quality_tested"}],
+    }), "utf-8")
+    rc = main([
+        "run-task",
+        "--backend",
+        "oracle",
+        "--task",
+        "engrave a wood nameplate with its serial number",
+        "--task-spec",
+        str(spec_path),
+    ])
+    assert rc == 0
+    trace = json.loads(capsys.readouterr().out)
+    assert trace["outcome"] == "completed"
+    (record,) = [r for r in trace["records"] if r["request"].get("detail") is not None]
+    assert record["kind"] == "skill"
+    assert record["request"]["detail"] == detail
+    (workpiece,) = trace["final_state"]["workpieces"].values()
+    assert {"kind": "laser_pattern", "detail": detail} in workpiece["features"]
+
+
 def test_run_task_replay_requires_file(capsys):
     rc = main(["run-task", "--backend", "replay", "--task", "anything"])
     assert rc == 1
@@ -258,27 +289,27 @@ def test_evaluate_missing_corpus(capsys, tmp_path):
 
 
 def test_serve_process_smoke():
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "plantagents", "serve", "--port", "0"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-    )
-    try:
-        line = proc.stdout.readline().strip()
-        assert line.startswith("plant service listening on http://127.0.0.1:")
-        base = line.rsplit(" ", 1)[-1]
-        state = requests.get(f"{base}/plant/state", timeout=5).json()
-        assert state["version"] == 0
-        r = requests.post(
-            f"{base}/storage_module/skills/S1", json={"workpiece_id": "wp1"}, timeout=5
-        )
-        assert r.status_code == 200
-    finally:
-        proc.send_signal(signal.SIGINT)
+    ) as proc:
         try:
-            rc = proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            raise
+            line = proc.stdout.readline().strip()
+            assert line.startswith("plant service listening on http://127.0.0.1:")
+            base = line.rsplit(" ", 1)[-1]
+            state = requests.get(f"{base}/plant/state", timeout=5).json()
+            assert state["version"] == 0
+            r = requests.post(
+                f"{base}/storage_module/skills/S1", json={"workpiece_id": "wp1"}, timeout=5
+            )
+            assert r.status_code == 200
+        finally:
+            proc.send_signal(signal.SIGINT)
+            try:
+                rc = proc.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                raise
     assert rc == 0

@@ -11,6 +11,7 @@ import requests
 
 from plantagents import (
     ExecutionTrace,
+    HttpPlant,
     LocalPlant,
     OracleBackend,
     OrchestrationError,
@@ -293,7 +294,7 @@ def test_abort_unregistered_endpoint_is_refused(live, returned_spec):
 def test_perform_skill_via_operator_runs_transport(live):
     sim, srv, reg, backend = live
     demand = render_transport_demand(reg, "storage_module", "painting_module")
-    pairs = perform_skill_via_operator(reg, "robotino_7", demand, backend)
+    pairs = perform_skill_via_operator(reg, "robotino_7", demand, backend, HttpPlant(srv.base_url))
 
     assert [step.action for step, _ in pairs] == TRANSPORT_ACTIONS
     assert all(resp["status"] == "ok" for _, resp in pairs)
@@ -305,7 +306,7 @@ def test_perform_skill_via_operator_stops_at_first_fault(live):
     sim, srv, reg, backend = live
     # loading at the cnc module finds no workpiece there
     demand = render_transport_demand(reg, "cnc_module", "laser_module")
-    pairs = perform_skill_via_operator(reg, "robotino_7", demand, backend)
+    pairs = perform_skill_via_operator(reg, "robotino_7", demand, backend, HttpPlant(srv.base_url))
     statuses = [resp["status"] for _, resp in pairs]
     assert statuses == ["ok", "fault"]
     assert pairs[-1][1]["reason"] == "load: no workpiece at cnc_module"
@@ -314,21 +315,21 @@ def test_perform_skill_via_operator_stops_at_first_fault(live):
 def test_perform_skill_via_operator_prompt_error(live):
     sim, srv, reg, backend = live
     with pytest.raises(OrchestrationError, match="operator prompt failed: "):
-        perform_skill_via_operator(reg, "cnc_module", "(T1) move it", backend)
+        perform_skill_via_operator(reg, "cnc_module", "(T1) move it", backend, HttpPlant(srv.base_url))
 
 
 def test_perform_skill_via_operator_completion_error(live):
     sim, srv, reg, _ = live
     demand = render_transport_demand(reg, "storage_module", "cnc_module")
     with pytest.raises(OrchestrationError, match="operator completion failed: "):
-        perform_skill_via_operator(reg, "robotino_7", demand, ScriptedBackend([]))
+        perform_skill_via_operator(reg, "robotino_7", demand, ScriptedBackend([]), HttpPlant(srv.base_url))
 
 
 def test_perform_skill_via_operator_parse_error(live):
     sim, srv, reg, _ = live
     demand = render_transport_demand(reg, "storage_module", "cnc_module")
     with pytest.raises(OrchestrationError, match="operator output unparseable: "):
-        perform_skill_via_operator(reg, "robotino_7", demand, ScriptedBackend(["nope"]))
+        perform_skill_via_operator(reg, "robotino_7", demand, ScriptedBackend(["nope"]), HttpPlant(srv.base_url))
     assert sim.state.version == 0
 
 

@@ -1,12 +1,14 @@
 import json
 import socket
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 import requests
 
 from plantagents import PlantSim, serve_plant
-from plantagents.service import DEFAULT_PORT
+from plantagents.service import DEFAULT_PORT, JsonHandler
 
 
 @pytest.fixture
@@ -221,3 +223,44 @@ def test_malformed_request_gets_400_json(service, path, body, length, ends_early
     assert requests.get(f"{service.base_url}/plant/state", timeout=5).json()["version"] == 0
     r = requests.post(f"{service.base_url}/storage_module/skills/S1", json={}, timeout=5)
     assert r.json() == {"status": "ok", "state_version": 1}
+
+
+# A request that announces a 10-byte body and sends 2 bytes of it.
+SHORT_BODY_REQUEST = (
+    b"POST /storage_module/skills/S1 HTTP/1.1\r\nHost: plant\r\n"
+    b"Content-Type: application/json\r\nContent-Length: 10\r\n\r\n{}"
+)
+
+
+def test_held_open_short_body_gets_400_json_after_timeout(service, monkeypatch):
+    """A client that keeps the connection open without sending the rest of
+    its body gets a 400 JSON reply once the handler's timeout passes."""
+    monkeypatch.setattr(JsonHandler, "timeout", 0.5)
+    with socket.create_connection(service.server_address[:2], timeout=5) as sock:
+        sock.sendall(SHORT_BODY_REQUEST)
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    head, _, payload = reply.partition(b"\r\n\r\n")
+    assert head.split(b"\r\n")[0].split()[1] == b"400"
+    assert b"Content-Type: application/json" in head
+    assert json.loads(payload)["status"] == "error"
+
+    assert requests.get(f"{service.base_url}/plant/state", timeout=5).json()["version"] == 0
+    r = requests.post(f"{service.base_url}/storage_module/skills/S1", json={}, timeout=5)
+    assert r.json() == {"status": "ok", "state_version": 1}
+
+
+def test_client_gone_before_reply_prints_nothing(service, capfd):
+    """Replying to a client that has closed its connection is not an error
+    worth a traceback on stderr."""
+    with socket.create_connection(service.server_address[:2], timeout=5) as sock:
+        sock.sendall(SHORT_BODY_REQUEST)
+    # The server accepts connections in order, so once this is answered the
+    # closed one has its handler thread; then wait for every handler to end.
+    assert requests.get(f"{service.base_url}/plant/state", timeout=5).status_code == 200
+    deadline = time.monotonic() + 5
+    while any(t.name.endswith("(process_request_thread)") for t in threading.enumerate()):
+        assert time.monotonic() < deadline, "a handler thread is still running"
+        time.sleep(0.01)
+    assert capfd.readouterr().err == ""
