@@ -92,7 +92,6 @@ from .validation import (
     check_satisfaction,
     nonstandard_skills,
     plan_route,
-    simulate_function_steps,
     simulate_skill_plan,
     validate_grammar,
     validate_plan,

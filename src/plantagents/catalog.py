@@ -10,7 +10,7 @@ code change.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from urllib.parse import urlsplit, urlunsplit
@@ -118,9 +118,12 @@ class PromptAssets:
 
 @dataclass
 class Registry:
-    """Loaded, validated catalog with lookup helpers.
+    """Validated catalog with lookup helpers.
 
-    Treat instances as read-only; derive changed copies via :meth:`rebased`.
+    Construction checks every registry invariant and builds every index, so
+    any instance (loaded, built directly, or derived by :meth:`rebased`) is
+    valid and every lookup is a dict read.  Treat instances as read-only;
+    derive changed copies via :meth:`rebased`.
     """
 
     modules: tuple[Module, ...]
@@ -128,26 +131,59 @@ class Registry:
     _skills: dict[str, tuple[Module, Skill]] = field(init=False, repr=False)
     _modules: dict[str, Module] = field(init=False, repr=False)
     _phrases: dict[str, Module] = field(init=False, repr=False)
+    _features: dict[str, tuple[Module, Skill]] = field(init=False, repr=False)
+    _ranks: dict[str, int] = field(init=False, repr=False)
+    _storage: Module = field(init=False, repr=False)
+    _transport: Module = field(init=False, repr=False)
+    _roles: dict[str, Skill] = field(init=False, repr=False)
+    _transport_skill: Skill = field(init=False, repr=False)
     _endpoints: frozenset[str] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._modules = {m.id: m for m in self.modules}
-        self._skills = {
-            s.code: (m, s) for m in self.modules for s in m.skills
-        }
-        self._phrases = {
-            m.transport_phrase: m
-            for m in self.modules
-            if m.transport_phrase is not None
-        }
-        urls = [s.endpoint for m in self.modules for s in m.skills]
-        urls += [
-            fn.url
-            for m in self.modules
-            for comp in m.components
-            for fn in comp.functionalities
-        ]
+        if not self.modules:
+            raise CatalogError("catalog describes no modules")
+        self._modules, self._skills, self._phrases, self._features = {}, {}, {}, {}
+        urls: list[str] = []
+        for m in self.modules:
+            if m.id in self._modules:
+                raise CatalogError(f"duplicate module id {m.id!r}")
+            self._modules[m.id] = m
+            if m.transport_phrase is not None:
+                if m.transport_phrase in self._phrases:
+                    raise CatalogError(f"transport phrase {m.transport_phrase!r} names two modules")
+                self._phrases[m.transport_phrase] = m
+            urls += [fn.url for comp in m.components for fn in comp.functionalities]
+            for s in m.skills:
+                if s.code in self._skills:
+                    raise CatalogError(f"duplicate skill code {s.code}")
+                self._skills[s.code] = (m, s)
+                urls.append(s.endpoint)
+                if s.feature is not None:
+                    if s.feature in self._features:
+                        raise CatalogError(f"feature {s.feature!r} provided twice")
+                    self._features[s.feature] = (m, s)
+        # Catalog order of the skills, the planner's tie-break.
+        self._ranks = {code: i for i, code in enumerate(self._skills)}
+
+        self._storage = self._single_kind("storage")
+        self._transport = self._single_kind("transport")
+        # Reversed, so the first storage skill of each role wins.
+        self._roles = {s.role: s for s in reversed(self._storage.skills) if s.role is not None}
+        for role in STORAGE_ROLES:
+            if role not in self._roles:
+                raise CatalogError(f"storage module has no {role!r} skill")
+        # The transport skill is the first robot skill with no feature or role.
+        found = [s for s in self._transport.skills if s.feature is None and s.role is None]
+        if not found:
+            raise CatalogError("transport module offers no transport skill")
+        self._transport_skill = found[0]
         self._endpoints = frozenset(canonical_url(u) for u in urls)
+
+    def _single_kind(self, kind: str) -> Module:
+        found = [m for m in self.modules if m.kind == kind]
+        if len(found) != 1:
+            raise CatalogError(f"catalog must have exactly one {kind} module, not {len(found)}")
+        return found[0]
 
     # -- lookups ---------------------------------------------------------
 
@@ -182,30 +218,20 @@ class Registry:
             raise CatalogError(f"no module with transport phrase {phrase!r}") from None
 
     def storage_module(self) -> Module:
-        return self._single_kind("storage")
+        return self._storage
 
     def transport_module(self) -> Module:
-        return self._single_kind("transport")
-
-    def _single_kind(self, kind: str) -> Module:
-        found = [m for m in self.modules if m.kind == kind]
-        if not found:
-            raise CatalogError(f"catalog has no {kind} module")
-        return found[0]
+        return self._transport
 
     def storage_skill(self, role: str) -> Skill:
-        for s in self.storage_module().skills:
-            if s.role == role:
-                return s
-        raise CatalogError(f"storage module has no {role!r} skill")
+        try:
+            return self._roles[role]
+        except KeyError:
+            raise CatalogError(f"storage module has no {role!r} skill") from None
 
     def transport_skill(self) -> Skill:
         """The inter-module transport skill (first one the robot offers)."""
-        robot = self.transport_module()
-        for s in robot.skills:
-            if s.feature is None and s.role is None:
-                return s
-        raise CatalogError("transport module offers no transport skill")
+        return self._transport_skill
 
     def functionality(self, module_id: str, name: str) -> Functionality:
         mod = self.module(module_id)
@@ -220,11 +246,17 @@ class Registry:
         return tuple(fn for comp in mod.components for fn in comp.functionalities)
 
     def feature_provider(self, kind: str) -> tuple[Module, Skill]:
-        for m in self.modules:
-            for s in m.skills:
-                if s.feature == kind:
-                    return m, s
-        raise CatalogError(f"no skill provides feature {kind!r}")
+        try:
+            return self._features[kind]
+        except KeyError:
+            raise CatalogError(f"no skill provides feature {kind!r}") from None
+
+    def skill_rank(self, code: str) -> int:
+        """Position of the skill in catalog order."""
+        try:
+            return self._ranks[code]
+        except KeyError:
+            raise CatalogError(f"unknown skill code: {code!r}") from None
 
     def known_endpoints(self) -> frozenset[str]:
         """Every service URL in the catalog, in canonical form."""
@@ -248,13 +280,8 @@ class Registry:
             return urlunsplit((base.scheme, base.netloc, parts.path, "", ""))
 
         modules = tuple(
-            Module(
-                id=m.id,
-                name=m.name,
-                kind=m.kind,
-                display=m.display,
-                capability_noun=m.capability_noun,
-                transport_phrase=m.transport_phrase,
+            replace(
+                m,
                 skills=tuple(
                     Skill(s.code, s.description, swap(s.endpoint), s.feature, s.role)
                     for s in m.skills
@@ -270,8 +297,6 @@ class Registry:
                     )
                     for c in m.components
                 ),
-                operator_preamble=m.operator_preamble,
-                info=m.info,
             )
             for m in self.modules
         )
@@ -319,16 +344,12 @@ def _load_skill(raw: dict, where: str) -> Skill:
     if not desc.strip():
         raise CatalogError(f"{where}: skill {code} has an empty description")
     endpoint = _check_url(_require(raw, "endpoint", where), f"{where} skill {code}")
-    role = raw.get("role")
+    feature, role = raw.get("feature"), raw.get("role")
     if role is not None and role not in STORAGE_ROLES:
         raise CatalogError(f"{where}: skill {code} has unknown role {role!r}")
-    return Skill(
-        code=code,
-        description=desc,
-        endpoint=endpoint,
-        feature=raw.get("feature"),
-        role=role,
-    )
+    if feature is not None and role is not None:
+        raise CatalogError(f"{where}: skill {code} has both a feature and a role")
+    return Skill(code=code, description=desc, endpoint=endpoint, feature=feature, role=role)
 
 
 def _load_component(raw: dict, where: str) -> Component:
@@ -402,32 +423,10 @@ def _load_prompts(raw: dict) -> PromptAssets:
 
 
 def registry_from_dict(data: dict) -> Registry:
-    modules = tuple(_load_module(m) for m in data.get("modules", []))
-    if not modules:
-        raise CatalogError("catalog describes no modules")
-
-    seen_modules: set[str] = set()
-    seen_codes: set[str] = set()
-    seen_features: set[str] = set()
-    for m in modules:
-        if m.id in seen_modules:
-            raise CatalogError(f"duplicate module id {m.id!r}")
-        seen_modules.add(m.id)
-        for s in m.skills:
-            if s.code in seen_codes:
-                raise CatalogError(f"duplicate skill code {s.code}")
-            seen_codes.add(s.code)
-            if s.feature is not None:
-                if s.feature in seen_features:
-                    raise CatalogError(f"feature {s.feature!r} provided twice")
-                seen_features.add(s.feature)
-
-    registry = Registry(modules=modules, prompts=_load_prompts(_require(data, "prompts", "catalog")))
-    # Both referenced by name elsewhere; fail at load time, not first use.
-    registry.storage_skill("retrieve")
-    registry.storage_skill("store")
-    registry.transport_module()
-    return registry
+    return Registry(
+        modules=tuple(_load_module(m) for m in data.get("modules", [])),
+        prompts=_load_prompts(_require(data, "prompts", "catalog")),
+    )
 
 
 def load_catalog(path: str | Path) -> Registry:

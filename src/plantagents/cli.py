@@ -26,7 +26,7 @@ from .evaluation import (
     load_corpus,
     save_corpus,
 )
-from .orchestrator import run_task
+from .orchestrator import dispatch_function_steps, run_task
 from .parsing import (
     ParseError,
     parse_function_steps,
@@ -36,9 +36,9 @@ from .parsing import (
 )
 from .plant import PlantSim
 from .prompts import PromptError, build_manager_prompt, build_operator_prompt
-from .service import DEFAULT_PORT, PlantService, serve_plant
+from .service import DEFAULT_PORT, LocalPlant, PlantService, serve_plant
 from .tasks import TaskError, TaskSpec, bundled_task_for, bundled_task_spec, bundled_task_specs, load_task_specs
-from .validation import move_dock_target, simulate_function_steps, validate_plan
+from .validation import move_dock_target, validate_plan
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -183,11 +183,13 @@ def _cmd_validate(args) -> int:
         spec = bundled_task_spec(args.task_id)
     else:
         specs = load_task_specs(args.task_spec)
+        if not specs:
+            raise TaskError(f"{args.task_spec} holds no task specification")
         spec = specs[0]
     text = sys.stdin.read()
     stripped = text.strip()
     if stripped.startswith("["):
-        # A parsed functionality-step array: judge executability only,
+        # A parsed functionality-step array: dispatch it as run-task does,
         # starting with the workpiece ready at the first step's module.
         steps = steps_from_json(stripped)
         start_module = None
@@ -200,8 +202,9 @@ def _cmd_validate(args) -> int:
         sim = PlantSim.standard_start(
             registry, material=spec.material, location=start_module, in_inventory=False
         )
-        executable, fault, _ = simulate_function_steps(registry, steps, sim)
-        print(json.dumps({"executable": executable, "fault": fault}, indent=2))
+        last = dispatch_function_steps(registry, steps, LocalPlant(sim))[-1][1]
+        executable = last["status"] == "ok"
+        print(json.dumps({"executable": executable, "fault": last["reason"]}, indent=2))
         return 0 if executable else 1
     report = validate_plan(registry, text, spec)
     print(json.dumps(report.to_dict(), indent=2))

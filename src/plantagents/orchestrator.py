@@ -9,6 +9,7 @@ the first fault; the trace then records exactly one non-ok entry.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
@@ -153,13 +154,9 @@ def perform_skill_via_operator(
 ) -> list[tuple[FunctionStep, dict]]:
     """Expand one transport demand into functionality calls and run them.
 
-    Returns (step, response) pairs in call order; each response is the
-    call's ok/fault/error dict plus the `request` body it was given.
-    Dispatch stops after the first non-ok response, so only the last pair
-    can be non-ok.  Raises OrchestrationError when the completion or its
-    parse fails, before any call is made.  Parsed URLs are canonicalized
-    and must be registered in the catalog; unregistered endpoints are
-    refused, not called.
+    Returns the (step, response) pairs of `dispatch_function_steps`.
+    Raises OrchestrationError when the completion or its parse fails,
+    before any call is made.
     """
     try:
         prompt = build_operator_prompt(registry, module_id, demand_text)
@@ -177,7 +174,22 @@ def perform_skill_via_operator(
         steps = parse_function_steps(result.text)
     except ParseError as exc:
         raise OrchestrationError(f"operator output unparseable: {exc}") from exc
+    return dispatch_function_steps(registry, steps, plant)
 
+
+def dispatch_function_steps(
+    registry: Registry,
+    steps: Sequence[FunctionStep],
+    plant: PlantPort,
+) -> list[tuple[FunctionStep, dict]]:
+    """Call each parsed functionality step on the plant, in order.
+
+    Returns (step, response) pairs in call order; each response is the
+    call's ok/fault/error dict plus the `request` body it was given.
+    Dispatch stops after the first non-ok response, so only the last pair
+    can be non-ok.  Parsed URLs are canonicalized and must be registered
+    in the catalog; unregistered endpoints are refused, not called.
+    """
     allowed = registry.known_endpoints()
     pairs: list[tuple[FunctionStep, dict]] = []
     for step in steps:

@@ -124,14 +124,10 @@ def steps_from_json(text: str) -> list[FunctionStep]:
     steps = []
     for item in payload:
         try:
-            steps.append(
-                FunctionStep(
-                    step=int(item["step"]),
-                    description=item["description"],
-                    action=item["action"],
-                    url=item["url"],
-                )
-            )
-        except (TypeError, KeyError) as exc:
+            step = FunctionStep(int(item["step"]), item["description"], item["action"], item["url"])
+        except (TypeError, KeyError, ValueError) as exc:
             raise ParseError(f"malformed step record: {item!r}") from exc
+        if not all(isinstance(text, str) for text in (step.description, step.action, step.url)):
+            raise ParseError(f"malformed step record: {item!r}")
+        steps.append(step)
     return steps

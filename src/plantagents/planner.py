@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 
 from .catalog import CatalogError, Registry
-from .tasks import POST_CHECK_KINDS, PRE_CHECK_KINDS, TaskSpec
+from .tasks import TaskSpec
 
 
 class PlanningError(Exception):
@@ -33,8 +33,8 @@ def oracle_plan_skills(registry: Registry, spec: TaskSpec) -> list[str]:
             f"no plan: workpiece must start in {storage.id}, not {spec.initial_location}"
         )
 
-    needed_pre = frozenset(f.kind for f in spec.required_checks if f.kind in PRE_CHECK_KINDS)
-    needed_post = frozenset(f.kind for f in spec.required_checks if f.kind in POST_CHECK_KINDS)
+    needed_pre = frozenset(f.kind for f in spec.pre_checks())
+    needed_post = frozenset(f.kind for f in spec.post_checks())
     needed_goal = frozenset(f.kind for f in spec.goal_features)
     needed = needed_pre | needed_post | needed_goal
 
@@ -46,16 +46,12 @@ def oracle_plan_skills(registry: Registry, spec: TaskSpec) -> list[str]:
             raise PlanningError(f"no plan: {exc}") from exc
         providers[kind] = (module.id, skill.code)
 
-    skill_rank = {
-        s.code: i
-        for i, s in enumerate(s for m in registry.modules for s in m.skills)
-    }
     retrieve = registry.storage_skill("retrieve").code
     store = registry.storage_skill("store").code
     transport = registry.transport_skill().code
 
     def rank(plan: tuple[str, ...]) -> tuple[int, ...]:
-        return tuple(skill_rank[code] for code in plan)
+        return tuple(registry.skill_rank(code) for code in plan)
 
     def allowed(kind: str, applied: frozenset[str]) -> bool:
         if kind in needed_pre:

@@ -1,8 +1,10 @@
 """In-process stand-in for an OpenAI-compatible completions endpoint.
 
 Serves canned completions for tests and demos: answer normally, answer
-with an HTTP error, or stall past the client timeout.  The received
-request payloads are kept for conformance checks.
+with an HTTP error, or stall past the client timeout.  A malformed
+request (a bad Content-Length, or a body that is not a JSON object) gets
+a 400 JSON reply; the payloads of the others are kept for conformance
+checks.
 """
 
 from __future__ import annotations
@@ -20,11 +22,14 @@ class _StubHandler(JsonHandler):
     server: "StubCompletionsServer"
 
     def do_POST(self) -> None:  # noqa: N802 (stdlib handler naming)
-        raw = self._read_body()
         try:
-            payload = json.loads(raw.decode("utf-8")) if raw else {}
-        except json.JSONDecodeError:
-            payload = {"_unparseable": raw.decode("utf-8", "replace")}
+            raw = self._read_body()
+            payload = json.loads(raw) if raw else {}
+            if not isinstance(payload, dict):
+                raise ValueError("request body is not a JSON object")
+        except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
+            self._reply(400, {"error": {"message": f"malformed request: {exc}"}})
+            return
         with self.server.lock:
             self.server.requests.append(
                 {"path": self.path, "headers": dict(self.headers), "payload": payload}

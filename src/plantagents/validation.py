@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .catalog import CatalogError, Registry
 from .parsing import FunctionStep, ParseError, parse_skill_sequence
-from .planner import PlanningError, oracle_plan_skills
+from .planner import oracle_plan_skills
 from .plant import PlantFault, PlantSim, transport_functionality_calls
 from .tasks import TaskSpec
 
@@ -221,21 +221,6 @@ def simulate_skill_plan(
                     sim.apply_functionality(name, params)
             else:
                 sim.apply_skill(step.code, wp.id, detail=details.get(step.code))
-    except PlantFault as exc:
-        return False, exc.reason, sim
-    return True, None, sim
-
-
-def simulate_function_steps(
-    registry: Registry,
-    steps: list[FunctionStep],
-    plant: PlantSim,
-) -> tuple[bool, str | None, PlantSim]:
-    """Replay parsed operator steps (one transport's worth) on a plant copy."""
-    sim = plant.clone()
-    try:
-        for step in steps:
-            sim.apply_functionality(step.action, function_step_params(registry, step))
     except PlantFault as exc:
         return False, exc.reason, sim
     return True, None, sim

@@ -1,4 +1,5 @@
 import json
+import socket
 
 import pytest
 
@@ -180,6 +181,36 @@ def test_remote_rejects_empty_completion():
         backend = RemoteBackend(endpoint_url=stub.url, model="m")
         with pytest.raises(RemoteError, match="carries no text"):
             backend.complete(CompletionRequest(prompt="p"))
+
+
+@pytest.mark.parametrize(
+    "body, length",
+    [(b"{}", "abc"), (b"[1]", None)],
+    ids=["bad_content_length", "body_not_an_object"],
+)
+def test_stub_malformed_request_gets_400_json(body, length, capfd):
+    """A malformed request gets a 400 JSON reply, is not recorded, and the
+    stub goes on answering."""
+    length = str(len(body)) if length is None else length
+    request = (
+        f"POST /v1/completions HTTP/1.1\r\nHost: stub\r\nContent-Type: application/json\r\n"
+        f"Content-Length: {length}\r\nConnection: close\r\n\r\n"
+    ).encode("ascii") + body
+    with StubCompletionsServer(completion_text="ok") as stub:
+        with socket.create_connection(stub.server_address[:2], timeout=5) as sock:
+            sock.sendall(request)
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == b"400"
+        assert b"Content-Type: application/json" in head
+        assert "malformed request" in json.loads(payload)["error"]["message"]
+        assert stub.requests == []
+
+        backend = RemoteBackend(endpoint_url=stub.url, model="m")
+        assert backend.complete(CompletionRequest(prompt="p")).text == "ok"
+    assert capfd.readouterr().err == ""
 
 
 def test_remote_connection_refused():

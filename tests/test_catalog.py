@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from plantagents.catalog import (
     CatalogError,
+    Registry,
     alias_url,
     bundled_catalog,
     canonical_url,
@@ -187,3 +189,86 @@ def test_bundled_catalog_caches_nothing_mutable():
     b = bundled_catalog()
     assert a.modules == b.modules
     assert a.prompts == b.prompts
+
+
+def _module(data, module_id):
+    return next(m for m in data["modules"] if m["id"] == module_id)
+
+
+def _skill(data, code):
+    return next(s for m in data["modules"] for s in m["skills"] if s["code"] == code)
+
+
+def _second_storage(data):
+    _module(data, "inspection_module")["kind"] = "storage"
+
+
+def _second_transport(data):
+    _module(data, "laser_module")["kind"] = "transport"
+
+
+def _duplicate_module_id(data):
+    _module(data, "laser_module")["id"] = "cnc_module"
+
+
+def _duplicate_transport_phrase(data):
+    _module(data, "laser_module")["transport_phrase"] = _module(data, "cnc_module")["transport_phrase"]
+
+
+def _feature_and_role(data):
+    _skill(data, "S1")["feature"] = "retrieved"
+
+
+def _no_store_skill(data):
+    del _skill(data, "S2")["role"]
+
+
+def _no_transport_skill(data):
+    _skill(data, "T1")["feature"] = "carried"
+    _skill(data, "T2")["feature"] = "docked"
+
+
+# Each mutation of the bundled catalog breaks one registry rule.
+BROKEN_RULES = [
+    (_second_storage, "exactly one storage module, not 2"),
+    (_second_transport, "exactly one transport module, not 2"),
+    (_duplicate_module_id, "duplicate module id 'cnc_module'"),
+    (_duplicate_transport_phrase, "transport phrase 'CNC' names two modules"),
+    (_feature_and_role, "skill S1 has both a feature and a role"),
+    (_no_store_skill, "storage module has no 'store' skill"),
+    (_no_transport_skill, "transport module offers no transport skill"),
+]
+
+
+@pytest.mark.parametrize("mutate, match", BROKEN_RULES, ids=[m.__name__.lstrip("_") for m, _ in BROKEN_RULES])
+def test_registry_rejects_broken_rule(mutate, match):
+    data = _raw_catalog()
+    registry_from_dict(data)
+    mutate(data)
+    with pytest.raises(CatalogError, match=match):
+        registry_from_dict(data)
+
+
+def test_registry_built_directly_is_checked(registry):
+    storage = registry.storage_module()
+    with pytest.raises(CatalogError, match="duplicate module id 'storage_module'"):
+        Registry(modules=registry.modules + (storage,), prompts=registry.prompts)
+    with pytest.raises(CatalogError, match="no modules"):
+        Registry(modules=(), prompts=registry.prompts)
+
+
+def test_skill_rank_is_catalog_order(registry):
+    assert [registry.skill_rank(code) for code in SKILL_CODES] == list(range(len(SKILL_CODES)))
+    with pytest.raises(CatalogError, match="unknown skill code: 'M9'"):
+        registry.skill_rank("M9")
+
+
+def test_rebased_changes_only_urls(registry):
+    moved = registry.rebased("http://127.0.0.1:9999")
+    assert moved.prompts == registry.prompts
+    for old, new in zip(registry.modules, moved.modules):
+        assert replace(new, skills=(), components=()) == replace(old, skills=(), components=())
+        assert [replace(s, endpoint="") for s in new.skills] == [replace(s, endpoint="") for s in old.skills]
+        old_fns = [(c.id, c.name, replace(f, url="")) for c in old.components for f in c.functionalities]
+        new_fns = [(c.id, c.name, replace(f, url="")) for c in new.components for f in c.functionalities]
+        assert new_fns == old_fns

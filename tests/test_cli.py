@@ -145,6 +145,33 @@ def test_validate_function_steps_fault(registry, monkeypatch, capsys):
     assert "already carrying" in body["fault"]
 
 
+def test_validate_function_steps_foreign_url(registry, monkeypatch, capsys):
+    """A step array is judged the way run-task dispatches it: a step whose
+    URL the catalog does not register is refused, not executed."""
+    text = fill_transport_output(registry, "storage_module", "cnc_module")
+    steps = [
+        FunctionStep(s.step, s.description, s.action, s.url.replace("129.69.102.129", "evil.example"))
+        for s in parse_function_steps(text)
+    ]
+    feed(monkeypatch, steps_to_json(steps))
+    rc = main(["validate", "--task-id", "drilled_sheet"])
+    assert rc == 1
+    body = json.loads(capsys.readouterr().out)
+    assert body["executable"] is False
+    assert body["fault"] == f"unregistered endpoint: {steps[0].url}"
+
+
+def test_validate_empty_task_spec_file(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "none.json"
+    path.write_text("[]", "utf-8")
+    feed(monkeypatch, "{(S1) – (S2)}")
+    rc = main(["validate", "--task-spec", str(path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path} holds no task specification\n"
+
+
 def test_validate_function_steps_need_move_dock(monkeypatch, capsys):
     steps = [{"step": 1, "description": "Load the workpiece.", "action": "load", "url": "http://x/y/functionalities/load"}]
     feed(monkeypatch, json.dumps(steps))

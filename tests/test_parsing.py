@@ -74,6 +74,14 @@ def test_steps_json_roundtrip():
     assert steps_from_json(steps_to_json(steps)) == steps
 
 
+@pytest.mark.parametrize("field, value", [("url", 5), ("description", None), ("action", ["load"]), ("step", "one")])
+def test_steps_from_json_rejects_wrong_field_types(field, value):
+    record = json.loads(steps_to_json(parse_function_steps(TRANSPORT_OUTPUT)))[0]
+    record[field] = value
+    with pytest.raises(ParseError, match="malformed step record"):
+        steps_from_json(json.dumps([record]))
+
+
 def test_golden_skill_sequence():
     plan = parse_skill_sequence(MANAGER_COMPLETION)
     assert plan.steps == ("S1", "T1", "P2", "T1", "I3", "T1", "S2")

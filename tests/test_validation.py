@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plantagents import bundled_catalog
+from plantagents.orchestrator import dispatch_function_steps
 from plantagents.parsing import parse_function_steps
 from plantagents.plant import Feature, PlantSim
 from plantagents.prompts import fill_transport_output
+from plantagents.service import LocalPlant
 from plantagents.tasks import TaskSpec
 from plantagents.validation import (
     STANDARD_START,
@@ -23,7 +25,6 @@ from plantagents.validation import (
     move_dock_target,
     nonstandard_skills,
     plan_route,
-    simulate_function_steps,
     simulate_skill_plan,
     validate_grammar,
     validate_plan,
@@ -255,22 +256,25 @@ def test_grammar_valid_implies_executable_sampled(plan):
     assert ok, (plan, fault)
 
 
-def test_simulate_function_steps_golden():
+def _dispatch(steps, sim):
+    """(ok, fault) of dispatching the steps to `sim` as run-task does."""
+    last = dispatch_function_steps(REGISTRY, steps, LocalPlant(sim))[-1][1]
+    return last["status"] == "ok", last["reason"]
+
+
+def test_dispatch_function_steps_golden():
     text = fill_transport_output(REGISTRY, "storage_module", "painting_module")
     steps = parse_function_steps(text)
-    ok, fault, final = simulate_function_steps(
-        REGISTRY, steps, PlantSim.standard_start(REGISTRY)
-    )
+    final = PlantSim.standard_start(REGISTRY)
+    ok, fault = _dispatch(steps, final)
     assert ok, fault
     assert final.sole_workpiece().location == "painting_module"
 
 
-def test_simulate_function_steps_wrong_pickup_faults():
+def test_dispatch_function_steps_wrong_pickup_faults():
     text = fill_transport_output(REGISTRY, "cnc_module", "laser_module")
     steps = parse_function_steps(text)
-    ok, fault, _ = simulate_function_steps(
-        REGISTRY, steps, PlantSim.standard_start(REGISTRY)
-    )
+    ok, fault = _dispatch(steps, PlantSim.standard_start(REGISTRY))
     assert not ok
     assert "load: no workpiece at cnc_module" in fault
 
