@@ -423,10 +423,13 @@ def _load_prompts(raw: dict) -> PromptAssets:
 
 
 def registry_from_dict(data: dict) -> Registry:
-    return Registry(
-        modules=tuple(_load_module(m) for m in data.get("modules", [])),
-        prompts=_load_prompts(_require(data, "prompts", "catalog")),
-    )
+    try:
+        return Registry(
+            modules=tuple(_load_module(m) for m in data.get("modules", [])),
+            prompts=_load_prompts(_require(data, "prompts", "catalog")),
+        )
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise CatalogError(f"catalog entry of the wrong shape: {type(exc).__name__}: {exc}") from exc
 
 
 def load_catalog(path: str | Path) -> Registry:

@@ -30,10 +30,9 @@ class EvalSample:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "EvalSample":
-        return cls(
-            spec=TaskSpec.from_dict(raw["task_spec"]),
-            completion_text=raw["completion_text"],
-        )
+        if not isinstance(raw, dict) or not isinstance(raw.get("completion_text"), str):
+            raise ValueError("a corpus sample must be a JSON object with a completion_text string")
+        return cls(spec=TaskSpec.from_dict(raw.get("task_spec")), completion_text=raw["completion_text"])
 
 
 @dataclass(frozen=True)
@@ -97,6 +96,8 @@ def load_corpus(path: str | Path) -> list[EvalSample]:
     raw = json.loads(p.read_text("utf-8"))
     if isinstance(raw, dict):
         raw = raw.get("samples", [])
+    if not isinstance(raw, list):
+        raise ValueError(f"{p}: expected a list of samples")
     return [EvalSample.from_dict(item) for item in raw]
 
 

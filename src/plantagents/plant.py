@@ -134,7 +134,7 @@ class PlantSim:
         return cls(registry, PlantState(workpieces={wp.id: wp}, robot=robot))
 
     def clone(self) -> "PlantSim":
-        """Independent copy sharing the registry; used for dry-run simulation."""
+        """Independent copy sharing the registry."""
         return PlantSim(self.registry, copy.deepcopy(self.state))
 
     # -- views -------------------------------------------------------------

@@ -225,6 +225,6 @@ class PlantService(BackgroundServer):
         self.sim = sim
 
 
-def serve_plant(sim: PlantSim, host: str = "127.0.0.1", port: int = 0) -> PlantService:
-    """Start a plant service on a background thread; port 0 picks a free one."""
-    return PlantService(sim, host=host, port=port).start()
+def serve_plant(sim: PlantSim, port: int = 0) -> PlantService:
+    """Start a loopback plant service in the background; port 0 picks a free one."""
+    return PlantService(sim, port=port).start()

@@ -66,6 +66,8 @@ class TaskSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TaskSpec":
+        if not isinstance(raw, dict):
+            raise TaskError(f"task record must be a JSON object, got {type(raw).__name__}")
         try:
             return cls(
                 id=raw.get("id", ""),
@@ -77,6 +79,8 @@ class TaskSpec:
             )
         except KeyError as exc:
             raise TaskError(f"task record missing key {exc}") from exc
+        except (AttributeError, TypeError) as exc:
+            raise TaskError(f"task record has a field of the wrong type: {exc}") from exc
 
 
 def check_achievable(registry: Registry, spec: TaskSpec) -> None:
@@ -97,6 +101,8 @@ def load_task_specs(path: str | Path) -> list[TaskSpec]:
         raw = json.load(fh)
     if isinstance(raw, dict):
         raw = [raw]
+    if not isinstance(raw, list):
+        raise TaskError(f"{p}: expected a task object or a list of them")
     return [TaskSpec.from_dict(item) for item in raw]
 
 
@@ -121,13 +127,8 @@ def bundled_task_for(instruction: str) -> TaskSpec | None:
     return None
 
 
-@dataclass(frozen=True)
-class _GoalVocabulary:
-    production_kinds: tuple[str, ...]
-    check_kinds: tuple[str, ...]
-
-
-def _vocabulary(registry: Registry) -> _GoalVocabulary:
+def _vocabulary(registry: Registry) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The feature kinds the registry's skills provide: (production, checks)."""
     production = []
     checks = []
     for module in registry.modules:
@@ -138,7 +139,7 @@ def _vocabulary(registry: Registry) -> _GoalVocabulary:
                 checks.append(skill.feature)
             else:
                 production.append(skill.feature)
-    return _GoalVocabulary(tuple(production), tuple(checks))
+    return tuple(production), tuple(checks)
 
 
 def random_task_spec(registry: Registry, rng: random.Random, index: int = 0) -> TaskSpec:
@@ -147,10 +148,10 @@ def random_task_spec(registry: Registry, rng: random.Random, index: int = 0) -> 
     Used by the closure test suite and the demo scripts: any returned spec
     must be solvable by the deterministic planner.
     """
-    vocab = _vocabulary(registry)
-    n_goals = rng.randint(0, min(3, len(vocab.production_kinds)))
-    goal_kinds = rng.sample(vocab.production_kinds, n_goals)
-    check_kinds = [k for k in vocab.check_kinds if rng.random() < 0.5]
+    production_kinds, all_check_kinds = _vocabulary(registry)
+    n_goals = rng.randint(0, min(3, len(production_kinds)))
+    goal_kinds = rng.sample(production_kinds, n_goals)
+    check_kinds = [k for k in all_check_kinds if rng.random() < 0.5]
     material = rng.choice(MATERIALS)
     goals = tuple(Feature(kind=k) for k in goal_kinds)
     checks = tuple(Feature(kind=k) for k in check_kinds)

@@ -1,7 +1,7 @@
 """Plan-quality judgments: grammar, executability, satisfaction, minimality.
 
 Grammar checks the process-rule constraints a plan must obey regardless of
-task.  Executability replays the plan against a private copy of the plant.
+task.  Executability replays the plan on the plant the caller hands over.
 Satisfaction compares the final plant state with the task specification,
 and minimality compares the plan length against the deterministic
 planner's shortest solution.
@@ -204,26 +204,26 @@ def simulate_skill_plan(
     plant: PlantSim,
     details: dict[str, str] | None = None,
 ) -> tuple[bool, str | None, PlantSim]:
-    """Replay a skill plan on a copy of the plant.
+    """Replay a skill plan on `plant`, changing it in place.
 
     Transport skills expand into the canonical five-functionality sequence.
-    Returns (executable, first fault reason, final plant copy).
+    Returns (executable, first fault reason, `plant` itself).  A caller who
+    wants to keep its plant passes `plant.clone()`.
     """
-    sim = plant.clone()
     details = details or {}
     try:
-        wp = sim.sole_workpiece()
+        wp = plant.sole_workpiece()
         route = plan_route(registry, plan, wp.location)
         for step in route:
             if step.transport:
                 assert step.start is not None and step.target is not None
                 for name, params in transport_functionality_calls(step.start, step.target):
-                    sim.apply_functionality(name, params)
+                    plant.apply_functionality(name, params)
             else:
-                sim.apply_skill(step.code, wp.id, detail=details.get(step.code))
+                plant.apply_skill(step.code, wp.id, detail=details.get(step.code))
     except PlantFault as exc:
-        return False, exc.reason, sim
-    return True, None, sim
+        return False, exc.reason, plant
+    return True, None, plant
 
 
 def function_step_params(registry: Registry, step: FunctionStep) -> dict:
@@ -248,11 +248,7 @@ def goal_details(spec: TaskSpec, registry: Registry) -> dict[str, str]:
     return details
 
 
-def check_satisfaction(
-    final: PlantSim,
-    spec: TaskSpec,
-    registry: Registry | None = None,
-) -> tuple[bool, list[str]]:
+def check_satisfaction(final: PlantSim, spec: TaskSpec) -> tuple[bool, list[str]]:
     """Compare the final plant state against the task specification.
 
     Satisfied when the workpiece rests in storage inventory, every goal
@@ -260,8 +256,7 @@ def check_satisfaction(
     required incoming checks happened before production started, and
     required final checks happened after it finished.
     """
-    reg = registry or final.registry
-    storage_id = reg.storage_module().id
+    storage_id = final.registry.storage_module().id
     wp = final.sole_workpiece()
     missing: list[str] = []
 
@@ -357,14 +352,11 @@ def validate_plan(
     if not executable:
         return report
 
-    satisfied, missing = check_satisfaction(final, spec, registry)
+    satisfied, missing = check_satisfaction(final, spec)
     report.satisfies_task = satisfied
     report.missing = missing
     if not satisfied:
         return report
 
-    minimal, plan_len, oracle_len = check_minimality(registry, plan, spec)
-    report.minimal = minimal
-    report.plan_length = plan_len
-    report.oracle_length = oracle_len
+    report.minimal, _, report.oracle_length = check_minimality(registry, plan, spec)
     return report

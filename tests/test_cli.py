@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+from importlib import resources
 
 import pytest
 import requests
@@ -170,6 +171,70 @@ def test_validate_empty_task_spec_file(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {path} holds no task specification\n"
+
+
+def _bundled_catalog_with(**changes):
+    """The bundled catalog's JSON with top-level keys replaced."""
+    data = json.loads(resources.files("plantagents.data").joinpath("catalog.json").read_text("utf-8"))
+    return {**data, **changes}
+
+
+def _skills_as_number():
+    data = _bundled_catalog_with()
+    data["modules"][0]["skills"] = 5
+    return data
+
+
+@pytest.mark.parametrize(
+    "catalog",
+    [{"modules": 1}, _bundled_catalog_with(modules=[1]), _skills_as_number()],
+    ids=["modules-number", "module-number", "skills-number"],
+)
+def test_catalog_of_wrong_json_types_is_an_error(tmp_path, capsys, catalog):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(catalog), "utf-8")
+    rc = main(["render-prompt", "--agent", "manager", "--task", "x", "--catalog", str(path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: catalog entry of the wrong shape: TypeError")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--task-spec"],
+        ["run-task", "--backend", "oracle", "--task", "x", "--task-spec"],
+        ["collect", "--n", "1", "--backend", "oracle", "--out", "unused.json", "--tasks"],
+    ],
+    ids=["validate", "run-task", "collect"],
+)
+def test_task_file_of_wrong_json_types_is_an_error(tmp_path, monkeypatch, capsys, argv):
+    path = tmp_path / "tasks.json"
+    path.write_text("[1]", "utf-8")
+    feed(monkeypatch, "{(S1) – (S2)}")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + [str(path)]) == 1
+    assert capsys.readouterr().err == "error: task record must be a JSON object, got int\n"
+
+
+_SPEC = bundled_task_specs()[0].to_dict()
+_NOT_A_SAMPLE = "a corpus sample must be a JSON object with a completion_text string"
+
+
+@pytest.mark.parametrize(
+    "corpus, message",
+    [
+        ([1], _NOT_A_SAMPLE),
+        ([{"task_spec": 1, "completion_text": "x"}], "task record must be a JSON object, got int"),
+        ([{"task_spec": _SPEC}], _NOT_A_SAMPLE),
+        ([{"task_spec": _SPEC, "completion_text": 5}], _NOT_A_SAMPLE),
+    ],
+    ids=["sample-number", "task-spec-number", "no-completion", "completion-number"],
+)
+def test_corpus_of_wrong_json_types_is_an_error(tmp_path, capsys, corpus, message):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(corpus), "utf-8")
+    assert main(["evaluate", "--corpus", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_validate_function_steps_need_move_dock(monkeypatch, capsys):

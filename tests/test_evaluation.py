@@ -1,6 +1,7 @@
 """Offline metrics over recorded completions, and the bundled corpus."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -54,6 +55,28 @@ def test_bundled_corpus_failure_flavours(registry, corpus):
         assert report.missing
 
 
+def _first_failing_stage(report):
+    checks = (
+        ("parse_failed", report.parsed),
+        ("grammar_failed", report.grammar_ok),
+        ("not_executable", report.executable),
+        ("not_satisfied", report.satisfies_task),
+        ("not_minimal", report.minimal),
+    )
+    return next((stage for stage, passed in checks if not passed), "minimal")
+
+
+def test_bundled_corpus_stage_mix(registry, corpus):
+    _, reports = evaluate_corpus_detailed(registry, corpus)
+    assert Counter(_first_failing_stage(r) for r in reports) == {
+        "not_minimal": 41,
+        "not_satisfied": 4,
+        "minimal": 3,
+        "parse_failed": 1,
+        "grammar_failed": 1,
+    }
+
+
 def test_metrics_nest():
     EvalMetrics(samples=4, executable_fraction=0.75, correct_fraction=0.5, minimal_fraction=0.25)
     with pytest.raises(ValueError, match="must nest"):
@@ -96,6 +119,14 @@ def test_load_corpus_accepts_bare_list(tmp_path, corpus):
     path = tmp_path / "bare.json"
     path.write_text(json.dumps([s.to_dict() for s in corpus[:2]]), "utf-8")
     assert load_corpus(path) == corpus[:2]
+
+
+@pytest.mark.parametrize("raw", [5, {"samples": 5}])
+def test_load_corpus_rejects_a_non_list(tmp_path, raw):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match="expected a list of samples"):
+        load_corpus(path)
 
 
 def test_load_corpus_missing_file(tmp_path):

@@ -74,7 +74,7 @@ def test_oracle_run_completes_bundled_task(registry, task_specs, spec_index):
     assert trace.outcome == "completed"
     assert trace.abort_reason is None
     assert non_ok(trace) == []
-    ok, missing = check_satisfaction(sim, spec, registry)
+    ok, missing = check_satisfaction(sim, spec)
     assert ok, missing
 
 

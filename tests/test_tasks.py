@@ -89,6 +89,29 @@ def test_load_task_specs_file(tmp_path, drilled_spec):
     assert load_task_specs(p) == [drilled_spec]
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (1, "must be a JSON object, got int"),
+        ({"instruction": 5, "material": "steel", "initial_location": "storage_module"}, "wrong type"),
+        ({"instruction": "x", "material": "steel", "initial_location": "storage_module", "goal_features": 3},
+         "wrong type"),
+        ({"instruction": "x", "material": "steel", "initial_location": "storage_module", "goal_features": [1]},
+         "wrong type"),
+    ],
+)
+def test_from_dict_wrong_json_types(raw, message):
+    with pytest.raises(TaskError, match=message):
+        TaskSpec.from_dict(raw)
+
+
+def test_load_task_specs_rejects_a_non_list(tmp_path):
+    p = tmp_path / "tasks.json"
+    p.write_text("5")
+    with pytest.raises(TaskError, match="expected a task object or a list of them"):
+        load_task_specs(p)
+
+
 def test_load_task_specs_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_task_specs(tmp_path / "nope.json")

@@ -192,7 +192,15 @@ def test_reference_plans_execute(task_specs):
             REGISTRY, plan, sim, details=goal_details(spec, REGISTRY)
         )
         assert ok, fault
-        assert check_satisfaction(final, spec, REGISTRY) == (True, [])
+        assert check_satisfaction(final, spec) == (True, [])
+
+
+def test_simulation_replays_on_the_given_plant():
+    sim = PlantSim.standard_start(REGISTRY)
+    ok, fault, final = simulate_skill_plan(REGISTRY, DRILLED_PLAN, sim)
+    assert ok, fault
+    assert final is sim
+    assert sim.state.version == 25
 
 
 def _grammar_valid_plans(max_len):
@@ -216,10 +224,9 @@ def _grammar_valid_plans(max_len):
 def test_grammar_valid_implies_executable_exhaustive():
     plans = _grammar_valid_plans(7)
     assert len(plans) > 3000  # sanity: the enumeration really is exhaustive
-    sim = PlantSim.standard_start(REGISTRY)
     for plan in plans:
         assert validate_grammar(plan, REGISTRY) == []
-        ok, fault, _ = simulate_skill_plan(REGISTRY, plan, sim)
+        ok, fault, _ = simulate_skill_plan(REGISTRY, plan, PlantSim.standard_start(REGISTRY))
         assert ok, (plan, fault)
 
 
@@ -293,7 +300,7 @@ def _final_state(plan, spec):
 
 def test_satisfaction_needs_goal_feature(drilled_spec):
     final = _final_state(["S1", "T1", "I1", "I3", "T1", "S2"], drilled_spec)
-    ok, missing = check_satisfaction(final, drilled_spec, REGISTRY)
+    ok, missing = check_satisfaction(final, drilled_spec)
     assert not ok
     assert missing == ["drilled"]
 
@@ -302,7 +309,7 @@ def test_satisfaction_orders_pre_check(drilled_spec):
     # raw check happens after drilling: rejected even though all features exist
     plan = ["S1", "T1", "M1", "T1", "I1", "I3", "T1", "S2"]
     final = _final_state(plan, drilled_spec)
-    ok, missing = check_satisfaction(final, drilled_spec, REGISTRY)
+    ok, missing = check_satisfaction(final, drilled_spec)
     assert not ok
     assert "raw_checked before production features" in missing
 
@@ -310,14 +317,14 @@ def test_satisfaction_orders_pre_check(drilled_spec):
 def test_satisfaction_orders_post_check(lasered_spec):
     plan = ["S1", "T1", "I1", "I3", "T1", "M2", "T1", "L1", "T1", "S2"]
     final = _final_state(plan, lasered_spec)
-    ok, missing = check_satisfaction(final, lasered_spec, REGISTRY)
+    ok, missing = check_satisfaction(final, lasered_spec)
     assert not ok
     assert "quality_tested after production features" in missing
 
 
 def test_satisfaction_requires_storage_finish(returned_spec):
     final = _final_state(["S1", "T1", "P2", "T1", "I3"], returned_spec)
-    ok, missing = check_satisfaction(final, returned_spec, REGISTRY)
+    ok, missing = check_satisfaction(final, returned_spec)
     assert not ok
     assert "workpiece in storage inventory" in missing
 
@@ -327,7 +334,7 @@ def test_satisfaction_checks_detail(returned_spec):
     sim = PlantSim.standard_start(REGISTRY, material=returned_spec.material)
     ok, _, final = simulate_skill_plan(REGISTRY, RETURNED_PLAN, sim)
     assert ok
-    satisfied, missing = check_satisfaction(final, returned_spec, REGISTRY)
+    satisfied, missing = check_satisfaction(final, returned_spec)
     assert not satisfied
     assert missing == ["paint_pattern with detail 'backside customer logo'"]
 
@@ -340,7 +347,7 @@ def test_goal_details(returned_spec, drilled_spec):
 def test_extra_features_are_harmless(drilled_spec):
     plan = ["S1", "T1", "I1", "I2", "T1", "M1", "T1", "I3", "T1", "S2"]
     final = _final_state(plan, drilled_spec)
-    assert check_satisfaction(final, drilled_spec, REGISTRY) == (True, [])
+    assert check_satisfaction(final, drilled_spec) == (True, [])
 
 
 def test_check_minimality(drilled_spec):
