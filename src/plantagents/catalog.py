@@ -345,6 +345,9 @@ def _load_skill(raw: dict, where: str) -> Skill:
         raise CatalogError(f"{where}: skill {code} has an empty description")
     endpoint = _check_url(_require(raw, "endpoint", where), f"{where} skill {code}")
     feature, role = raw.get("feature"), raw.get("role")
+    for key, value in (("feature", feature), ("role", role)):
+        if value is not None and not isinstance(value, str):
+            raise CatalogError(f"{where}: skill {code} has a {key} that is not a string: {value!r}")
     if role is not None and role not in STORAGE_ROLES:
         raise CatalogError(f"{where}: skill {code} has unknown role {role!r}")
     if feature is not None and role is not None:

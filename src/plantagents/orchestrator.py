@@ -118,6 +118,18 @@ class HttpPlant:
     def __init__(self, base_url: str) -> None:
         self.base_url = base_url.rstrip("/")
         self.session = requests.Session()
+        # The plant is an explicit URL: no proxy or netrc lookup per call.
+        self.session.trust_env = False
+
+    def close(self) -> None:
+        """Close the kept-alive connection, which frees its handler thread."""
+        self.session.close()
+
+    def __enter__(self) -> "HttpPlant":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def state(self) -> dict:
         url = f"{self.base_url}/plant/state"
@@ -216,16 +228,27 @@ def run_task(
 ) -> ExecutionTrace:
     """Run one task end to end against a plant.
 
-    `plant` is a plant port or the base URL of a plant service.  The
+    `plant` is a plant port or the base URL of a plant service; for a URL
+    the run opens an `HttpPlant` and closes it before returning.  The
     registry must describe the plant being called (rebase it onto the
     service URL first).  Failures of any stage produce an aborted trace
     whose last record carries the reason; this function does not raise for
     them.
     """
-    trace = ExecutionTrace(task_text=task_text, backend_id=backend.backend_id)
     if isinstance(plant, str):
-        plant = HttpPlant(plant)
+        with HttpPlant(plant) as port:
+            return _run_on_port(task_text, backend, registry, port, task_spec)
+    return _run_on_port(task_text, backend, registry, plant, task_spec)
 
+
+def _run_on_port(
+    task_text: str,
+    backend: CompletionBackend,
+    registry: Registry,
+    plant: PlantPort,
+    task_spec: TaskSpec | None,
+) -> ExecutionTrace:
+    trace = ExecutionTrace(task_text=task_text, backend_id=backend.backend_id)
     try:
         state = plant.state()
     except OrchestrationError as exc:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import re
+import socket
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -33,6 +34,10 @@ DEFAULT_PORT = 5010
 
 # Largest request body a handler reads; longer bodies are refused unread.
 MAX_BODY_BYTES = 1 << 20
+
+# Seconds between the serving loop's checks for a stop request: the longest
+# `BackgroundServer.stop()` waits for the loop to notice it.
+POLL_SECONDS = 0.01
 
 _FUNCTIONALITY_RE = re.compile(r"^/([^/]+)/functionalit(?:ies|y)/([^/]+)$")
 _SKILL_RE = re.compile(r"^/([^/]+)/skills/([^/]+)$")
@@ -128,10 +133,17 @@ class LocalPlant:
 # HTTP plumbing, shared with the stub completions server
 
 class JsonHandler(BaseHTTPRequestHandler):
-    """Request handler base: JSON replies, a bounded body read, no logging."""
+    """Request handler base: HTTP/1.1 keep-alive, JSON replies, a bounded
+    body read, no logging."""
+
+    # One connection carries many requests.  Nagle's algorithm is off: with
+    # it, a reply written in two segments waits for the client's delayed
+    # ACK, about 40 ms a call (RFC 896, RFC 1122 4.2.3.2).
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     # Seconds a socket read or write may wait, so a client that stops
-    # sending cannot hold a handler thread.
+    # sending, or leaves its connection idle, cannot hold a handler thread.
     timeout = 10.0
 
     def _reply(self, status: int, payload: dict) -> None:
@@ -139,13 +151,21 @@ class JsonHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _read_body(self) -> bytes:
         """The request body; ValueError when Content-Length is not a number
-        from 0 to MAX_BODY_BYTES (then nothing is read), or the client ends
-        the body early or does not send it within `timeout`."""
+        from 0 to MAX_BODY_BYTES or the body is chunked (then nothing is
+        read), or the client ends the body early or does not send it within
+        `timeout`.  Unless the body is read in full the connection closes
+        after the reply, so no leftover byte is taken for a next request."""
+        close_after = self.close_connection  # as parse_request set it
+        self.close_connection = True
+        if "Transfer-Encoding" in self.headers:
+            raise ValueError("Transfer-Encoding is not supported; send Content-Length")
         header = self.headers.get("Content-Length", "0")
         length = int(header) if header.strip().isdigit() else -1
         if not 0 <= length <= MAX_BODY_BYTES:
@@ -156,6 +176,7 @@ class JsonHandler(BaseHTTPRequestHandler):
             raise ValueError(f"body of {length} bytes did not arrive within {self.timeout}s") from None
         if len(raw) != length:
             raise ValueError(f"body ended after {len(raw)} of {length} bytes")
+        self.close_connection = close_after
         return raw
 
     def log_message(self, format: str, *args) -> None:
@@ -169,15 +190,30 @@ class BackgroundServer(ThreadingHTTPServer):
     daemon_threads = True
     _thread: threading.Thread | None = None
 
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+
     @property
     def base_url(self) -> str:
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
 
     def start(self):
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        self._thread = threading.Thread(target=self.serve_forever, args=(POLL_SECONDS,), daemon=True)
         self._thread.start()
         return self
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
 
     def handle_error(self, request, client_address) -> None:
         # A client that hung up before its reply is not a server fault.
@@ -185,7 +221,16 @@ class BackgroundServer(ThreadingHTTPServer):
             super().handle_error(request, client_address)
 
     def stop(self) -> None:
+        """Stop serving.  Open connections end too: a request already sent
+        still gets its reply, but then the connection closes, and its
+        handler thread ends instead of idling until the handler's timeout."""
         self.shutdown()
+        with self._connections_lock:
+            for connection in self._connections:
+                try:
+                    connection.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass  # its handler is closing it
         self.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)
@@ -202,6 +247,10 @@ class _PlantHandler(JsonHandler):
     server: "PlantService"
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib handler naming)
+        # A GET's body means nothing and is not read; if one was announced,
+        # its bytes must not be taken for a next request.
+        if "Transfer-Encoding" in self.headers or self.headers.get("Content-Length", "0").strip() != "0":
+            self.close_connection = True
         self._reply(*LocalPlant(self.server.sim).get(self.path))
 
     def do_POST(self) -> None:  # noqa: N802

@@ -228,6 +228,14 @@ def _no_transport_skill(data):
     _skill(data, "T2")["feature"] = "docked"
 
 
+def _numeric_feature(data):
+    _skill(data, "T1")["feature"] = 5
+
+
+def _numeric_role(data):
+    _skill(data, "S1")["role"] = 5
+
+
 # Each mutation of the bundled catalog breaks one registry rule.
 BROKEN_RULES = [
     (_second_storage, "exactly one storage module, not 2"),
@@ -237,6 +245,8 @@ BROKEN_RULES = [
     (_feature_and_role, "skill S1 has both a feature and a role"),
     (_no_store_skill, "storage module has no 'store' skill"),
     (_no_transport_skill, "transport module offers no transport skill"),
+    (_numeric_feature, "skill T1 has a feature that is not a string: 5"),
+    (_numeric_role, "skill S1 has a role that is not a string: 5"),
 ]
 
 

@@ -5,6 +5,8 @@ The invariant under test throughout: a trace is either all-ok and
 """
 
 import json
+import threading
+import time
 
 import pytest
 import requests
@@ -15,6 +17,7 @@ from plantagents import (
     LocalPlant,
     OracleBackend,
     OrchestrationError,
+    PlantService,
     PlantSim,
     TraceRecord,
     perform_skill_via_operator,
@@ -294,7 +297,8 @@ def test_abort_unregistered_endpoint_is_refused(live, returned_spec):
 def test_perform_skill_via_operator_runs_transport(live):
     sim, srv, reg, backend = live
     demand = render_transport_demand(reg, "storage_module", "painting_module")
-    pairs = perform_skill_via_operator(reg, "robotino_7", demand, backend, HttpPlant(srv.base_url))
+    with HttpPlant(srv.base_url) as plant:
+        pairs = perform_skill_via_operator(reg, "robotino_7", demand, backend, plant)
 
     assert [step.action for step, _ in pairs] == TRANSPORT_ACTIONS
     assert all(resp["status"] == "ok" for _, resp in pairs)
@@ -306,7 +310,8 @@ def test_perform_skill_via_operator_stops_at_first_fault(live):
     sim, srv, reg, backend = live
     # loading at the cnc module finds no workpiece there
     demand = render_transport_demand(reg, "cnc_module", "laser_module")
-    pairs = perform_skill_via_operator(reg, "robotino_7", demand, backend, HttpPlant(srv.base_url))
+    with HttpPlant(srv.base_url) as plant:
+        pairs = perform_skill_via_operator(reg, "robotino_7", demand, backend, plant)
     statuses = [resp["status"] for _, resp in pairs]
     assert statuses == ["ok", "fault"]
     assert pairs[-1][1]["reason"] == "load: no workpiece at cnc_module"
@@ -314,22 +319,22 @@ def test_perform_skill_via_operator_stops_at_first_fault(live):
 
 def test_perform_skill_via_operator_prompt_error(live):
     sim, srv, reg, backend = live
-    with pytest.raises(OrchestrationError, match="operator prompt failed: "):
-        perform_skill_via_operator(reg, "cnc_module", "(T1) move it", backend, HttpPlant(srv.base_url))
+    with HttpPlant(srv.base_url) as plant, pytest.raises(OrchestrationError, match="operator prompt failed: "):
+        perform_skill_via_operator(reg, "cnc_module", "(T1) move it", backend, plant)
 
 
 def test_perform_skill_via_operator_completion_error(live):
     sim, srv, reg, _ = live
     demand = render_transport_demand(reg, "storage_module", "cnc_module")
-    with pytest.raises(OrchestrationError, match="operator completion failed: "):
-        perform_skill_via_operator(reg, "robotino_7", demand, ScriptedBackend([]), HttpPlant(srv.base_url))
+    with HttpPlant(srv.base_url) as plant, pytest.raises(OrchestrationError, match="operator completion failed: "):
+        perform_skill_via_operator(reg, "robotino_7", demand, ScriptedBackend([]), plant)
 
 
 def test_perform_skill_via_operator_parse_error(live):
     sim, srv, reg, _ = live
     demand = render_transport_demand(reg, "storage_module", "cnc_module")
-    with pytest.raises(OrchestrationError, match="operator output unparseable: "):
-        perform_skill_via_operator(reg, "robotino_7", demand, ScriptedBackend(["nope"]), HttpPlant(srv.base_url))
+    with HttpPlant(srv.base_url) as plant, pytest.raises(OrchestrationError, match="operator output unparseable: "):
+        perform_skill_via_operator(reg, "robotino_7", demand, ScriptedBackend(["nope"]), plant)
     assert sim.state.version == 0
 
 
@@ -432,3 +437,50 @@ def test_failing_call_aborts_with_one_final_record(registry, task_specs, drilled
         assert failures[0].reason == trace.abort_reason == f"injected {status} at call {k}"
         assert sim.state.version == k - 1 == len(trace.records) - 1
         assert trace.final_state is None
+
+
+# -- the HTTP port's connection ---------------------------------------------------
+
+
+class CountingPlantService(PlantService):
+    """A plant service that counts the TCP connections it accepts."""
+
+    accepted = 0
+
+    def process_request(self, request, client_address):
+        self.accepted += 1
+        super().process_request(request, client_address)
+
+
+def test_run_over_http_uses_one_connection_without_stalls(registry, task_specs, drilled_spec):
+    """Every plant call of a run goes over one kept-alive connection, and no
+    reply waits for a delayed ACK.  With Nagle's algorithm on in the
+    handler, each of the 25 calls stalls about 40 ms and the run takes over
+    a second."""
+    with CountingPlantService(PlantSim.standard_start(registry), port=0) as srv:
+        reg = registry.rebased(srv.base_url)
+        started = time.perf_counter()
+        trace = run_task(drilled_spec.instruction, OracleBackend(reg, task_specs), reg, srv.base_url)
+        elapsed = time.perf_counter() - started
+    assert trace.outcome == "completed"
+    assert len(trace.records) == 25
+    assert srv.accepted == 1
+    assert elapsed < 0.5
+
+
+def test_run_over_url_closes_its_connection_and_stop_is_prompt(registry, task_specs, drilled_spec):
+    threads_before = threading.active_count()
+    srv = serve_plant(PlantSim.standard_start(registry))
+    reg = registry.rebased(srv.base_url)
+    trace = run_task(drilled_spec.instruction, OracleBackend(reg, task_specs), reg, srv.base_url)
+    assert trace.outcome == "completed"
+    # The run closed its connection, so the handler thread ends by itself;
+    # only the serving thread is left.
+    deadline = time.monotonic() + 5
+    while threading.active_count() > threads_before + 1:
+        assert time.monotonic() < deadline, "the run left its connection open"
+        time.sleep(0.01)
+    started = time.perf_counter()
+    srv.stop()
+    assert time.perf_counter() - started < 0.1
+    assert threading.active_count() == threads_before

@@ -1,3 +1,4 @@
+import http.client
 import json
 import socket
 import threading
@@ -264,3 +265,74 @@ def test_client_gone_before_reply_prints_nothing(service, capfd):
         assert time.monotonic() < deadline, "a handler thread is still running"
         time.sleep(0.01)
     assert capfd.readouterr().err == ""
+
+
+# A complete, valid request: if any byte of it ran, the plant's version would move.
+SMUGGLED_REQUEST = (
+    b"POST /storage_module/skills/S1 HTTP/1.1\r\nHost: plant\r\n"
+    b"Content-Type: application/json\r\nContent-Length: 2\r\n\r\n{}"
+)
+
+
+def _read_to_eof(sock) -> bytes:
+    reply = b""
+    while chunk := sock.recv(4096):
+        reply += chunk
+    return reply
+
+
+@pytest.mark.parametrize(
+    "head, status",
+    [
+        (b"POST /storage_module/skills/S1 HTTP/1.1\r\nContent-Length: 99999999\r\n", b"400"),
+        (b"POST /storage_module/skills/S1 HTTP/1.1\r\nTransfer-Encoding: chunked\r\n", b"400"),
+        (b"GET /plant/state HTTP/1.1\r\nContent-Length: %d\r\n" % len(SMUGGLED_REQUEST), b"200"),
+    ],
+    ids=["oversized-length", "chunked", "get-with-body"],
+)
+def test_unread_body_is_never_parsed_as_a_next_request(service, head, status):
+    """A body the handler does not read closes the connection after the
+    reply, so bytes that look like a second request are never run."""
+    with socket.create_connection(service.server_address[:2], timeout=5) as sock:
+        sock.sendall(head + b"Host: plant\r\n\r\n" + SMUGGLED_REQUEST)
+        reply = _read_to_eof(sock)
+    assert reply.count(b"HTTP/1.1 ") == 1
+    reply_head, _, payload = reply.partition(b"\r\n\r\n")
+    assert reply_head.split(b"\r\n")[0].split()[1] == status
+    assert b"Content-Type: application/json" in reply_head
+    assert b"Connection: close" in reply_head
+    json.loads(payload)
+    assert requests.get(f"{service.base_url}/plant/state", timeout=5).json()["version"] == 0
+
+
+def test_pipelined_requests_on_one_connection_are_both_answered(service):
+    request = b"GET /plant/state HTTP/1.1\r\nHost: plant\r\n\r\n" + SMUGGLED_REQUEST.replace(
+        b"Host: plant\r\n", b"Host: plant\r\nConnection: close\r\n"
+    )
+    with socket.create_connection(service.server_address[:2], timeout=5) as sock:
+        sock.sendall(request)
+        reply = _read_to_eof(sock)
+    assert reply.count(b"HTTP/1.1 200 ") == 2
+    assert reply.endswith(b'{"status": "ok", "state_version": 1}')
+
+
+def test_stop_ends_an_idle_kept_alive_connection(registry):
+    """`stop()` does not wait out an open, idle HTTP/1.1 connection, and it
+    ends that connection: the client sees end of input and the handler
+    thread goes away."""
+    threads_before = threading.active_count()
+    srv = serve_plant(PlantSim.standard_start(registry))
+    conn = http.client.HTTPConnection(*srv.server_address[:2], timeout=5)
+    try:
+        conn.request("GET", "/plant/state")
+        assert conn.getresponse().read()
+        started = time.monotonic()
+        srv.stop()
+        assert time.monotonic() - started < JsonHandler.timeout / 5
+        assert conn.sock.recv(4096) == b""
+    finally:
+        conn.close()
+    deadline = time.monotonic() + 5
+    while threading.active_count() > threads_before:
+        assert time.monotonic() < deadline, threading.enumerate()
+        time.sleep(0.01)
