@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import re
+import selectors
 import socket
 import sys
 import threading
@@ -34,10 +35,6 @@ DEFAULT_PORT = 5010
 
 # Largest request body a handler reads; longer bodies are refused unread.
 MAX_BODY_BYTES = 1 << 20
-
-# Seconds between the serving loop's checks for a stop request: the longest
-# `BackgroundServer.stop()` waits for the loop to notice it.
-POLL_SECONDS = 0.01
 
 _FUNCTIONALITY_RE = re.compile(r"^/([^/]+)/functionalit(?:ies|y)/([^/]+)$")
 _SKILL_RE = re.compile(r"^/([^/]+)/skills/([^/]+)$")
@@ -194,6 +191,8 @@ class BackgroundServer(ThreadingHTTPServer):
         super().__init__(*args, **kwargs)
         self._connections: set[socket.socket] = set()
         self._connections_lock = threading.Lock()
+        # `stop()` writes a byte here to wake the serving loop at once.
+        self._wake_r, self._wake_w = socket.socketpair()
 
     @property
     def base_url(self) -> str:
@@ -201,9 +200,22 @@ class BackgroundServer(ThreadingHTTPServer):
         return f"http://{host}:{port}"
 
     def start(self):
-        self._thread = threading.Thread(target=self.serve_forever, args=(POLL_SECONDS,), daemon=True)
+        self._thread = threading.Thread(target=self._serve_until_woken, daemon=True)
         self._thread.start()
         return self
+
+    def _serve_until_woken(self) -> None:
+        """`serve_forever` without its poll: the loop sleeps until a client
+        connects or `stop()` wakes it, so a stop waits for nothing and an
+        idle server takes no CPU."""
+        with selectors.DefaultSelector() as selector:
+            selector.register(self, selectors.EVENT_READ)
+            selector.register(self._wake_r, selectors.EVENT_READ)
+            while True:
+                ready = [key.fileobj for key, _ in selector.select()]
+                if self._wake_r in ready:
+                    return
+                self._handle_request_noblock()  # what serve_forever calls
 
     def process_request(self, request, client_address) -> None:
         with self._connections_lock:
@@ -224,7 +236,10 @@ class BackgroundServer(ThreadingHTTPServer):
         """Stop serving.  Open connections end too: a request already sent
         still gets its reply, but then the connection closes, and its
         handler thread ends instead of idling until the handler's timeout."""
-        self.shutdown()
+        if self._thread is not None:
+            self._wake_w.send(b"\0")
+            self._thread.join()
+            self._thread = None
         with self._connections_lock:
             for connection in self._connections:
                 try:
@@ -232,9 +247,11 @@ class BackgroundServer(ThreadingHTTPServer):
                 except OSError:
                     pass  # its handler is closing it
         self.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._wake_r.close()
+        self._wake_w.close()
 
     def __enter__(self):
         return self.start()
