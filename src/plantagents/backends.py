@@ -9,14 +9,16 @@ text-completions endpoint).
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import os
 import time
+import urllib.error
+import urllib.request
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-
-import requests
+from urllib.parse import urlsplit
 
 from .catalog import Registry
 from .parsing import ParseError
@@ -25,6 +27,8 @@ from .prompts import PromptError, fill_transport_output, parse_transport_demand
 from .tasks import TaskSpec
 
 DEFAULT_TIMEOUT_SECONDS = 30.0
+# The longest timeout a socket takes: its nanoseconds must fit in 64 bits.
+MAX_TIMEOUT_SECONDS = 9e9
 DEFAULT_MAX_TOKENS = 1024
 
 ENV_ENDPOINT = "LLM_ENDPOINT_URL"
@@ -111,12 +115,17 @@ class ReplayBackend(CompletionBackend):
         raw = json.loads(p.read_text("utf-8"))
         if isinstance(raw, dict):
             raw = raw.get("records", [])
+        if not isinstance(raw, list):
+            raise BackendError(f"replay corpus must hold a list of records, got {type(raw).__name__}")
         records = {}
         for item in raw:
-            try:
-                records[item["prompt_hash"]] = item["completion_text"]
-            except (TypeError, KeyError) as exc:
-                raise BackendError(f"malformed replay record: {item!r}") from exc
+            if not (
+                isinstance(item, dict)
+                and isinstance(item.get("prompt_hash"), str)
+                and isinstance(item.get("completion_text"), str)
+            ):
+                raise BackendError(f"malformed replay record: {item!r}")
+            records[item["prompt_hash"]] = item["completion_text"]
         return cls(records)
 
     def record(self, prompt: str, completion_text: str) -> None:
@@ -201,7 +210,12 @@ def extract_prompt_input(prompt: str) -> str:
 
 
 class RemoteBackend(CompletionBackend):
-    """OpenAI-compatible text-completions client."""
+    """OpenAI-compatible text-completions client.
+
+    Each completion is one POST on a new connection.  Proxy variables in
+    the environment are honoured, and https endpoints are verified against
+    the system's CA store.
+    """
 
     backend_id = "remote"
 
@@ -212,15 +226,19 @@ class RemoteBackend(CompletionBackend):
         api_key: str | None = None,
         timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS,
     ) -> None:
-        if not endpoint_url:
-            raise BackendError("remote backend needs an endpoint URL")
+        if urlsplit(endpoint_url).scheme not in ("http", "https"):
+            raise BackendError(f"remote backend needs an http:// or https:// endpoint URL, got {endpoint_url!r}")
         if not model:
             raise BackendError("remote backend needs a model name")
+        if not 0 < timeout_seconds <= MAX_TIMEOUT_SECONDS:
+            raise BackendError(
+                f"timeout must be a number of seconds above 0 and at most {MAX_TIMEOUT_SECONDS:g},"
+                f" got {timeout_seconds!r}"
+            )
         self.endpoint_url = endpoint_url
         self.model = model
         self.api_key = api_key
         self.timeout_seconds = timeout_seconds
-        self._session = requests.Session()
 
     @classmethod
     def from_env(cls, environ: dict | None = None) -> "RemoteBackend":
@@ -254,23 +272,26 @@ class RemoteBackend(CompletionBackend):
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        http_request = urllib.request.Request(
+            self.endpoint_url, json.dumps(payload).encode("utf-8"), headers, method="POST"
+        )
         try:
-            response = self._session.post(
-                self.endpoint_url,
-                json=payload,
-                headers=headers,
-                timeout=self.timeout_seconds,
-            )
-        except requests.Timeout as exc:
-            raise RemoteError(
-                f"completion request timed out after {self.timeout_seconds}s"
-            ) from exc
-        except requests.RequestException as exc:
+            # A new opener reads the proxy variables as they are now;
+            # `urlopen` would keep those of its first call.
+            with urllib.request.build_opener().open(http_request, timeout=self.timeout_seconds) as response:
+                raw = response.read()
+        except urllib.error.HTTPError as exc:  # any status but 2xx
+            exc.close()
+            raise RemoteError(f"completion endpoint returned {exc.code}") from None
+        except (OSError, http.client.HTTPException, ValueError) as exc:
+            # A connect timeout arrives wrapped in a URLError, a read timeout bare.
+            if isinstance(exc, TimeoutError) or isinstance(getattr(exc, "reason", None), TimeoutError):
+                raise RemoteError(
+                    f"completion request timed out after {self.timeout_seconds}s"
+                ) from exc
             raise RemoteError(f"completion request failed: {exc}") from exc
-        if not 200 <= response.status_code < 300:
-            raise RemoteError(f"completion endpoint returned {response.status_code}")
         try:
-            body = response.json()
+            body = json.loads(raw)
             text = body["choices"][0]["text"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise RemoteError(f"malformed completion response: {exc}") from exc

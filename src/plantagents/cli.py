@@ -145,11 +145,11 @@ def _cmd_serve(args) -> int:
     service = PlantService(sim, host=args.host, port=args.port)
     print(f"plant service listening on {service.base_url}", flush=True)
     try:
-        service.serve_forever()
+        service.serve()
     except KeyboardInterrupt:
         pass
     finally:
-        service.server_close()
+        service.stop()
     return 0
 
 

@@ -8,13 +8,14 @@ the first fault; the trace then records exactly one non-ok entry.
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
-
-import requests
+from urllib.parse import urlsplit
 
 from .backends import BackendError, CompletionBackend, CompletionRequest
 from .catalog import CatalogError, Registry, canonical_url
@@ -112,18 +113,38 @@ class PlantPort(Protocol):
     def call(self, url: str, body: dict) -> dict: ...
 
 
+def _http_origin(url: str) -> tuple[str, int] | None:
+    """(host, port) of an http:// URL; None for any other URL."""
+    parts = urlsplit(url)
+    try:
+        port = parts.port or 80
+    except ValueError:  # a port that is not a number from 0 to 65535
+        return None
+    if parts.scheme != "http" or not parts.hostname:
+        return None
+    return parts.hostname, port
+
+
 class HttpPlant:
-    """The plant port for a plant service reached over HTTP."""
+    """The plant port for a plant service reached over HTTP.
+
+    One connection to `base_url` stays open across calls, with no proxy
+    lookup: the plant is always an explicit URL.  A call sends only its
+    URL's path; a URL on another scheme, host or port gets an `error`
+    result and nothing is sent.
+    """
 
     def __init__(self, base_url: str) -> None:
         self.base_url = base_url.rstrip("/")
-        self.session = requests.Session()
-        # The plant is an explicit URL: no proxy or netrc lookup per call.
-        self.session.trust_env = False
+        self._origin = _http_origin(self.base_url)
+        self._connection = None
+        if self._origin is not None:
+            self._connection = http.client.HTTPConnection(*self._origin, timeout=PLANT_TIMEOUT_SECONDS)
 
     def close(self) -> None:
         """Close the kept-alive connection, which frees its handler thread."""
-        self.session.close()
+        if self._connection is not None:
+            self._connection.close()
 
     def __enter__(self) -> "HttpPlant":
         return self
@@ -134,26 +155,61 @@ class HttpPlant:
     def state(self) -> dict:
         url = f"{self.base_url}/plant/state"
         try:
-            response = self.session.get(url, timeout=PLANT_TIMEOUT_SECONDS)
-        except requests.RequestException as exc:
+            status, raw = self._round_trip("GET", url)
+        except (OSError, http.client.HTTPException) as exc:
             raise OrchestrationError(f"connection error: {exc}") from exc
-        if response.status_code != 200:
-            raise OrchestrationError(f"HTTP {response.status_code} from {url}")
+        if status != 200:
+            raise OrchestrationError(f"HTTP {status} from {url}")
         try:
-            return response.json()
+            return json.loads(raw)
         except ValueError as exc:
             raise OrchestrationError(f"non-JSON response from {url}") from exc
 
     def call(self, url: str, body: dict) -> dict:
         try:
-            response = self.session.post(url, json=body, timeout=PLANT_TIMEOUT_SECONDS)
-        except requests.RequestException as exc:
+            status, raw = self._round_trip("POST", url, json.dumps(body).encode("utf-8"))
+        except (OSError, http.client.HTTPException) as exc:
             return {"status": "error", "reason": f"connection error: {exc}", "state_version": None}
         try:
-            payload = response.json()
+            payload = json.loads(raw)
         except ValueError:
             payload = {}
-        return call_result(response.status_code, payload if isinstance(payload, dict) else {})
+        return call_result(status, payload if isinstance(payload, dict) else {})
+
+    def _round_trip(self, method: str, url: str, body: bytes | None = None) -> tuple[int, bytes]:
+        """One request on the kept-alive connection: (HTTP status, reply
+        body).  Raises OSError or http.client.HTTPException when it fails,
+        InvalidURL (one of the latter) when `url` is not on the plant."""
+        connection = self._connection
+        if connection is None:
+            raise http.client.InvalidURL(f"not an http:// plant URL: {self.base_url!r}")
+        if _http_origin(url) != self._origin:
+            raise http.client.InvalidURL(f"{url} is not on the plant at {self.base_url}")
+        if connection.sock is not None and _dropped(connection.sock):
+            connection.close()  # the next request connects afresh
+        headers = {"Content-Type": "application/json"} if body is not None else {}
+        try:
+            connection.request(method, urlsplit(url).path, body, headers)
+            with connection.getresponse() as response:
+                return response.status, response.read()
+        except BaseException:
+            connection.close()  # a half-done exchange must not be reused
+            raise
+
+
+def _dropped(sock: socket.socket) -> bool:
+    """Whether an idle kept-alive socket is unusable: the service closed
+    it (after its idle timeout, say) or sent bytes no request asked for."""
+    sock.settimeout(0)
+    try:
+        sock.recv(1, socket.MSG_PEEK)
+    except BlockingIOError:
+        return False  # nothing to read: still open
+    except OSError:
+        pass
+    finally:
+        sock.settimeout(PLANT_TIMEOUT_SECONDS)
+    return True
 
 
 def perform_skill_via_operator(

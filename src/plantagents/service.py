@@ -182,7 +182,8 @@ class JsonHandler(BaseHTTPRequestHandler):
 
 class BackgroundServer(ThreadingHTTPServer):
     """Threaded HTTP server that serves on a background thread between
-    `start()` and `stop()`, or for the span of a `with` block."""
+    `start()` and `stop()`, or for the span of a `with` block, or in the
+    calling thread with `serve()`."""
 
     daemon_threads = True
     _thread: threading.Thread | None = None
@@ -200,14 +201,16 @@ class BackgroundServer(ThreadingHTTPServer):
         return f"http://{host}:{port}"
 
     def start(self):
-        self._thread = threading.Thread(target=self._serve_until_woken, daemon=True)
+        self._thread = threading.Thread(target=self.serve, daemon=True)
         self._thread.start()
         return self
 
-    def _serve_until_woken(self) -> None:
+    def serve(self) -> None:
         """`serve_forever` without its poll: the loop sleeps until a client
         connects or `stop()` wakes it, so a stop waits for nothing and an
-        idle server takes no CPU."""
+        idle server takes no CPU.  `start()` runs it on a background
+        thread; run in the foreground, it ends on an interrupt, and the
+        caller then calls `stop()`."""
         with selectors.DefaultSelector() as selector:
             selector.register(self, selectors.EVENT_READ)
             selector.register(self._wake_r, selectors.EVENT_READ)

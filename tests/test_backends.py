@@ -219,6 +219,17 @@ def test_remote_connection_refused():
         backend.complete(CompletionRequest(prompt="p"))
 
 
+def test_remote_honours_proxy_variables(monkeypatch):
+    endpoint = "http://127.0.0.1:9/v1/completions"  # nothing listens there
+    with StubCompletionsServer(completion_text="ok") as proxy:
+        monkeypatch.setenv("http_proxy", proxy.base_url)
+        monkeypatch.delenv("no_proxy", raising=False)
+        monkeypatch.delenv("NO_PROXY", raising=False)
+        backend = RemoteBackend(endpoint_url=endpoint, model="m")
+        assert backend.complete(CompletionRequest(prompt="p")).text == "ok"
+        assert [r["path"] for r in proxy.requests] == [endpoint]
+
+
 def test_remote_from_env():
     env = {
         "LLM_ENDPOINT_URL": "http://example.invalid/v1/completions",
@@ -241,6 +252,13 @@ def test_remote_from_env():
         (
             {"LLM_ENDPOINT_URL": "http://x", "LLM_MODEL": "m", "LLM_TIMEOUT_SECONDS": "soon"},
             "LLM_TIMEOUT_SECONDS is not a number",
+        ),
+        *(
+            (
+                {"LLM_ENDPOINT_URL": "http://x", "LLM_MODEL": "m", "LLM_TIMEOUT_SECONDS": value},
+                "timeout must be a number of seconds above 0",
+            )
+            for value in ("0", "-1", "nan", "inf")
         ),
     ],
 )

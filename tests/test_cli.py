@@ -237,6 +237,27 @@ def test_corpus_of_wrong_json_types_is_an_error(tmp_path, capsys, corpus, messag
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+_NOT_A_LIST = "replay corpus must hold a list of records, got int"
+
+
+@pytest.mark.parametrize(
+    "replay, message",
+    [
+        (5, _NOT_A_LIST),
+        ({"records": 5}, _NOT_A_LIST),
+        ([{"prompt_hash": 1, "completion_text": "x"}], None),
+        ([{"prompt_hash": "h", "completion_text": 5}], None),
+    ],
+    ids=["file-number", "records-number", "hash-number", "completion-number"],
+)
+def test_replay_file_of_wrong_json_types_is_an_error(tmp_path, capsys, replay, message):
+    path = tmp_path / "replay.json"
+    path.write_text(json.dumps(replay), "utf-8")
+    message = message or f"malformed replay record: {replay[0]!r}"
+    assert main(["run-task", "--backend", "replay", "--task", "x", "--replay-file", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_validate_function_steps_need_move_dock(monkeypatch, capsys):
     steps = [{"step": 1, "description": "Load the workpiece.", "action": "load", "url": "http://x/y/functionalities/load"}]
     feed(monkeypatch, json.dumps(steps))
@@ -378,6 +399,13 @@ def test_evaluate_missing_corpus(capsys, tmp_path):
     rc = main(["evaluate", "--corpus", str(tmp_path / "absent.json")])
     assert rc == 1
     assert "error: corpus file not found" in capsys.readouterr().err
+
+
+def test_import_leaves_requests_unloaded():
+    """The package runs on the standard library alone."""
+    code = "import sys, plantagents.cli; print('requests' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_serve_process_smoke():

@@ -26,6 +26,7 @@ from plantagents import (
 )
 from plantagents.backends import BackendError, CompletionBackend, CompletionResult
 from plantagents.prompts import render_transport_demand
+from plantagents.service import JsonHandler
 from plantagents.validation import check_satisfaction
 
 TRANSPORT_ACTIONS = ["move_dock", "load", "undock", "move_dock", "unload"]
@@ -178,6 +179,13 @@ def test_abort_plant_unreachable(registry, task_specs):
     trace = run_task("produce anything", backend, registry, "http://127.0.0.1:9")
     assert_single_failure(trace, "plant unreachable: ")
     assert trace.records[-1].name == "plant"
+    assert trace.exchanges == []
+
+
+@pytest.mark.parametrize("url", ["foo", "ftp://127.0.0.1:9", "http://127.0.0.1:99999", "http://:9"])
+def test_abort_plant_url_not_usable(registry, url):
+    trace = run_task("produce anything", ScriptedBackend([]), registry, url)
+    assert_single_failure(trace, "plant unreachable: ")
     assert trace.exchanges == []
 
 
@@ -484,3 +492,35 @@ def test_run_over_url_closes_its_connection_and_stop_is_prompt(registry, task_sp
     srv.stop()
     assert time.perf_counter() - started < 0.1
     assert threading.active_count() == threads_before
+
+
+def test_http_plant_reconnects_after_the_service_drops_an_idle_connection(registry, monkeypatch):
+    """The service closes a connection left idle past its handler timeout;
+    the next call sees that and connects afresh instead of failing."""
+    monkeypatch.setattr(JsonHandler, "timeout", 0.2)
+    sim = PlantSim.standard_start(registry)
+    with PlantService(sim, port=0) as srv, HttpPlant(srv.base_url) as plant:
+        for version in (1, 2, 3):
+            result = plant.call(f"{srv.base_url}/storage_module/skills/S1", {"workpiece_id": "wp1"})
+            assert result == {"status": "ok", "reason": None, "state_version": version}
+            time.sleep(0.5)
+        assert plant.state()["version"] == 3
+
+
+@pytest.mark.parametrize("where", ["other port", "other host", "other scheme"])
+def test_http_plant_sends_nothing_off_its_plant(registry, where):
+    """A call URL on another scheme, host or port gets an error result and
+    reaches no plant."""
+    with PlantService(PlantSim.standard_start(registry), port=0) as own, \
+            PlantService(PlantSim.standard_start(registry), port=0) as other, \
+            HttpPlant(own.base_url) as plant:
+        host, port = own.server_address[:2]
+        base = {
+            "other port": other.base_url,
+            "other host": f"http://localhost:{port}",
+            "other scheme": f"https://{host}:{port}",
+        }[where]
+        result = plant.call(f"{base}/storage_module/skills/S1", {"workpiece_id": "wp1"})
+        assert result["status"] == "error"
+        assert result["reason"].endswith(f"is not on the plant at {own.base_url}")
+        assert own.sim.state.version == other.sim.state.version == 0
