@@ -58,8 +58,12 @@ class EvalMetrics:
         }
 
 
-def evaluate_sample(registry: Registry, sample: EvalSample) -> ValidationReport:
-    return validate_plan(registry, sample.completion_text, sample.spec)
+def evaluate_sample(
+    registry: Registry,
+    sample: EvalSample,
+    oracle_lengths: dict[TaskSpec, int] | None = None,
+) -> ValidationReport:
+    return validate_plan(registry, sample.completion_text, sample.spec, oracle_lengths)
 
 
 def evaluate_corpus_detailed(
@@ -67,7 +71,10 @@ def evaluate_corpus_detailed(
 ) -> tuple[EvalMetrics, list[ValidationReport]]:
     if not samples:
         raise ValueError("empty corpus: nothing to evaluate")
-    reports = [evaluate_sample(registry, s) for s in samples]
+    # Each task's oracle plan length, planned when the first of its samples
+    # reaches the minimality check; samples of one task share it.
+    oracle_lengths: dict[TaskSpec, int] = {}
+    reports = [evaluate_sample(registry, s, oracle_lengths) for s in samples]
     n = len(samples)
     executable = sum(1 for r in reports if r.executable is True)
     correct = sum(1 for r in reports if r.satisfies_task is True)

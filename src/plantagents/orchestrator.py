@@ -309,14 +309,20 @@ def _run_on_port(
         state = plant.state()
     except OrchestrationError as exc:
         return _abort(trace, "plant", f"plant unreachable: {exc}")
+    if not isinstance(state, dict):
+        return _abort(trace, "plant", f"plant state is not a JSON object: {type(state).__name__}")
     trace.start_state = state
     workpieces = state.get("workpieces", {})
+    if not isinstance(workpieces, dict) or not all(isinstance(wp, dict) for wp in workpieces.values()):
+        return _abort(trace, "plant", "plant state's workpieces must be an object of objects")
     if len(workpieces) != 1:
         return _abort(trace, "plant", f"plant must hold exactly one workpiece, found {len(workpieces)}")
     wp_id, wp = next(iter(workpieces.items()))
     wp_module = wp.get("location")
     if wp_module == ON_ROBOT:
         return _abort(trace, "plant", "workpiece is already on the transport robot")
+    if not (isinstance(wp_module, str) and registry.has_module(wp_module)):
+        return _abort(trace, "plant", f"plant state puts the workpiece at no catalog module: {wp_module!r}")
 
     try:
         prompt = build_manager_prompt(registry, task_text)

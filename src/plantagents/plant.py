@@ -8,7 +8,6 @@ pass through one lock; the state version counts successful calls.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import threading
 from dataclasses import dataclass, field
@@ -134,8 +133,16 @@ class PlantSim:
         return cls(registry, PlantState(workpieces={wp.id: wp}, robot=robot))
 
     def clone(self) -> "PlantSim":
-        """Independent copy sharing the registry."""
-        return PlantSim(self.registry, copy.deepcopy(self.state))
+        """Independent copy sharing the registry (features are immutable)."""
+        state, robot = self.state, self.state.robot
+        workpieces = {
+            wid: Workpiece(wp.id, wp.material, list(wp.features), wp.location, wp.in_inventory)
+            for wid, wp in state.workpieces.items()
+        }
+        return PlantSim(
+            self.registry,
+            PlantState(workpieces, RobotState(robot.position, robot.docked, robot.carrying), state.version),
+        )
 
     # -- views -------------------------------------------------------------
 
@@ -171,10 +178,10 @@ class PlantSim:
         """Run one transport-robot functionality; returns the new version."""
         params = params or {}
         with self._lock:
-            handler = getattr(self, f"_fn_{name}", None)
-            if handler is None or not name.islower():
+            handler = _FUNCTIONALITIES.get(name)
+            if handler is None:
                 raise PlantFault(f"unknown functionality: {name}")
-            handler(params)
+            handler(self, params)
             self.state.version += 1
             return self.state.version
 
@@ -279,6 +286,15 @@ class PlantSim:
             if wp.location == module_id and wp.in_inventory:
                 return wp
         return None
+
+
+# The functionalities `apply_functionality` runs, by name.
+_FUNCTIONALITIES = {
+    "move_dock": PlantSim._fn_move_dock,
+    "load": PlantSim._fn_load,
+    "undock": PlantSim._fn_undock,
+    "unload": PlantSim._fn_unload,
+}
 
 
 def transport_functionality_calls(start: str, target: str) -> list[tuple[str, dict]]:

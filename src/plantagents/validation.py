@@ -82,26 +82,22 @@ def validate_grammar(steps: Sequence[str], registry: Registry) -> list[GrammarVi
     if not steps:
         return [GrammarViolation(1, "a production process needs at least one process step")]
 
-    known = [code for code in steps if registry.has_skill(code)]
+    # One catalog lookup per distinct known code, in plan order.
+    hosts = {code: registry.skill_host(code) for code in dict.fromkeys(steps) if registry.has_skill(code)}
     for code in steps:
-        if not registry.has_skill(code):
+        if code not in hosts:
             violations.append(GrammarViolation(8, f"unknown skill code {code}"))
+    known = [code for code in steps if code in hosts]
 
     storage_id = registry.storage_module().id
 
-    def host_id(code: str) -> str:
-        return registry.skill_host(code).id
-
-    def is_transport(code: str) -> bool:
-        return registry.skill_host(code).kind == "transport"
-
     if known:
         first, last = steps[0], steps[-1]
-        if not (registry.has_skill(first) and host_id(first) == storage_id):
+        if not (first in hosts and hosts[first].id == storage_id):
             violations.append(
                 GrammarViolation(6, f"process must begin with a storage module skill, not {first}")
             )
-        if not (registry.has_skill(last) and host_id(last) == storage_id):
+        if not (last in hosts and hosts[last].id == storage_id):
             violations.append(
                 GrammarViolation(6, f"process must end with a storage module skill, not {last}")
             )
@@ -111,11 +107,11 @@ def validate_grammar(steps: Sequence[str], registry: Registry) -> list[GrammarVi
     previous: str | None = None
     transported = False
     for code in known:
-        if is_transport(code):
+        host = hosts[code]
+        if host.kind == "transport":
             transported = True
             continue
-        here = host_id(code)
-        if previous is not None and here != host_id(previous) and not transported:
+        if previous is not None and host.id != hosts[previous].id and not transported:
             violations.append(
                 GrammarViolation(
                     3,
@@ -163,20 +159,24 @@ def plan_route(registry: Registry, steps: Sequence[str], initial_module: str) ->
     """
     transport_code = registry.transport_skill().code
 
-    def is_location_bound(code: str) -> bool:
-        return registry.has_skill(code) and registry.skill_host(code).kind != "transport"
+    # The host of the first location-bound step after each step (None when
+    # none follows), found in one backward pass.
+    targets: list[str | None] = []
+    following: str | None = None
+    for code in reversed(steps):
+        targets.append(following)
+        if registry.has_skill(code) and (host := registry.skill_host(code)).kind != "transport":
+            following = host.id
+    targets.reverse()
 
     route: list[RouteStep] = []
     wp_module = initial_module
-    for i, code in enumerate(steps):
+    for code, target in zip(steps, targets):
         if code != transport_code:
             route.append(RouteStep(code=code))
             continue
-        target = wp_module
-        for later in steps[i + 1 :]:
-            if is_location_bound(later):
-                target = registry.skill_host(later).id
-                break
+        if target is None:
+            target = wp_module
         route.append(RouteStep(code=code, transport=True, start=wp_module, target=target))
         wp_module = target
     return route
@@ -299,10 +299,17 @@ def check_minimality(
     registry: Registry,
     plan: Sequence[str],
     spec: TaskSpec,
+    oracle_lengths: dict[TaskSpec, int] | None = None,
 ) -> tuple[bool, int, int]:
-    """Minimal iff the plan is as short as the planner's shortest solution."""
-    oracle = oracle_plan_skills(registry, spec)
-    return len(plan) == len(oracle), len(plan), len(oracle)
+    """Minimal iff the plan is as short as the planner's shortest solution.
+
+    `oracle_lengths` maps tasks to their shortest plan's length; a task
+    not in it yet is planned once and added.
+    """
+    lengths = {} if oracle_lengths is None else oracle_lengths
+    if spec not in lengths:
+        lengths[spec] = len(oracle_plan_skills(registry, spec))
+    return len(plan) == lengths[spec], len(plan), lengths[spec]
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +319,14 @@ def validate_plan(
     registry: Registry,
     plan_or_text: str | Sequence[str],
     spec: TaskSpec,
+    oracle_lengths: dict[TaskSpec, int] | None = None,
 ) -> ValidationReport:
     """Parse (if needed), then judge grammar, executability, satisfaction,
     and minimality, stopping at the first failed stage.
 
     Each later judgment is only evaluated when the earlier one passed;
-    unevaluated stages stay None in the report.
+    unevaluated stages stay None in the report.  `oracle_lengths` is
+    handed to `check_minimality`.
     """
     report = ValidationReport()
 
@@ -358,5 +367,5 @@ def validate_plan(
     if not satisfied:
         return report
 
-    report.minimal, _, report.oracle_length = check_minimality(registry, plan, spec)
+    report.minimal, _, report.oracle_length = check_minimality(registry, plan, spec, oracle_lengths)
     return report

@@ -1,10 +1,16 @@
 """Offline metrics over recorded completions, and the bundled corpus."""
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
+import plantagents
+from plantagents import validation
 from plantagents import (
     EvalMetrics,
     EvalSample,
@@ -17,6 +23,7 @@ from plantagents import (
     save_corpus,
 )
 from plantagents.evaluation import evaluate_corpus_detailed
+from plantagents.validation import validate_plan
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +82,59 @@ def test_bundled_corpus_stage_mix(registry, corpus):
         "parse_failed": 1,
         "grammar_failed": 1,
     }
+
+
+def test_oracle_planned_once_per_task(registry, corpus, monkeypatch):
+    """corpus_50 holds 3 tasks, so the oracle search runs 3 times, and the
+    reports are those of judging each sample alone."""
+    alone = [validate_plan(registry, s.completion_text, s.spec).to_dict() for s in corpus]
+    calls = []
+    search = validation.oracle_plan_skills
+
+    def counting(registry, spec):
+        calls.append(spec)
+        return search(registry, spec)
+
+    monkeypatch.setattr(validation, "oracle_plan_skills", counting)
+    _, reports = evaluate_corpus_detailed(registry, corpus)
+    assert len(calls) == 3
+    assert [r.to_dict() for r in reports] == alone
+
+
+def test_unplannable_task_is_planned_only_when_reached(registry, drilled_spec):
+    """No plan exists from the CNC module; samples that fail earlier never
+    ask for one, so the corpus scores without raising."""
+    spec = dataclasses.replace(drilled_spec, initial_location="cnc_module")
+    samples = [
+        EvalSample(spec=spec, completion_text="I cannot help with that."),
+        EvalSample(spec=spec, completion_text="{S1 - S2}"),
+    ]
+    metrics, reports = evaluate_corpus_detailed(registry, samples)
+    assert (metrics.executable_fraction, metrics.correct_fraction, metrics.minimal_fraction) == (0, 0, 0)
+    assert [r.parsed for r in reports] == [False, True]
+    assert reports[1].executable is False
+
+
+def test_evaluate_report_stable_across_hash_seeds(tmp_path):
+    """The evaluate report must not depend on the interpreter's hash
+    randomization."""
+    # The child must import the same package as this process, installed or
+    # not, and, like it, leave no bytecode in the source tree (-B).
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(plantagents.__file__)))
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    reports = set()
+    for seed in ("0", "1", "424242"):
+        report = tmp_path / f"report-{seed}.json"
+        proc = subprocess.run(
+            [sys.executable, "-B", "-m", "plantagents", "evaluate",
+             "--corpus", str(bundled_corpus_path()), "--report", str(report)],
+            capture_output=True,
+            text=True,
+            env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath},
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.add(report.read_bytes())
+    assert len(reports) == 1
 
 
 def test_metrics_nest():

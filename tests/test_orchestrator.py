@@ -26,7 +26,7 @@ from plantagents import (
 )
 from plantagents.backends import BackendError, CompletionBackend, CompletionResult
 from plantagents.prompts import render_transport_demand
-from plantagents.service import JsonHandler
+from plantagents.service import BackgroundServer, JsonHandler
 from plantagents.validation import check_satisfaction
 
 TRANSPORT_ACTIONS = ["move_dock", "load", "undock", "move_dock", "unload"]
@@ -213,6 +213,31 @@ def test_abort_workpiece_on_robot(registry, drilled_spec, task_specs):
     finally:
         srv.stop()
     assert_single_failure(trace, "workpiece is already on the transport robot")
+
+
+@pytest.mark.parametrize("reply", [
+    [],
+    {"workpieces": [1]},
+    {"workpieces": {"wp1": 5}},
+    {"workpieces": {"wp1": {"location": None}}},
+    {"workpieces": {"wp1": {"location": 5}}},
+    {"workpieces": {"wp1": {"location": ["cnc_module"]}}},
+    {"workpieces": {"wp1": {"location": "nowhere"}}},
+])
+def test_abort_plant_state_of_the_wrong_shape(registry, reply):
+    """A state reply that is not an object, whose workpieces are not an
+    object of objects, or that puts the workpiece at no catalog module,
+    aborts the run with one plant record; nothing raises."""
+
+    class StateHandler(JsonHandler):
+        def do_GET(self):  # noqa: N802 (stdlib handler naming)
+            self._reply(200, reply)
+
+    with BackgroundServer(("127.0.0.1", 0), StateHandler) as srv:
+        trace = run_task("produce anything", ScriptedBackend([]), registry, srv.base_url)
+    assert_single_failure(trace, "plant state")
+    assert trace.records[-1].name == "plant"
+    assert trace.exchanges == []
 
 
 def test_abort_empty_task_prompt(live):

@@ -97,7 +97,7 @@ def test_stable_across_hash_seeds(registry, task_specs):
     outs = set()
     for seed in ("0", "1", "424242"):
         proc = subprocess.run(
-            [sys.executable, "-c", code],
+            [sys.executable, "-B", "-c", code],
             capture_output=True,
             text=True,
             env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath},

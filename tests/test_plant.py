@@ -211,6 +211,27 @@ def test_clone_is_independent(sim):
     assert not twin.sole_workpiece().in_inventory
     assert twin.registry is sim.registry
 
+    # the clone's features, robot and version change; the original's do not
+    run_transport(twin, "storage_module", "cnc_module")
+    twin.apply_skill("M1", "wp1")
+    assert sim.sole_workpiece().features == []
+    assert sim.sole_workpiece().location == "storage_module"
+    assert (sim.state.robot.position, sim.state.robot.docked) == ("storage_module", False)
+    assert sim.state.version == 0
+    assert twin.state.version == 7
+
+    # and the other way round: the original changes, its clone does not
+    other = twin.clone()
+    twin.apply_skill("M2", "wp1")
+    run_transport(twin, "cnc_module", "storage_module")
+    assert other.sole_workpiece().feature_kinds() == ["drilled"]
+    assert other.sole_workpiece().location == "cnc_module"
+    assert (other.state.robot.position, other.state.robot.docked) == ("cnc_module", True)
+    assert other.state.version == 7
+    other.apply_skill("M3", "wp1")
+    assert len(twin.sole_workpiece().features) == 2
+    assert twin.state.version == 13
+
 
 def test_snapshot_shapes(sim):
     snap = sim.snapshot()

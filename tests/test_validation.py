@@ -6,6 +6,8 @@ pipeline is pinned here: every grammar-valid plan over the standard skill
 alphabet executes fault-free from the standard start.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from plantagents.service import LocalPlant
 from plantagents.tasks import TaskSpec
 from plantagents.validation import (
     STANDARD_START,
+    RouteStep,
     check_minimality,
     check_satisfaction,
     goal_details,
@@ -168,6 +171,36 @@ def test_route_trailing_transport_is_self():
     route = plan_route(REGISTRY, ["S1", "T1"], "storage_module")
     assert route[-1].start == "storage_module"
     assert route[-1].target == "storage_module"
+
+
+def forward_scan_route(registry, steps, initial_module):
+    """The plain definition of a route: each transport scans forward for
+    the next location-bound step and targets its host (its own start when
+    none follows)."""
+    transport_code = registry.transport_skill().code
+    route = []
+    wp_module = initial_module
+    for i, code in enumerate(steps):
+        if code != transport_code:
+            route.append(RouteStep(code=code))
+            continue
+        target = wp_module
+        for later in steps[i + 1 :]:
+            if registry.has_skill(later) and registry.skill_host(later).kind != "transport":
+                target = registry.skill_host(later).id
+                break
+        route.append(RouteStep(code=code, transport=True, start=wp_module, target=target))
+        wp_module = target
+    return route
+
+
+def test_route_matches_forward_scan_on_every_short_plan():
+    # T2 is a robot skill other than the transport; Z9 is no catalog skill
+    alphabet = ["S1", "S2", "T1", "I1", "M1", "T2", "Z9"]
+    for length in range(7):
+        for plan in itertools.product(alphabet, repeat=length):
+            for start in ("storage_module", "cnc_module"):
+                assert plan_route(REGISTRY, plan, start) == forward_scan_route(REGISTRY, plan, start)
 
 
 def test_move_dock_target_reads_destination():
