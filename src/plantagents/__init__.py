@@ -83,7 +83,7 @@ from .prompts import (
 )
 from .service import DEFAULT_PORT, LocalPlant, PlantService, serve_plant
 from .tasks import (
-    TaskError, TaskSpec, bundled_task_for, bundled_task_spec, bundled_task_specs, load_task_specs, random_task_spec,
+    TaskError, TaskSpec, bundled_task_spec, bundled_task_specs, find_task_spec, load_task_specs, random_task_spec,
 )
 from .validation import (
     GrammarViolation,

@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import urlsplit
 
-from .catalog import Registry
+from .catalog import Registry, read_json
 from .parsing import ParseError
 from .planner import PlanningError, oracle_plan_skills
 from .prompts import PromptError, fill_transport_output, parse_transport_demand
-from .tasks import TaskSpec
+from .tasks import TaskSpec, find_task_spec
 
 DEFAULT_TIMEOUT_SECONDS = 30.0
 # The longest timeout a socket takes: its nanoseconds must fit in 64 bits.
@@ -109,10 +109,7 @@ class ReplayBackend(CompletionBackend):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ReplayBackend":
-        p = Path(path)
-        if not p.exists():
-            raise FileNotFoundError(f"replay corpus not found: {p}")
-        raw = json.loads(p.read_text("utf-8"))
+        raw = read_json(path, "replay corpus")
         if isinstance(raw, dict):
             raw = raw.get("records", [])
         if not isinstance(raw, list):
@@ -164,7 +161,8 @@ class OracleBackend(CompletionBackend):
 
     def __init__(self, registry: Registry, task_specs: list[TaskSpec]) -> None:
         self.registry = registry
-        self._by_instruction = {spec.instruction: spec for spec in task_specs}
+        # Where two specs share an instruction, the first one is planned.
+        self._specs = list(task_specs)
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
         started = time.perf_counter()
@@ -178,7 +176,7 @@ class OracleBackend(CompletionBackend):
         return self._result(text, started)
 
     def _manager_text(self, input_text: str) -> str:
-        spec = self._by_instruction.get(input_text)
+        spec = find_task_spec(self._specs, input_text)
         if spec is None:
             raise OracleError(f"no task specification matches the input {input_text!r}")
         try:

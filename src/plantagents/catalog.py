@@ -145,6 +145,11 @@ class Registry:
         self._modules, self._skills, self._phrases, self._features = {}, {}, {}, {}
         urls: list[str] = []
         for m in self.modules:
+            where = f"module {m.id}"
+            if m.kind not in MODULE_KINDS:
+                raise CatalogError(f"{where}: unknown kind {m.kind!r}")
+            if not m.skills:
+                raise CatalogError(f"{where}: a module must offer at least one skill")
             if m.id in self._modules:
                 raise CatalogError(f"duplicate module id {m.id!r}")
             self._modules[m.id] = m
@@ -152,12 +157,18 @@ class Registry:
                 if m.transport_phrase in self._phrases:
                     raise CatalogError(f"transport phrase {m.transport_phrase!r} names two modules")
                 self._phrases[m.transport_phrase] = m
-            urls += [fn.url for comp in m.components for fn in comp.functionalities]
+            for comp in m.components:
+                names = [fn.name for fn in comp.functionalities]
+                for fn in comp.functionalities:
+                    if names.count(fn.name) > 1:
+                        raise CatalogError(f"{where}: duplicate functionality {fn.name!r} in {comp.id}")
+                    urls.append(_checked_url(fn.url, f"{where} functionality {fn.name}"))
             for s in m.skills:
+                _check_skill(s, where)
                 if s.code in self._skills:
                     raise CatalogError(f"duplicate skill code {s.code}")
                 self._skills[s.code] = (m, s)
-                urls.append(s.endpoint)
+                urls.append(_checked_url(s.endpoint, f"{where} skill {s.code}"))
                 if s.feature is not None:
                     if s.feature in self._features:
                         raise CatalogError(f"feature {s.feature!r} provided twice")
@@ -282,25 +293,36 @@ class Registry:
         modules = tuple(
             replace(
                 m,
-                skills=tuple(
-                    Skill(s.code, s.description, swap(s.endpoint), s.feature, s.role)
-                    for s in m.skills
-                ),
+                skills=tuple(replace(s, endpoint=swap(s.endpoint)) for s in m.skills),
                 components=tuple(
-                    Component(
-                        c.id,
-                        c.name,
-                        tuple(
-                            Functionality(f.name, f.description, swap(f.url), f.parameters)
-                            for f in c.functionalities
-                        ),
-                    )
+                    replace(c, functionalities=tuple(replace(f, url=swap(f.url)) for f in c.functionalities))
                     for c in m.components
                 ),
             )
             for m in self.modules
         )
-        return Registry(modules=modules, prompts=self.prompts)
+        return replace(self, modules=modules)
+
+
+def _check_skill(s: Skill, where: str) -> None:
+    if len(s.code) < 2 or not s.code[0].isalpha() or not s.code[1:].isdigit():
+        raise CatalogError(f"{where}: bad skill code {s.code!r}")
+    if not s.description.strip():
+        raise CatalogError(f"{where}: skill {s.code} has an empty description")
+    for key, value in (("feature", s.feature), ("role", s.role)):
+        if value is not None and not isinstance(value, str):
+            raise CatalogError(f"{where}: skill {s.code} has a {key} that is not a string: {value!r}")
+    if s.role is not None and s.role not in STORAGE_ROLES:
+        raise CatalogError(f"{where}: skill {s.code} has unknown role {s.role!r}")
+    if s.feature is not None and s.role is not None:
+        raise CatalogError(f"{where}: skill {s.code} has both a feature and a role")
+
+
+def _checked_url(url: str, where: str) -> str:
+    parts = urlsplit(url)
+    if not parts.scheme or not parts.netloc or not parts.path:
+        raise CatalogError(f"{where}: not an absolute service URL: {url!r}")
+    return url
 
 
 # ---------------------------------------------------------------------------
@@ -329,69 +351,45 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def _check_url(url: str, where: str) -> str:
-    parts = urlsplit(url)
-    if not parts.scheme or not parts.netloc or not parts.path:
-        raise CatalogError(f"{where}: not an absolute service URL: {url!r}")
-    return url
-
-
 def _load_skill(raw: dict, where: str) -> Skill:
-    code = _require(raw, "code", where)
-    if not code or not code[0].isalpha() or not code[1:].isdigit() or len(code) < 2:
-        raise CatalogError(f"{where}: bad skill code {code!r}")
-    desc = _require(raw, "description", where)
-    if not desc.strip():
-        raise CatalogError(f"{where}: skill {code} has an empty description")
-    endpoint = _check_url(_require(raw, "endpoint", where), f"{where} skill {code}")
-    feature, role = raw.get("feature"), raw.get("role")
-    for key, value in (("feature", feature), ("role", role)):
-        if value is not None and not isinstance(value, str):
-            raise CatalogError(f"{where}: skill {code} has a {key} that is not a string: {value!r}")
-    if role is not None and role not in STORAGE_ROLES:
-        raise CatalogError(f"{where}: skill {code} has unknown role {role!r}")
-    if feature is not None and role is not None:
-        raise CatalogError(f"{where}: skill {code} has both a feature and a role")
-    return Skill(code=code, description=desc, endpoint=endpoint, feature=feature, role=role)
+    return Skill(
+        code=_require(raw, "code", where),
+        description=_require(raw, "description", where),
+        endpoint=_require(raw, "endpoint", where),
+        feature=raw.get("feature"),
+        role=raw.get("role"),
+    )
 
 
 def _load_component(raw: dict, where: str) -> Component:
     cid = _require(raw, "id", where)
-    fns = []
-    seen: set[str] = set()
-    for fraw in raw.get("functionalities", []):
-        name = _require(fraw, "name", f"{where} component {cid}")
-        if name in seen:
-            raise CatalogError(f"{where}: duplicate functionality {name!r} in {cid}")
-        seen.add(name)
-        fns.append(
+    where = f"{where} component {cid}"
+    return Component(
+        id=cid,
+        name=raw.get("name", cid),
+        functionalities=tuple(
             Functionality(
-                name=name,
-                description=_require(fraw, "description", f"functionality {name}"),
-                url=_check_url(_require(fraw, "url", f"functionality {name}"), name),
-                parameters=tuple(fraw.get("parameters", [])),
+                name=_require(f, "name", where),
+                description=_require(f, "description", where),
+                url=_require(f, "url", where),
+                parameters=tuple(f.get("parameters", [])),
             )
-        )
-    return Component(id=cid, name=raw.get("name", cid), functionalities=tuple(fns))
+            for f in raw.get("functionalities", [])
+        ),
+    )
 
 
 def _load_module(raw: dict) -> Module:
     mid = _require(raw, "id", "module")
     where = f"module {mid}"
-    kind = _require(raw, "kind", where)
-    if kind not in MODULE_KINDS:
-        raise CatalogError(f"{where}: unknown kind {kind!r}")
-    skills = tuple(_load_skill(s, where) for s in _require(raw, "skills", where))
-    if not skills:
-        raise CatalogError(f"{where}: a module must offer at least one skill")
     return Module(
         id=mid,
         name=_require(raw, "name", where),
-        kind=kind,
+        kind=_require(raw, "kind", where),
         display=_require(raw, "display", where),
         capability_noun=raw.get("capability_noun", "skills"),
         transport_phrase=raw.get("transport_phrase"),
-        skills=skills,
+        skills=tuple(_load_skill(s, where) for s in _require(raw, "skills", where)),
         components=tuple(_load_component(c, where) for c in raw.get("components", [])),
         operator_preamble=tuple(raw.get("operator_preamble", [])),
         info=dict(raw.get("info", {})),
@@ -436,21 +434,24 @@ def registry_from_dict(data: dict) -> Registry:
 
 
 def load_catalog(path: str | Path) -> Registry:
+    return registry_from_dict(read_json(path, "catalog file"))
+
+
+def read_json(path: str | Path, what: str):
+    """The JSON value in the file at `path`; `what` names the file in errors."""
     p = Path(path)
     if not p.exists():
-        raise FileNotFoundError(f"catalog file not found: {p}")
+        raise FileNotFoundError(f"{what} not found: {p}")
     with p.open("r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CatalogError(f"catalog is not valid JSON: {exc}") from exc
-    return registry_from_dict(data)
+            return json.load(fh)
+        except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
+            raise ValueError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def bundled_catalog() -> Registry:
     """The catalog shipped with the package (the reference plant)."""
-    text = resources.files("plantagents.data").joinpath("catalog.json").read_text("utf-8")
-    return registry_from_dict(json.loads(text))
+    return registry_from_dict(read_json(resources.files("plantagents.data") / "catalog.json", "catalog file"))
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .parsing import (
 from .plant import PlantSim
 from .prompts import PromptError, build_manager_prompt, build_operator_prompt
 from .service import DEFAULT_PORT, LocalPlant, PlantService, serve_plant
-from .tasks import TaskError, TaskSpec, bundled_task_for, bundled_task_spec, bundled_task_specs, load_task_specs
+from .tasks import TaskError, TaskSpec, bundled_task_spec, bundled_task_specs, find_task_spec, load_task_specs
 from .validation import move_dock_target, validate_plan
 
 
@@ -52,7 +52,7 @@ def main(argv: list[str] | None = None) -> int:
         PromptError,
         TaskError,
         BackendError,
-        FileNotFoundError,
+        OSError,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -123,11 +123,11 @@ def _registry(args) -> Registry:
     return bundled_catalog()
 
 
-def _make_backend(args, registry: Registry, specs: list[TaskSpec]) -> CompletionBackend:
-    """The backend `--backend` names; the oracle knows the bundled tasks and
-    `specs`."""
+def _make_backend(args, registry: Registry, known_specs: list[TaskSpec]) -> CompletionBackend:
+    """The backend `--backend` names; the oracle plans the first of
+    `known_specs` with the prompt's instruction."""
     if args.backend == "oracle":
-        return OracleBackend(registry, bundled_task_specs() + specs)
+        return OracleBackend(registry, known_specs)
     if args.backend == "replay":
         if not getattr(args, "replay_file", None):
             raise BackendError("backend=replay needs --replay-file")
@@ -214,7 +214,8 @@ def _cmd_validate(args) -> int:
 def _cmd_run_task(args) -> int:
     base_registry = _registry(args)
     specs = load_task_specs(args.task_spec) if args.task_spec else []
-    spec = specs[0] if specs else bundled_task_for(args.task)
+    known_specs = specs + bundled_task_specs()
+    spec = specs[0] if specs else find_task_spec(known_specs, args.task)
 
     service = None
     try:
@@ -228,7 +229,7 @@ def _cmd_run_task(args) -> int:
             plant_url = service.base_url
         # Prompts and dispatch must name URLs the live plant answers at.
         registry = base_registry.rebased(plant_url)
-        backend = _make_backend(args, registry, specs)
+        backend = _make_backend(args, registry, known_specs)
         trace = run_task(
             args.task, backend, registry, plant_url, task_spec=spec
         )
@@ -250,7 +251,7 @@ def _cmd_run_task(args) -> int:
 def _cmd_collect(args) -> int:
     registry = _registry(args)
     specs = load_task_specs(args.tasks)
-    backend = _make_backend(args, registry, specs)
+    backend = _make_backend(args, registry, specs + bundled_task_specs())
     samples = collect_corpus(
         registry, specs, backend, per_task=args.n, temperature=args.temperature
     )

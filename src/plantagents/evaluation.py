@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .backends import CompletionBackend, CompletionRequest
-from .catalog import Registry
+from .catalog import Registry, read_json
 from .prompts import build_manager_prompt
 from .tasks import TaskSpec
 from .validation import ValidationReport, validate_plan
@@ -97,14 +97,11 @@ def evaluate_corpus(registry: Registry, samples: list[EvalSample]) -> EvalMetric
 # Corpus files
 
 def load_corpus(path: str | Path) -> list[EvalSample]:
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"corpus file not found: {p}")
-    raw = json.loads(p.read_text("utf-8"))
+    raw = read_json(path, "corpus file")
     if isinstance(raw, dict):
         raw = raw.get("samples", [])
     if not isinstance(raw, list):
-        raise ValueError(f"{p}: expected a list of samples")
+        raise ValueError(f"{path}: expected a list of samples")
     return [EvalSample.from_dict(item) for item in raw]
 
 

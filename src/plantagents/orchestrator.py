@@ -28,7 +28,7 @@ from .prompts import (
     render_transport_demand,
 )
 from .service import call_result
-from .tasks import TaskSpec, bundled_task_for
+from .tasks import TaskSpec, bundled_task_specs, find_task_spec
 from .validation import function_step_params, goal_details, plan_route, validate_grammar
 
 PLANT_TIMEOUT_SECONDS = 10.0
@@ -346,7 +346,7 @@ def _run_on_port(
         return _abort(trace, "manager", f"grammar violation: {summary}")
 
     if task_spec is None:
-        task_spec = bundled_task_for(task_text)
+        task_spec = find_task_spec(bundled_task_specs(), task_text)
     details = goal_details(task_spec, registry) if task_spec else {}
 
     robot = registry.transport_module()
@@ -357,12 +357,13 @@ def _run_on_port(
         if step.transport:
             transport_index += 1
             assert step.start is not None and step.target is not None
-            demand = render_transport_demand(registry, step.start, step.target)
             try:
+                # The catalog allows a module without a transport phrase.
+                demand = render_transport_demand(registry, step.start, step.target)
                 pairs = perform_skill_via_operator(
                     registry, robot.id, demand, backend, plant, trace.exchanges
                 )
-            except OrchestrationError as exc:
+            except (PromptError, OrchestrationError) as exc:
                 return _abort(trace, "operator", str(exc))
             kind, index = "functionality", transport_index
             calls = [(fn_step.action, fn_step.url, response) for fn_step, response in pairs]
@@ -385,7 +386,7 @@ def _run_on_port(
                 )
             )
             if response["status"] != "ok":
-                trace.abort_reason = response.get("reason") or "service call failed"
+                trace.abort_reason = trace.records[-1].reason
                 return trace
 
     try:

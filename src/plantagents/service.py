@@ -51,9 +51,10 @@ def call_result(status: int, payload: dict) -> dict:
     error."""
     if status == 200:
         return {"status": "ok", "reason": None, "state_version": payload.get("state_version")}
-    if status == 409:
-        return {"status": "fault", "reason": payload.get("reason", "precondition violated"), "state_version": None}
-    return {"status": "error", "reason": payload.get("reason", f"HTTP {status}"), "state_version": None}
+    reason = payload.get("reason")
+    if not (isinstance(reason, str) and reason):
+        reason = "precondition violated" if status == 409 else f"HTTP {status}"
+    return {"status": "fault" if status == 409 else "error", "reason": reason, "state_version": None}
 
 
 class LocalPlant:

@@ -7,13 +7,12 @@ starts.  Three reference tasks ship with the package.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .catalog import CatalogError, Registry
+from .catalog import CatalogError, Registry, read_json
 from .plant import MATERIALS, Feature
 
 # Check features applied before any goal feature (incoming inspection)
@@ -37,6 +36,14 @@ class TaskSpec:
     id: str = ""
 
     def __post_init__(self) -> None:
+        if not isinstance(self.id, str):
+            raise TaskError(f"task id must be a string, got {type(self.id).__name__}")
+        # The simulator reads an empty location as storage; the planner does not.
+        if not (isinstance(self.initial_location, str) and self.initial_location):
+            raise TaskError(f"task initial_location must name a module, got {self.initial_location!r}")
+        for feat in self.goal_features + self.required_checks:
+            if not isinstance(feat.kind, str) or not isinstance(feat.detail, (str, type(None))):
+                raise TaskError(f"a feature needs a string kind and a string or null detail: {feat.to_dict()}")
         if not self.instruction.strip():
             raise TaskError("task instruction must not be empty")
         if self.material not in MATERIALS:
@@ -94,22 +101,18 @@ def check_achievable(registry: Registry, spec: TaskSpec) -> None:
 
 
 def load_task_specs(path: str | Path) -> list[TaskSpec]:
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"task file not found: {p}")
-    with p.open("r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json(path, "task file")
     if isinstance(raw, dict):
         raw = [raw]
     if not isinstance(raw, list):
-        raise TaskError(f"{p}: expected a task object or a list of them")
+        raise TaskError(f"{path}: expected a task object or a list of them")
     return [TaskSpec.from_dict(item) for item in raw]
 
 
 def bundled_task_specs() -> list[TaskSpec]:
     """The three reference tasks shipped with the package."""
-    text = resources.files("plantagents.data").joinpath("tasks.json").read_text("utf-8")
-    return [TaskSpec.from_dict(item) for item in json.loads(text)]
+    raw = read_json(resources.files("plantagents.data") / "tasks.json", "task file")
+    return [TaskSpec.from_dict(item) for item in raw]
 
 
 def bundled_task_spec(task_id: str) -> TaskSpec:
@@ -119,12 +122,9 @@ def bundled_task_spec(task_id: str) -> TaskSpec:
     raise TaskError(f"no bundled task named {task_id!r}")
 
 
-def bundled_task_for(instruction: str) -> TaskSpec | None:
-    """The bundled task with exactly this instruction text, if any."""
-    for spec in bundled_task_specs():
-        if spec.instruction == instruction:
-            return spec
-    return None
+def find_task_spec(specs: list[TaskSpec], instruction: str) -> TaskSpec | None:
+    """The first of `specs` with exactly this instruction text, if any."""
+    return next((spec for spec in specs if spec.instruction == instruction), None)
 
 
 def _vocabulary(registry: Registry) -> tuple[tuple[str, ...], tuple[str, ...]]:

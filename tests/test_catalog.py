@@ -6,10 +6,12 @@ import pytest
 from plantagents.catalog import (
     CatalogError,
     Registry,
+    _load_module,
     alias_url,
     bundled_catalog,
     canonical_url,
     load_catalog,
+    read_json,
     registry_from_dict,
     render_manager_context,
     render_operator_context,
@@ -142,6 +144,18 @@ def test_load_catalog_rejects_duplicate_skill(tmp_path):
         load_catalog(p)
 
 
+def test_read_json_names_the_file(tmp_path):
+    with pytest.raises(FileNotFoundError, match="^catalog file not found: "):
+        read_json(tmp_path / "gone.json", "catalog file")
+    path = tmp_path / "cat.json"
+    for raw in (b"{", b'"\xff"'):
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="^catalog file is not valid JSON: "):
+            load_catalog(path)
+    with pytest.raises(IsADirectoryError):
+        read_json(tmp_path, "catalog file")
+
+
 def test_load_catalog_rejects_empty():
     with pytest.raises(CatalogError, match="no modules"):
         registry_from_dict({"modules": [], "prompts": _raw_catalog()["prompts"]})
@@ -236,6 +250,39 @@ def _numeric_role(data):
     _skill(data, "S1")["role"] = 5
 
 
+def _bogus_kind(data):
+    _module(data, "cnc_module")["kind"] = "bogus"
+
+
+def _no_skills(data):
+    _module(data, "cnc_module")["skills"] = []
+
+
+def _bad_code(data):
+    _skill(data, "M1")["code"] = "xx"
+
+
+def _empty_description(data):
+    _skill(data, "M1")["description"] = " "
+
+
+def _endpoint_without_path(data):
+    _skill(data, "M1")["endpoint"] = "http://129.69.102.129:5010"
+
+
+def _functionality_url_without_path(data):
+    _module(data, "robotino_7")["components"][0]["functionalities"][1]["url"] = "http://129.69.102.129:5010"
+
+
+def _unknown_role(data):
+    _skill(data, "S1")["role"] = "fetch"
+
+
+def _duplicate_functionality(data):
+    functionalities = _module(data, "robotino_7")["components"][0]["functionalities"]
+    functionalities[2]["name"] = functionalities[1]["name"]
+
+
 # Each mutation of the bundled catalog breaks one registry rule.
 BROKEN_RULES = [
     (_second_storage, "exactly one storage module, not 2"),
@@ -249,6 +296,18 @@ BROKEN_RULES = [
     (_numeric_role, "skill S1 has a role that is not a string: 5"),
 ]
 
+# The same for the rules on a module's own entries.
+ENTRY_RULES = [
+    (_bogus_kind, "module cnc_module: unknown kind 'bogus'"),
+    (_no_skills, "module cnc_module: a module must offer at least one skill"),
+    (_bad_code, "module cnc_module: bad skill code 'xx'"),
+    (_empty_description, "module cnc_module: skill M1 has an empty description"),
+    (_endpoint_without_path, "module cnc_module skill M1: not an absolute service URL: "),
+    (_functionality_url_without_path, "module robotino_7 functionality load: not an absolute service URL: "),
+    (_unknown_role, "module storage_module: skill S1 has unknown role 'fetch'"),
+    (_duplicate_functionality, "module robotino_7: duplicate functionality 'load' in functionality_handler_001"),
+]
+
 
 @pytest.mark.parametrize("mutate, match", BROKEN_RULES, ids=[m.__name__.lstrip("_") for m, _ in BROKEN_RULES])
 def test_registry_rejects_broken_rule(mutate, match):
@@ -257,6 +316,31 @@ def test_registry_rejects_broken_rule(mutate, match):
     mutate(data)
     with pytest.raises(CatalogError, match=match):
         registry_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "mutate, match", BROKEN_RULES + ENTRY_RULES, ids=[m.__name__.lstrip("_") for m, _ in BROKEN_RULES + ENTRY_RULES]
+)
+def test_direct_and_rebased_registries_keep_every_rule(mutate, match):
+    """The loaders only map keys to fields, so the registry alone refuses a
+    broken rule, with the same message when built directly and when a
+    copy is rebased."""
+    data = _raw_catalog()
+    mutate(data)
+    with pytest.raises(CatalogError) as loaded:
+        registry_from_dict(data)
+    modules = tuple(_load_module(m) for m in data["modules"])
+    prompts = bundled_catalog().prompts
+    with pytest.raises(CatalogError) as direct:
+        Registry(modules=modules, prompts=prompts)
+    assert str(direct.value) == str(loaded.value)
+    assert match in str(loaded.value)
+    # rebased() checks its copy anew: start it from a registry that skipped its checks.
+    unchecked = object.__new__(Registry)
+    unchecked.modules, unchecked.prompts = modules, prompts
+    with pytest.raises(CatalogError) as rebased:
+        unchecked.rebased("http://127.0.0.1:9")
+    assert str(rebased.value) == str(loaded.value).replace("129.69.102.129:5010", "127.0.0.1:9")
 
 
 def test_registry_built_directly_is_checked(registry):

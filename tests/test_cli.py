@@ -12,9 +12,14 @@ import pytest
 import requests
 
 from plantagents import (
+    TaskError,
     bundled_corpus_path,
     bundled_task_specs,
     fill_transport_output,
+    format_manager_completion,
+    load_corpus,
+    load_task_specs,
+    oracle_plan_skills,
     parse_function_steps,
     steps_to_json,
 )
@@ -256,6 +261,97 @@ def test_replay_file_of_wrong_json_types_is_an_error(tmp_path, capsys, replay, m
     message = message or f"malformed replay record: {replay[0]!r}"
     assert main(["run-task", "--backend", "replay", "--task", "x", "--replay-file", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# Each leaf of a task or corpus record is replaced by each of these.
+LEAF_VALUES = [None, 0, 1.5, "", [], [1], {}, {"a": 1}, True]
+
+
+def _leaf_paths(value, path=()):
+    """The key path of every leaf of a JSON value: a scalar or an empty
+    container."""
+    if isinstance(value, (dict, list)) and value:
+        keys = value if isinstance(value, dict) else range(len(value))
+        for key in keys:
+            yield from _leaf_paths(value[key], path + (key,))
+    else:
+        yield path
+
+
+def _with_leaf(value, path, leaf):
+    copy = json.loads(json.dumps(value))
+    parent = copy
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = leaf
+    return copy
+
+
+@pytest.mark.parametrize("spec_index", [0, 1, 2])
+def test_task_file_with_any_leaf_replaced(tmp_path, monkeypatch, capsys, registry, task_specs, spec_index):
+    """A task record loads or raises TaskError, and `validate` on what
+    loads ends in a report or `error: ...`, never a traceback."""
+    spec = task_specs[spec_index]
+    completion = format_manager_completion(registry, oracle_plan_skills(registry, spec))
+    path = tmp_path / "task.json"
+    for leaf_path in _leaf_paths(spec.to_dict()):
+        for leaf in LEAF_VALUES:
+            path.write_text(json.dumps(_with_leaf(spec.to_dict(), leaf_path, leaf)), "utf-8")
+            try:
+                load_task_specs(path)
+            except TaskError:
+                pass
+            feed(monkeypatch, completion)
+            assert main(["validate", "--task-spec", str(path)]) in (0, 1), (leaf_path, leaf)
+    capsys.readouterr()
+
+
+def test_corpus_sample_with_any_leaf_replaced(tmp_path, capsys):
+    """A corpus sample loads or raises ValueError (TaskError among them),
+    and `evaluate` ends in a score or `error: ...`, never a traceback."""
+    sample = json.loads(bundled_corpus_path().read_text("utf-8"))["samples"][0]
+    path = tmp_path / "corpus.json"
+    for leaf_path in _leaf_paths(sample):
+        for leaf in LEAF_VALUES:
+            path.write_text(json.dumps([_with_leaf(sample, leaf_path, leaf)]), "utf-8")
+            try:
+                load_corpus(path)
+            except ValueError:
+                pass
+            assert main(["evaluate", "--corpus", str(path)]) in (0, 1), (leaf_path, leaf)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["render-prompt", "--agent", "manager", "--task", "x", "--catalog"],
+        ["validate", "--task-spec"],
+        ["collect", "--n", "1", "--backend", "oracle", "--out", "unused.json", "--tasks"],
+        ["evaluate", "--corpus"],
+        ["run-task", "--backend", "replay", "--task", "x", "--replay-file"],
+    ],
+    ids=["catalog", "task-spec", "tasks", "corpus", "replay-file"],
+)
+def test_file_flag_naming_a_directory_is_an_error(tmp_path, monkeypatch, capsys, argv):
+    feed(monkeypatch, "{(S1) – (S2)}")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + [str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory: ")
+
+
+def test_task_spec_file_wins_over_a_bundled_task(tmp_path, capsys, registry, drilled_spec):
+    """A --task-spec spec with a bundled task's instruction is the one the
+    oracle plans and the run is judged by."""
+    milled = {**drilled_spec.to_dict(), "goal_features": [{"kind": "milled", "detail": None}]}
+    path = tmp_path / "task.json"
+    path.write_text(json.dumps(milled), "utf-8")
+    rc = main(["run-task", "--backend", "oracle", "--task", drilled_spec.instruction, "--task-spec", str(path)])
+    assert rc == 0
+    trace = json.loads(capsys.readouterr().out)
+    milling = registry.feature_provider("milled")[1].code
+    drilling = registry.feature_provider("drilled")[1].code
+    assert milling in trace["skill_plan"] and drilling not in trace["skill_plan"]
 
 
 def test_validate_function_steps_need_move_dock(monkeypatch, capsys):

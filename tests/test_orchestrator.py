@@ -7,6 +7,7 @@ The invariant under test throughout: a trace is either all-ok and
 import json
 import threading
 import time
+from importlib import resources
 
 import pytest
 import requests
@@ -25,6 +26,7 @@ from plantagents import (
     serve_plant,
 )
 from plantagents.backends import BackendError, CompletionBackend, CompletionResult
+from plantagents.catalog import registry_from_dict
 from plantagents.prompts import render_transport_demand
 from plantagents.service import BackgroundServer, JsonHandler
 from plantagents.validation import check_satisfaction
@@ -238,6 +240,40 @@ def test_abort_plant_state_of_the_wrong_shape(registry, reply):
     assert_single_failure(trace, "plant state")
     assert trace.records[-1].name == "plant"
     assert trace.exchanges == []
+
+
+@pytest.mark.parametrize("status, reason", [(409, None), (409, ""), (409, 5), (503, None)])
+def test_abort_on_a_reply_without_a_reason(registry, task_specs, drilled_spec, status, reason):
+    """A plant that refuses a call without a usable reason still leaves one
+    final non-ok record whose reason is the abort reason."""
+    snapshot = PlantSim.standard_start(registry).snapshot()
+
+    class RefusingHandler(JsonHandler):
+        def do_GET(self):  # noqa: N802 (stdlib handler naming)
+            self._reply(200, snapshot)
+
+        def do_POST(self):  # noqa: N802
+            self._read_body()
+            self._reply(status, {"status": "fault", "reason": reason})
+
+    with BackgroundServer(("127.0.0.1", 0), RefusingHandler) as srv:
+        reg = registry.rebased(srv.base_url)
+        trace = run_task(drilled_spec.instruction, OracleBackend(reg, task_specs), reg, srv.base_url)
+    expected = "precondition violated" if status == 409 else f"HTTP {status}"
+    assert_single_failure(trace, expected, kind="skill")
+    assert trace.abort_reason == expected
+
+
+def test_abort_on_a_module_without_transport_phrase(task_specs, drilled_spec):
+    """A transport to a module the catalog gives no phrase aborts the run
+    with one operator record."""
+    data = json.loads(resources.files("plantagents.data").joinpath("catalog.json").read_text("utf-8"))
+    next(m for m in data["modules"] if m["id"] == "inspection_module")["transport_phrase"] = None
+    registry = registry_from_dict(data)
+    sim = PlantSim.standard_start(registry)
+    trace = run_task(drilled_spec.instruction, OracleBackend(registry, task_specs), registry, LocalPlant(sim))
+    assert_single_failure(trace, "module 'inspection_module' has no transport phrase")
+    assert trace.records[-1].name == "operator"
 
 
 def test_abort_empty_task_prompt(live):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +10,7 @@ from plantagents.tasks import (
     bundled_task_spec,
     bundled_task_specs,
     check_achievable,
+    find_task_spec,
     load_task_specs,
     random_task_spec,
 )
@@ -98,6 +100,13 @@ def test_load_task_specs_file(tmp_path, drilled_spec):
          "wrong type"),
         ({"instruction": "x", "material": "steel", "initial_location": "storage_module", "goal_features": [1]},
          "wrong type"),
+        ({"instruction": "x", "material": "steel", "initial_location": "storage_module",
+          "goal_features": [{"kind": ["drilled"]}]}, "a feature needs a string kind"),
+        ({"instruction": "x", "material": "steel", "initial_location": "storage_module",
+          "required_checks": [{"kind": "raw_checked", "detail": {"a": 1}}]}, "a string or null detail"),
+        ({"id": ["a"], "instruction": "x", "material": "steel", "initial_location": "storage_module"},
+         "task id must be a string, got list"),
+        ({"instruction": "x", "material": "steel", "initial_location": ""}, "initial_location must name a module"),
     ],
 )
 def test_from_dict_wrong_json_types(raw, message):
@@ -115,6 +124,13 @@ def test_load_task_specs_rejects_a_non_list(tmp_path):
 def test_load_task_specs_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_task_specs(tmp_path / "nope.json")
+
+
+def test_find_task_spec_takes_the_first_match(task_specs, drilled_spec):
+    twin = replace(drilled_spec, id="twin")
+    assert find_task_spec([twin, *task_specs], drilled_spec.instruction) is twin
+    assert find_task_spec(task_specs, drilled_spec.instruction) == drilled_spec
+    assert find_task_spec(task_specs, "produce nothing known") is None
 
 
 def test_bundled_task_spec_unknown():
