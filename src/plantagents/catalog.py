@@ -10,6 +10,7 @@ code change.
 from __future__ import annotations
 
 import json
+import string
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -188,6 +189,11 @@ class Registry:
         if not found:
             raise CatalogError("transport module offers no transport skill")
         self._transport_skill = found[0]
+        urls_named = {f"url_{fn.name}" for comp in self._transport.components for fn in comp.functionalities}
+        _check_template(self.prompts.transport_demand_template, {"start", "target"}, "operator demand_template")
+        _check_template(
+            self.prompts.transport_output_template, {"start", "target", *urls_named}, "operator output_template"
+        )
         self._endpoints = frozenset(canonical_url(u) for u in urls)
 
     def _single_kind(self, kind: str) -> Module:
@@ -316,6 +322,24 @@ def _check_skill(s: Skill, where: str) -> None:
         raise CatalogError(f"{where}: skill {s.code} has unknown role {s.role!r}")
     if s.feature is not None and s.role is not None:
         raise CatalogError(f"{where}: skill {s.code} has both a feature and a role")
+
+
+def _check_template(template: object, names: set[str], where: str) -> None:
+    """Refuse a prompt template that `str.format` could not fill from
+    `names`: a placeholder outside them (positional, indexed or nested in
+    a format spec too), an unbalanced brace, or a conversion or format
+    spec a string does not take."""
+    if not isinstance(template, str):
+        raise CatalogError(f"{where} is not a string: {template!r}")
+    try:
+        for _, name, spec, _ in string.Formatter().parse(template):
+            if name is not None and name not in names:
+                raise CatalogError(f"{where} names unknown placeholder {{{name}}}; it may name {sorted(names)}")
+            if spec:
+                _check_template(spec, names, where)
+        template.format_map(dict.fromkeys(names, ""))
+    except ValueError as exc:
+        raise CatalogError(f"{where}: {exc}") from None
 
 
 def _checked_url(url: str, where: str) -> str:

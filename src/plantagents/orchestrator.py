@@ -33,6 +33,12 @@ from .validation import function_step_params, goal_details, plan_route, validate
 
 PLANT_TIMEOUT_SECONDS = 10.0
 
+# Longest plant reply body read; a plant snapshot is about a kilobyte.
+MAX_REPLY_BYTES = 1 << 24
+
+# The stdlib client's own bounds on a reply head's line length and line count.
+_MAXLINE, _MAXHEADERS = http.client._MAXLINE, http.client._MAXHEADERS
+
 
 class OrchestrationError(Exception):
     """An agent-level step failed before any service call could happen."""
@@ -114,13 +120,14 @@ class PlantPort(Protocol):
 
 
 def _http_origin(url: str) -> tuple[str, int] | None:
-    """(host, port) of an http:// URL; None for any other URL."""
+    """(host, port) of an http:// URL with an ASCII host; None for any
+    other URL."""
     parts = urlsplit(url)
     try:
         port = parts.port or 80
     except ValueError:  # a port that is not a number from 0 to 65535
         return None
-    if parts.scheme != "http" or not parts.hostname:
+    if parts.scheme != "http" or not parts.hostname or not parts.netloc.isascii():
         return None
     return parts.hostname, port
 
@@ -128,23 +135,26 @@ def _http_origin(url: str) -> tuple[str, int] | None:
 class HttpPlant:
     """The plant port for a plant service reached over HTTP.
 
-    One connection to `base_url` stays open across calls, with no proxy
+    One TCP connection to `base_url` stays open across calls, with no proxy
     lookup: the plant is always an explicit URL.  A call sends only its
     URL's path; a URL on another scheme, host or port gets an `error`
-    result and nothing is sent.
+    result and nothing is sent.  Each request is one write; each reply is
+    read by Content-Length only (see `_read_reply`).
     """
 
     def __init__(self, base_url: str) -> None:
         self.base_url = base_url.rstrip("/")
         self._origin = _http_origin(self.base_url)
-        self._connection = None
-        if self._origin is not None:
-            self._connection = http.client.HTTPConnection(*self._origin, timeout=PLANT_TIMEOUT_SECONDS)
+        self._host = urlsplit(self.base_url).netloc.rpartition("@")[2]
+        self._sock: socket.socket | None = None
+        self._reader = None
 
     def close(self) -> None:
         """Close the kept-alive connection, which frees its handler thread."""
-        if self._connection is not None:
-            self._connection.close()
+        if self._sock is not None:
+            self._reader.close()
+            self._sock.close()
+            self._sock = self._reader = None
 
     def __enter__(self) -> "HttpPlant":
         return self
@@ -180,21 +190,84 @@ class HttpPlant:
         """One request on the kept-alive connection: (HTTP status, reply
         body).  Raises OSError or http.client.HTTPException when it fails,
         InvalidURL (one of the latter) when `url` is not on the plant."""
-        connection = self._connection
-        if connection is None:
+        if self._origin is None:
             raise http.client.InvalidURL(f"not an http:// plant URL: {self.base_url!r}")
         if _http_origin(url) != self._origin:
             raise http.client.InvalidURL(f"{url} is not on the plant at {self.base_url}")
-        if connection.sock is not None and _dropped(connection.sock):
-            connection.close()  # the next request connects afresh
-        headers = {"Content-Type": "application/json"} if body is not None else {}
+        path = urlsplit(url).path
+        if not (path.isascii() and path.isprintable()) or " " in path:
+            raise http.client.InvalidURL(f"{url} has a character a request path cannot carry")
+        head = f"{method} {path} HTTP/1.1\r\nHost: {self._host}\r\n"
+        if body is not None:
+            head += f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
+        request = (head + "\r\n").encode("ascii") + (body or b"")
+        if self._sock is not None and _dropped(self._sock):
+            self.close()  # the next request connects afresh
         try:
-            connection.request(method, urlsplit(url).path, body, headers)
-            with connection.getresponse() as response:
-                return response.status, response.read()
+            if self._sock is None:
+                self._connect()
+            self._sock.sendall(request)
+            status, reply, close = _read_reply(self._reader)
         except BaseException:
-            connection.close()  # a half-done exchange must not be reused
+            self.close()  # a half-done exchange must not be reused
             raise
+        if close:
+            self.close()
+        return status, reply
+
+    def _connect(self) -> None:
+        self._sock = socket.create_connection(self._origin, timeout=PLANT_TIMEOUT_SECONDS)
+        self._reader = self._sock.makefile("rb")
+        # A request is one write, so Nagle's algorithm has nothing to
+        # coalesce; off, it never holds one back for a delayed ACK.
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
+def _read_reply(reader) -> tuple[int, bytes, bool]:
+    """One reply in the Content-Length subset of HTTP/1.1 (RFC 9112 section
+    6): a status line, header lines up to the blank one, then exactly
+    Content-Length body bytes.  Returns (status, body, whether the server
+    closes the connection after it).  Raises HTTPException for a reply with
+    no Content-Length, with Transfer-Encoding, a bad status line, a line
+    over `http.client._MAXLINE` bytes or a short body; OSError when the
+    socket fails or times out."""
+    line = reader.readline(_MAXLINE + 1)
+    if not line:
+        raise http.client.RemoteDisconnected("the plant closed the connection without a reply")
+    words = line.split(None, 2)
+    if len(line) > _MAXLINE or len(words) < 2 or words[0] not in (b"HTTP/1.0", b"HTTP/1.1") \
+            or len(words[1]) != 3 or not words[1].isdigit():
+        raise http.client.BadStatusLine(repr(line[:80]))
+    length, close = None, False
+    for _ in range(_MAXHEADERS):
+        line = reader.readline(_MAXLINE + 1)
+        if len(line) > _MAXLINE:
+            raise http.client.LineTooLong("header line")
+        if line in (b"\r\n", b"\n"):
+            break
+        if not line:
+            raise http.client.RemoteDisconnected("the plant closed the connection inside a reply head")
+        name, _, value = line.partition(b":")
+        name, value = name.lower(), value.strip()
+        if name == b"content-length":
+            if length not in (None, value):
+                raise http.client.HTTPException("reply with two different Content-Lengths")
+            length = value
+        elif name == b"transfer-encoding":
+            raise http.client.HTTPException("reply with Transfer-Encoding; only Content-Length framing is read")
+        elif name == b"connection":
+            close = b"close" in [token.strip() for token in value.lower().split(b",")]
+    else:
+        raise http.client.HTTPException(f"reply with more than {_MAXHEADERS} header lines")
+    if length is None or not length.isdigit():
+        raise http.client.HTTPException("reply without a valid Content-Length")
+    size = int(length)
+    if size > MAX_REPLY_BYTES:
+        raise http.client.HTTPException(f"reply of {size} bytes; at most {MAX_REPLY_BYTES} are read")
+    body = reader.read(size)
+    if len(body) != size:
+        raise http.client.IncompleteRead(body, size - len(body))
+    return int(words[1]), body, close
 
 
 def _dropped(sock: socket.socket) -> bool:

@@ -8,7 +8,6 @@ pass through one lock; the state version counts successful calls.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass, field
 
@@ -306,24 +305,3 @@ def transport_functionality_calls(start: str, target: str) -> list[tuple[str, di
         ("move_dock", {"target_module": target}),
         ("unload", {}),
     ]
-
-
-def permutation_survey(registry: Registry, start: str, target: str) -> list[int]:
-    """Indices (into the 120 lexicographic permutations) that run fault-free.
-
-    Each permutation of the canonical five-call transport sequence is run
-    from the standard start with the workpiece at the start module's
-    hand-off point.  The expected survivor is the identity permutation.
-    """
-    calls = transport_functionality_calls(start, target)
-    survivors = []
-    for idx, perm in enumerate(itertools.permutations(range(len(calls)))):
-        sim = PlantSim.standard_start(registry, location=start, in_inventory=False)
-        try:
-            for i in perm:
-                name, params = calls[i]
-                sim.apply_functionality(name, params)
-        except PlantFault:
-            continue
-        survivors.append(idx)
-    return survivors

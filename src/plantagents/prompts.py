@@ -129,15 +129,12 @@ def fill_transport_output(registry: Registry, start_module: str, target_module: 
         f"url_{fn.name}": alias_url(fn.url)
         for fn in registry.module_functionalities(robot.id)
     }
-    template = registry.prompts.transport_output_template
-    try:
-        return template.format(
-            start=_phrase(registry, start_module),
-            target=_phrase(registry, target_module),
-            **urls,
-        )
-    except KeyError as exc:
-        raise PromptError(f"transport template names unknown placeholder {exc}") from exc
+    # The registry allows only these placeholders in the template.
+    return registry.prompts.transport_output_template.format(
+        start=_phrase(registry, start_module),
+        target=_phrase(registry, target_module),
+        **urls,
+    )
 
 
 def _phrase(registry: Registry, module_id: str) -> str:

@@ -1,10 +1,12 @@
 """In-process stand-in for an OpenAI-compatible completions endpoint.
 
-Serves canned completions for tests and demos: answer normally, answer
-with an HTTP error, or stall past the client timeout.  A malformed
-request (a bad Content-Length, or a body that is not a JSON object) gets
-a 400 JSON reply; the payloads of the others are kept for conformance
-checks.
+Serves canned completions to the tests of `RemoteBackend`: answer
+normally, answer with an HTTP error, or stall past the client timeout.
+A malformed request (a bad Content-Length, or a body that is not a JSON
+object) gets a 400 JSON reply; the payloads of the others are kept for
+conformance checks.  It is built on the plant service's `BackgroundServer`
+and `JsonHandler`, so those tests also run the handler's header parse and
+its one-write reply.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 import threading
 import time
 
-from .service import BackgroundServer, JsonHandler
+from plantagents.service import BackgroundServer, JsonHandler
 
 MODES = ("ok", "error", "stall")
 
@@ -32,7 +34,7 @@ class _StubHandler(JsonHandler):
             return
         with self.server.lock:
             self.server.requests.append(
-                {"path": self.path, "headers": dict(self.headers), "payload": payload}
+                {"path": self.path, "headers": self.headers, "payload": payload}
             )
 
         mode = self.server.mode

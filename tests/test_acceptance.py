@@ -33,8 +33,8 @@ from plantagents import (
 from plantagents.backends import BackendError, CompletionRequest
 from plantagents.cli import main
 from plantagents.evaluation import EvalSample
-from plantagents.plant import permutation_survey
-from plantagents.stubserver import StubCompletionsServer
+from permutations import permutation_survey
+from stubserver import StubCompletionsServer
 from plantagents.validation import validate_grammar
 
 BASE = "http://129.69.102.129:5010/robotino_7/functionality"

@@ -24,7 +24,7 @@ from plantagents.prompts import (
     fill_transport_output,
     render_transport_demand,
 )
-from plantagents.stubserver import StubCompletionsServer
+from stubserver import StubCompletionsServer
 
 
 def test_prompt_hash_stability():

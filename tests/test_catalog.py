@@ -343,6 +343,53 @@ def test_direct_and_rebased_registries_keep_every_rule(mutate, match):
     assert str(rebased.value) == str(loaded.value).replace("129.69.102.129:5010", "127.0.0.1:9")
 
 
+# (template, value, message): each prompt template the prompt builders
+# could not fill.  A demand names only {start} and {target}; a transport's
+# output also names url_<functionality> of the robot's functionalities.
+TEMPLATE_RULES = [
+    ("demand", "carry it from {start} to {target} via {hub}", "demand_template names unknown placeholder {hub}"),
+    ("demand", "from {start} to {target} at {url_load}", "demand_template names unknown placeholder {url_load}"),
+    ("demand", "from {} to {target}", "demand_template names unknown placeholder {}"),
+    ("demand", "from {start.upper} to {target}", "demand_template names unknown placeholder {start.upper}"),
+    ("demand", "from {start:{hub}} to {target}", "demand_template names unknown placeholder {hub}"),
+    ("demand", "from {start to the {target", "demand_template: unexpected '{' in field name"),
+    ("demand", "from {start} to {target", "demand_template: expected '}' before end of string"),
+    ("demand", "from {start!z} to {target}", "demand_template: Unknown conversion specifier z"),
+    ("demand", "from {start:d} to {target}", "demand_template: Unknown format code 'd'"),
+    ("demand", 5, "demand_template is not a string: 5"),
+    ("output", "call {url_fly} at the {start} module", "output_template names unknown placeholder {url_fly}"),
+    ("output", "from {start} to {target}}", "output_template: Single '}' encountered"),
+]
+
+
+@pytest.mark.parametrize("which, template, match", TEMPLATE_RULES)
+def test_registry_refuses_a_template_it_could_not_fill(which, template, match):
+    """Loaded, built directly or rebased, a registry refuses the template
+    with the same message, so no run can meet it half way."""
+    data = _raw_catalog()
+    data["prompts"]["operator"][f"{which}_template"] = template
+    with pytest.raises(CatalogError) as loaded:
+        registry_from_dict(data)
+    assert match in str(loaded.value)
+    bundled = bundled_catalog()
+    prompts = replace(bundled.prompts, **{f"transport_{which}_template": template})
+    with pytest.raises(CatalogError) as direct:
+        Registry(modules=bundled.modules, prompts=prompts)
+    unchecked = object.__new__(Registry)
+    unchecked.modules, unchecked.prompts = bundled.modules, prompts
+    with pytest.raises(CatalogError) as rebased:
+        unchecked.rebased("http://127.0.0.1:9")
+    assert str(loaded.value) == str(direct.value) == str(rebased.value)
+
+
+def test_registry_accepts_a_template_that_names_fewer_placeholders():
+    data = _raw_catalog()
+    data["prompts"]["operator"]["demand_template"] = "(T1) Take it to the {target!s:>3} module."
+    data["prompts"]["operator"]["output_template"] = "Call {url_load}, then {{literally}} {url_unload}."
+    registry = registry_from_dict(data)
+    assert registry.prompts.transport_demand_template.format(target="CNC") == "(T1) Take it to the CNC module."
+
+
 def test_registry_built_directly_is_checked(registry):
     storage = registry.storage_module()
     with pytest.raises(CatalogError, match="duplicate module id 'storage_module'"):

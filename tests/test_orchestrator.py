@@ -5,6 +5,7 @@ The invariant under test throughout: a trace is either all-ok and
 """
 
 import json
+import socket
 import threading
 import time
 from importlib import resources
@@ -184,7 +185,7 @@ def test_abort_plant_unreachable(registry, task_specs):
     assert trace.exchanges == []
 
 
-@pytest.mark.parametrize("url", ["foo", "ftp://127.0.0.1:9", "http://127.0.0.1:99999", "http://:9"])
+@pytest.mark.parametrize("url", ["foo", "ftp://127.0.0.1:9", "http://127.0.0.1:99999", "http://:9", "http://plänt:9"])
 def test_abort_plant_url_not_usable(registry, url):
     trace = run_task("produce anything", ScriptedBackend([]), registry, url)
     assert_single_failure(trace, "plant unreachable: ")
@@ -585,3 +586,125 @@ def test_http_plant_sends_nothing_off_its_plant(registry, where):
         assert result["status"] == "error"
         assert result["reason"].endswith(f"is not on the plant at {own.base_url}")
         assert own.sim.state.version == other.sim.state.version == 0
+
+
+# -- the HTTP port's framing ---------------------------------------------------------
+
+
+class RawPlant:
+    """A plant stand-in on a raw socket.  It serves one connection at a
+    time and answers each request, read with one `recv`, with the next
+    canned reply; after a reply marked so it closes the connection."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)  # (reply bytes, close after it)
+        self.requests: list[bytes] = []
+        self.connections = 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.base_url = "http://127.0.0.1:%d" % self._listener.getsockname()[1]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._listener.close()  # ends a wait in accept()
+        self._thread.join(5)
+
+    def _serve(self):
+        while self.replies:
+            try:
+                connection, _ = self._listener.accept()
+            except OSError:
+                return
+            self.connections += 1
+            with connection:
+                while self.replies:
+                    try:
+                        request = connection.recv(65536)
+                        if not request:
+                            break  # the client closed the connection
+                        self.requests.append(request)
+                        reply, close = self.replies.pop(0)
+                        connection.sendall(reply)
+                    except OSError:
+                        break  # the client hung up on an unread reply
+                    if close:
+                        break
+
+
+def _reply(payload, *headers):
+    body = json.dumps(payload).encode()
+    head = "".join(f"{h}\r\n" for h in (f"Content-Length: {len(body)}", *headers))
+    return f"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n{head}\r\n".encode() + body
+
+
+OK_CALL = _reply({"status": "ok", "state_version": 7})
+SNAPSHOT = {"version": 7, "workpieces": {}}
+
+# Replies HttpPlant cannot frame, and whether the stand-in closes after each.
+UNFRAMED_REPLIES = {
+    "no-content-length": (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n{}", False),
+    "chunked": (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n", False),
+    # Transfer-Encoding overrides Content-Length (RFC 9112 section 6.3).
+    "chunked-with-length": (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nTransfer-Encoding: chunked\r\n\r\n{}", False),
+    "garbage-status-line": (b"HTPT/1.1 2OO OK\r\nContent-Length: 2\r\n\r\n{}", False),
+    "short-body": (b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n{}", True),
+    "long-header-line": (b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * 70000 + b"\r\nContent-Length: 2\r\n\r\n{}", False),
+}
+
+
+@pytest.mark.parametrize("reply, close", UNFRAMED_REPLIES.values(), ids=UNFRAMED_REPLIES)
+def test_http_plant_refuses_a_reply_it_cannot_frame(reply, close):
+    """The reply is an error result for `call()` and an OrchestrationError
+    for `state()`; the connection is dropped, and the next call connects
+    afresh and succeeds."""
+    replies = [(reply, close), (OK_CALL, False), (reply, close), (_reply(SNAPSHOT), False)]
+    with RawPlant(replies) as stub, HttpPlant(stub.base_url) as plant:
+        url = f"{stub.base_url}/storage_module/skills/S1"
+        result = plant.call(url, {"workpiece_id": "wp1"})
+        assert result["status"] == "error"
+        assert result["reason"].startswith("connection error: ") and len(result["reason"]) > 18
+        assert plant.call(url, {"workpiece_id": "wp1"}) == {"status": "ok", "reason": None, "state_version": 7}
+        with pytest.raises(OrchestrationError, match="connection error: "):
+            plant.state()
+        assert plant.state() == SNAPSHOT
+    assert stub.connections == 3
+
+
+def test_http_plant_reads_a_closing_reply_then_reconnects():
+    replies = [(_reply(SNAPSHOT, "Connection: close"), False), (OK_CALL, False)]
+    with RawPlant(replies) as stub, HttpPlant(stub.base_url) as plant:
+        assert plant.state() == SNAPSHOT
+        url = f"{stub.base_url}/storage_module/skills/S1"
+        assert plant.call(url, {}) == {"status": "ok", "reason": None, "state_version": 7}
+    assert stub.connections == 2
+
+
+def test_http_plant_sends_each_request_in_one_segment():
+    """Head and body leave in one write: the stand-in's single recv of each
+    request holds all of it."""
+    with RawPlant([(OK_CALL, False), (_reply(SNAPSHOT), False)]) as stub, HttpPlant(stub.base_url) as plant:
+        body = {"params": {"target_module": "cnc_module"}}
+        plant.call(f"{stub.base_url}/robotino_7/functionalities/move_dock", body)
+        plant.state()
+    post, get = stub.requests
+    raw = json.dumps(body).encode()
+    host = stub.base_url.removeprefix("http://")
+    assert post == (
+        f"POST /robotino_7/functionalities/move_dock HTTP/1.1\r\nHost: {host}\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {len(raw)}\r\n\r\n"
+    ).encode() + raw
+    assert get == f"GET /plant/state HTTP/1.1\r\nHost: {host}\r\n\r\n".encode()
+
+
+@pytest.mark.parametrize("path", ["/storage module/skills/S1", "/storage_module/skills/S\u00e91", "/a\x7f/skills/S1"])
+def test_http_plant_refuses_a_path_it_cannot_send(path):
+    """A call URL whose path a request line cannot carry gets an error
+    result, and nothing is sent."""
+    with RawPlant([(OK_CALL, False)]) as stub, HttpPlant(stub.base_url) as plant:
+        result = plant.call(stub.base_url + path, {})
+    assert result["status"] == "error"
+    assert result["reason"].endswith("has a character a request path cannot carry")
+    assert stub.connections == 0

@@ -8,9 +8,9 @@ from plantagents.plant import (
     ON_ROBOT,
     PlantFault,
     PlantSim,
-    permutation_survey,
     transport_functionality_calls,
 )
+from permutations import permutation_survey
 
 
 def run_transport(sim, start, target):

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 import requests
 
-from plantagents import PlantSim, serve_plant
+from plantagents import PlantService, PlantSim, serve_plant
 from plantagents.service import DEFAULT_PORT, JsonHandler
 
 
@@ -336,3 +336,109 @@ def test_stop_ends_an_idle_kept_alive_connection(registry):
     while threading.active_count() > threads_before:
         assert time.monotonic() < deadline, threading.enumerate()
         time.sleep(0.01)
+
+
+# -- the handler's own header parse and its one-write reply ---------------------------
+
+
+def _reply_to(service, request: bytes) -> bytes:
+    """Send `request` on a fresh connection; the reply, read to end of input."""
+    with socket.create_connection(service.server_address[:2], timeout=5) as sock:
+        sock.sendall(request)
+        return _read_to_eof(sock)
+
+
+@pytest.mark.parametrize(
+    "request_bytes, status",
+    [
+        (b"GET /plant/state HTTP/1.1\r\nX-Pad: " + b"a" * http.client._MAXLINE + b"\r\n\r\n", b"431"),
+        (b"GET /plant/state HTTP/1.1\r\n" + b"X-A: 1\r\n" * http.client._MAXHEADERS + b"\r\n", b"431"),
+        (b"GET /plant/state HTTP/2.0\r\n\r\n", b"505"),
+        (b"GET /plant/state HTTP/1.1.1\r\n\r\n", b"400"),
+        (b"GET /plant/state HTTP/1.\xb2\r\n\r\n", b"400"),
+        (b"GET /plant/state HTTX/1.1\r\n\r\n", b"400"),
+        (b"GET /plant/state\r\n\r\n", b"400"),
+        (b"GET /plant/state HTTP/1.1\r\nno colon here\r\n\r\n", b"400"),
+        (b"GET /plant/state HTTP/1.1\r\nX-A: 1\r\n folded\r\n\r\n", b"400"),
+        (b"GET /plant/state HTTP/1.1\r\nContent-Length : 0\r\n\r\n", b"400"),
+        (b"GET /plant/state HTTP/1.1\r\n: empty name\r\n\r\n", b"400"),
+    ],
+    ids=["long-line", "too-many-headers", "http2", "three-numbers", "non-ascii-digit", "not-http", "no-version",
+         "no-colon", "folded", "space-before-colon", "empty-name"],
+)
+def test_header_parse_refuses_what_it_cannot_read(service, request_bytes, status):
+    """The stdlib's limits hold (431 for a line over `_MAXLINE` bytes or
+    more than `_MAXHEADERS` lines), a request line that is not `METHOD PATH
+    HTTP/x.y` gets a 400 and HTTP/2 a 505, a field line that is no `name:
+    value` gets a 400, the connection closes, and the service goes on
+    answering.  As the stdlib's do, the replies to a request line it
+    refuses come without a head, so each reply names its code in its page."""
+    reply = _reply_to(service, request_bytes)
+    assert b"Error code: " + status in reply
+    assert reply.startswith(b"HTTP/1.1 " + status) or reply.startswith(b"<!DOCTYPE")
+    assert requests.get(f"{service.base_url}/plant/state", timeout=5).json()["version"] == 0
+
+
+def test_header_parse_keeps_the_rules_that_allow_a_request(service):
+    """Field names match in any case; of a repeated field the first value
+    counts; 99 fields are allowed; `Expect: 100-continue` gets its interim
+    reply; `Connection: close` closes after the reply."""
+    pad = b"X-A: 1\r\n" * (http.client._MAXHEADERS - 6)
+    request = (
+        b"POST /storage_module/skills/S1 HTTP/1.1\r\nhost: plant\r\nCONTENT-LENGTH: 2\r\ncontent-length: 9\r\n"
+        + pad + b"expect: 100-Continue\r\nConnection: Close\r\n\r\n{}"
+    )
+    reply = _reply_to(service, request)
+    assert reply.startswith(b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\n")
+    assert reply.endswith(b'{"status": "ok", "state_version": 1}')
+    assert b"Connection: close" in reply
+    chunked = b"POST /storage_module/skills/S1 HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n"
+    assert _reply_to(service, chunked).startswith(b"HTTP/1.1 400 ")
+    assert service.sim.state.version == 1
+
+
+class SendallCountingSocket(socket.socket):
+    """An accepted socket that records each `sendall`."""
+
+    sent: list[bytes]
+
+    def sendall(self, data, *args):
+        self.sent.append(bytes(data))
+        return super().sendall(data, *args)
+
+
+def test_each_reply_is_one_sendall(registry):
+    """Head and body of every reply, a 200, a 409, a 404 and a 400 alike,
+    go to the socket in one `sendall`."""
+    sent: list[bytes] = []
+
+    class CountingService(PlantService):
+        def get_request(self):
+            connection, address = super().get_request()
+            counted = SendallCountingSocket(fileno=connection.detach())
+            counted.sent = sent
+            return counted, address
+
+    requests_bytes = [
+        b"GET /plant/state HTTP/1.1\r\nHost: plant\r\n\r\n",
+        b"POST /storage_module/skills/S1 HTTP/1.1\r\nHost: plant\r\nContent-Length: 2\r\n\r\n{}",
+        b"POST /cnc_module/skills/M1 HTTP/1.1\r\nHost: plant\r\nContent-Length: 2\r\n\r\n{}",
+        b"GET /nowhere/state HTTP/1.1\r\nHost: plant\r\n\r\n",
+        b"POST /storage_module/skills/S1 HTTP/1.1\r\nHost: plant\r\nContent-Length: 1\r\n\r\n{",
+    ]
+    with CountingService(PlantSim.standard_start(registry), port=0) as srv, \
+            socket.create_connection(srv.server_address[:2], timeout=5) as sock:
+        reader = sock.makefile("rb")
+        for request in requests_bytes:
+            sock.sendall(request)
+            reader.readline()
+            while (line := reader.readline()) != b"\r\n":
+                if line.lower().startswith(b"content-length:"):
+                    length = int(line.split(b":")[1])
+            reader.read(length)
+        reader.close()
+    assert [reply.split(b" ", 2)[1] for reply in sent] == [b"200", b"200", b"409", b"404", b"400"]
+    for reply in sent:
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert isinstance(json.loads(body), dict)
+        assert b"Content-Length: %d" % len(body) in head
