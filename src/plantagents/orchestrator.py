@@ -8,8 +8,10 @@ the first fault; the trace then records exactly one non-ok entry.
 
 from __future__ import annotations
 
+import functools
 import http.client
 import json
+import select
 import socket
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -132,6 +134,22 @@ def _http_origin(url: str) -> tuple[str, int] | None:
     return parts.hostname, port
 
 
+@functools.lru_cache(maxsize=128)
+def _request_path(base_url: str, url: str) -> str:
+    """The path a request for `url` sends to the plant at `base_url`; raises
+    InvalidURL (never cached) for a base URL that is not http://, a URL on
+    another scheme, host or port, or a path a request line cannot carry."""
+    origin = _http_origin(base_url)
+    if origin is None:
+        raise http.client.InvalidURL(f"not an http:// plant URL: {base_url!r}")
+    if _http_origin(url) != origin:
+        raise http.client.InvalidURL(f"{url} is not on the plant at {base_url}")
+    path = urlsplit(url).path
+    if not (path.isascii() and path.isprintable()) or " " in path:
+        raise http.client.InvalidURL(f"{url} has a character a request path cannot carry")
+    return path
+
+
 class HttpPlant:
     """The plant port for a plant service reached over HTTP.
 
@@ -190,19 +208,14 @@ class HttpPlant:
         """One request on the kept-alive connection: (HTTP status, reply
         body).  Raises OSError or http.client.HTTPException when it fails,
         InvalidURL (one of the latter) when `url` is not on the plant."""
-        if self._origin is None:
-            raise http.client.InvalidURL(f"not an http:// plant URL: {self.base_url!r}")
-        if _http_origin(url) != self._origin:
-            raise http.client.InvalidURL(f"{url} is not on the plant at {self.base_url}")
-        path = urlsplit(url).path
-        if not (path.isascii() and path.isprintable()) or " " in path:
-            raise http.client.InvalidURL(f"{url} has a character a request path cannot carry")
-        head = f"{method} {path} HTTP/1.1\r\nHost: {self._host}\r\n"
+        head = f"{method} {_request_path(self.base_url, url)} HTTP/1.1\r\nHost: {self._host}\r\n"
         if body is not None:
             head += f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
         request = (head + "\r\n").encode("ascii") + (body or b"")
-        if self._sock is not None and _dropped(self._sock):
-            self.close()  # the next request connects afresh
+        # An idle socket that polls readable was closed by the service (after
+        # its idle timeout, say) or holds bytes no request asked for.
+        if self._sock is not None and self._idle.poll(0):
+            self.close()
         try:
             if self._sock is None:
                 self._connect()
@@ -218,6 +231,8 @@ class HttpPlant:
     def _connect(self) -> None:
         self._sock = socket.create_connection(self._origin, timeout=PLANT_TIMEOUT_SECONDS)
         self._reader = self._sock.makefile("rb")
+        self._idle = select.poll()
+        self._idle.register(self._sock, select.POLLIN)
         # A request is one write, so Nagle's algorithm has nothing to
         # coalesce; off, it never holds one back for a delayed ACK.
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -268,21 +283,6 @@ def _read_reply(reader) -> tuple[int, bytes, bool]:
     if len(body) != size:
         raise http.client.IncompleteRead(body, size - len(body))
     return int(words[1]), body, close
-
-
-def _dropped(sock: socket.socket) -> bool:
-    """Whether an idle kept-alive socket is unusable: the service closed
-    it (after its idle timeout, say) or sent bytes no request asked for."""
-    sock.settimeout(0)
-    try:
-        sock.recv(1, socket.MSG_PEEK)
-    except BlockingIOError:
-        return False  # nothing to read: still open
-    except OSError:
-        pass
-    finally:
-        sock.settimeout(PLANT_TIMEOUT_SECONDS)
-    return True
 
 
 def perform_skill_via_operator(

@@ -25,6 +25,8 @@ import selectors
 import socket
 import sys
 import threading
+import time
+from email.utils import formatdate
 from http import HTTPStatus
 from http.client import _MAXHEADERS, _MAXLINE
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -148,6 +150,19 @@ class _Headers(dict):
         return dict.get(self, name.lower(), default)
 
 
+_REPLY_STARTS: dict[tuple[type, int], bytes] = {}  # status line and `Server` by (handler class, status)
+_date: tuple[int, bytes] = (0, b"")  # (second, its `Date`): one tuple, so never a mismatched pair
+
+
+def _http_date() -> bytes:
+    """Now as an IMF-fixdate, made once a second: a `Date`'s resolution (RFC 9110 section 6.6.1)."""
+    global _date
+    second, cached = int(time.time()), _date
+    if cached[0] != second:
+        cached = _date = (second, formatdate(second, usegmt=True).encode("ascii"))
+    return cached[1]
+
+
 class JsonHandler(BaseHTTPRequestHandler):
     """Request handler base: HTTP/1.1 keep-alive, its own header parse,
     JSON replies in one write, a bounded body read, no logging."""
@@ -210,15 +225,28 @@ class JsonHandler(BaseHTTPRequestHandler):
         return True
 
     def _reply(self, status: int, payload: dict) -> None:
+        """Head and body in one write, so in one segment.  The head is what
+        `send_response` and `send_header` wrote, with `Connection: close` if
+        the connection closes; a reply to HEAD has no body (RFC 9110 9.3.2)."""
         body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        # Head and body go out in one write, so in one segment.
-        self._headers_buffer += (b"\r\n", body)
-        self.flush_headers()
+        start = _REPLY_STARTS.get((type(self), status))
+        if start is None:
+            phrase = self.responses.get(status, ("",))[0]
+            start = _REPLY_STARTS[type(self), status] = (
+                f"{self.protocol_version} {status:d} {phrase}\r\nServer: {self.version_string()}\r\n"
+            ).encode("latin-1")
+        close = b"Connection: close\r\n" if self.close_connection else b""
+        self.wfile.write(
+            b"%sDate: %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n%s\r\n%s"
+            % (start, _http_date(), len(body), close, b"" if self.command == "HEAD" else body)
+        )
+
+    def send_error(self, code: int, message: str | None = None, explain: str | None = None) -> None:
+        """Refuse a request head with a JSON reply, not the stdlib's HTML
+        page, like every other refusal; the connection closes after it."""
+        self.close_connection = True
+        reason = message or self.responses.get(code, (f"HTTP {code:d}",))[0]
+        self._reply(code, {"status": "error", "reason": reason})
 
     def _read_body(self) -> bytes:
         """The request body; ValueError when Content-Length is not a number

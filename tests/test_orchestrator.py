@@ -5,6 +5,7 @@ The invariant under test throughout: a trace is either all-ok and
 """
 
 import json
+import select
 import socket
 import threading
 import time
@@ -539,7 +540,9 @@ def test_run_over_http_uses_one_connection_without_stalls(registry, task_specs, 
 
 
 def test_run_over_url_closes_its_connection_and_stop_is_prompt(registry, task_specs, drilled_spec):
-    threads_before = threading.active_count()
+    # Only threads this test starts are counted: a handler thread an earlier
+    # test left stalling may end at any moment.
+    threads_before = set(threading.enumerate())
     srv = serve_plant(PlantSim.standard_start(registry))
     reg = registry.rebased(srv.base_url)
     trace = run_task(drilled_spec.instruction, OracleBackend(reg, task_specs), reg, srv.base_url)
@@ -547,13 +550,13 @@ def test_run_over_url_closes_its_connection_and_stop_is_prompt(registry, task_sp
     # The run closed its connection, so the handler thread ends by itself;
     # only the serving thread is left.
     deadline = time.monotonic() + 5
-    while threading.active_count() > threads_before + 1:
+    while len(set(threading.enumerate()) - threads_before) > 1:
         assert time.monotonic() < deadline, "the run left its connection open"
         time.sleep(0.01)
     started = time.perf_counter()
     srv.stop()
     assert time.perf_counter() - started < 0.1
-    assert threading.active_count() == threads_before
+    assert set(threading.enumerate()) - threads_before == set()
 
 
 def test_http_plant_reconnects_after_the_service_drops_an_idle_connection(registry, monkeypatch):
@@ -572,7 +575,8 @@ def test_http_plant_reconnects_after_the_service_drops_an_idle_connection(regist
 @pytest.mark.parametrize("where", ["other port", "other host", "other scheme"])
 def test_http_plant_sends_nothing_off_its_plant(registry, where):
     """A call URL on another scheme, host or port gets an error result and
-    reaches no plant."""
+    reaches no plant, on its first and second call and after a call that
+    succeeded: a refused URL is never kept as an accepted one."""
     with PlantService(PlantSim.standard_start(registry), port=0) as own, \
             PlantService(PlantSim.standard_start(registry), port=0) as other, \
             HttpPlant(own.base_url) as plant:
@@ -582,10 +586,38 @@ def test_http_plant_sends_nothing_off_its_plant(registry, where):
             "other host": f"http://localhost:{port}",
             "other scheme": f"https://{host}:{port}",
         }[where]
-        result = plant.call(f"{base}/storage_module/skills/S1", {"workpiece_id": "wp1"})
-        assert result["status"] == "error"
-        assert result["reason"].endswith(f"is not on the plant at {own.base_url}")
+
+        def refused() -> bool:
+            result = plant.call(f"{base}/storage_module/skills/S1", {"workpiece_id": "wp1"})
+            return result["status"] == "error" and result["reason"].endswith(f"is not on the plant at {own.base_url}")
+
+        assert refused() and refused()
         assert own.sim.state.version == other.sim.state.version == 0
+        assert plant.call(f"{own.base_url}/storage_module/skills/S1", {"workpiece_id": "wp1"})["status"] == "ok"
+        assert refused()
+        assert (own.sim.state.version, other.sim.state.version) == (1, 0)
+
+
+def test_http_plant_reconnects_after_unasked_bytes_on_an_idle_connection(registry):
+    """A byte the service sends after its reply, with no request pending,
+    makes the idle connection unusable: the next call sees it, connects
+    afresh and succeeds, and the stray byte is never read as a reply."""
+    answered, sent = threading.Event(), threading.Event()
+
+    class StrayByteHandler(JsonHandler):
+        def do_GET(self):  # noqa: N802
+            self._reply(200, PlantSim.standard_start(registry).snapshot())
+            if not sent.is_set():
+                answered.wait(5)
+                self.wfile.write(b"x")
+                sent.set()
+
+    with BackgroundServer(("127.0.0.1", 0), StrayByteHandler) as srv, HttpPlant(srv.base_url) as plant:
+        assert plant.state()["version"] == 0
+        answered.set()
+        assert sent.wait(5)
+        select.select([plant._sock], [], [], 5)  # the stray byte has arrived
+        assert plant.state()["version"] == 0
 
 
 # -- the HTTP port's framing ---------------------------------------------------------

@@ -1,13 +1,18 @@
+import email.utils
 import http.client
 import json
+import re
 import socket
 import threading
 import time
+import types
 from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler
 
 import pytest
 import requests
 
+import plantagents.service as plant_service
 from plantagents import PlantService, PlantSim, serve_plant
 from plantagents.service import DEFAULT_PORT, JsonHandler
 
@@ -362,21 +367,41 @@ def _reply_to(service, request: bytes) -> bytes:
         (b"GET /plant/state HTTP/1.1\r\nX-A: 1\r\n folded\r\n\r\n", b"400"),
         (b"GET /plant/state HTTP/1.1\r\nContent-Length : 0\r\n\r\n", b"400"),
         (b"GET /plant/state HTTP/1.1\r\n: empty name\r\n\r\n", b"400"),
+        # Exactly one byte over the stdlib's 65536-byte bound, so the handler reads all of it.
+        (b"GET /" + b"a" * 65532, b"414"),
+        (b"BREW /plant/state HTTP/1.1\r\nHost: plant\r\n\r\n", b"501"),
     ],
     ids=["long-line", "too-many-headers", "http2", "three-numbers", "non-ascii-digit", "not-http", "no-version",
-         "no-colon", "folded", "space-before-colon", "empty-name"],
+         "no-colon", "folded", "space-before-colon", "empty-name", "long-request-line", "unknown-method"],
 )
 def test_header_parse_refuses_what_it_cannot_read(service, request_bytes, status):
     """The stdlib's limits hold (431 for a line over `_MAXLINE` bytes or
-    more than `_MAXHEADERS` lines), a request line that is not `METHOD PATH
-    HTTP/x.y` gets a 400 and HTTP/2 a 505, a field line that is no `name:
-    value` gets a 400, the connection closes, and the service goes on
-    answering.  As the stdlib's do, the replies to a request line it
-    refuses come without a head, so each reply names its code in its page."""
+    more than `_MAXHEADERS` lines, 414 for a request line over 65536
+    bytes), a request line that is not `METHOD PATH HTTP/x.y` gets a 400,
+    HTTP/2 a 505 and an unknown method a 501, and a field line that is no
+    `name: value` gets a 400.  Each refusal is a JSON error reply with a
+    status line and `Content-Length`, the connection closes, and the
+    service goes on answering."""
     reply = _reply_to(service, request_bytes)
-    assert b"Error code: " + status in reply
-    assert reply.startswith(b"HTTP/1.1 " + status) or reply.startswith(b"<!DOCTYPE")
+    head, _, body = reply.partition(b"\r\n\r\n")
+    lines = head.split(b"\r\n")
+    assert lines[0].startswith(b"HTTP/1.1 " + status + b" ")
+    assert b"Content-Type: application/json" in lines
+    assert b"Content-Length: %d" % len(body) in lines
+    assert b"Connection: close" in lines
+    payload = json.loads(body)
+    assert payload["status"] == "error"
+    assert isinstance(payload["reason"], str) and payload["reason"]
     assert requests.get(f"{service.base_url}/plant/state", timeout=5).json()["version"] == 0
+
+
+def test_head_is_refused_without_a_body(service):
+    """HEAD is no method the plant serves; its 501 reply carries the head a
+    GET would, with no body (RFC 9110 section 9.3.2)."""
+    reply = _reply_to(service, b"HEAD /plant/state HTTP/1.1\r\nHost: plant\r\n\r\n")
+    head, blank, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 501 ") and blank and body == b""
+    assert b"Connection: close" in head.split(b"\r\n")
 
 
 def test_header_parse_keeps_the_rules_that_allow_a_request(service):
@@ -407,9 +432,20 @@ class SendallCountingSocket(socket.socket):
         return super().sendall(data, *args)
 
 
-def test_each_reply_is_one_sendall(registry):
-    """Head and body of every reply, a 200, a 409, a 404 and a 400 alike,
-    go to the socket in one `sendall`."""
+# One of each reply: a 200 (twice), a 409, a 404, a 400 and a refused head's 501.
+ONE_OF_EACH_REPLY = [
+    b"GET /plant/state HTTP/1.1\r\nHost: plant\r\n\r\n",
+    b"POST /storage_module/skills/S1 HTTP/1.1\r\nHost: plant\r\nContent-Length: 2\r\n\r\n{}",
+    b"POST /cnc_module/skills/M1 HTTP/1.1\r\nHost: plant\r\nContent-Length: 2\r\n\r\n{}",
+    b"GET /nowhere/state HTTP/1.1\r\nHost: plant\r\n\r\n",
+    b"POST /storage_module/skills/S1 HTTP/1.1\r\nHost: plant\r\nContent-Length: 1\r\n\r\n{",
+    b"BREW /plant/state HTTP/1.1\r\nHost: plant\r\n\r\n",
+]
+
+
+def _sendalls(registry, requests_bytes) -> list[bytes]:
+    """Each `sendall` a plant service makes while answering `requests_bytes`
+    in turn on one connection."""
     sent: list[bytes] = []
 
     class CountingService(PlantService):
@@ -419,13 +455,6 @@ def test_each_reply_is_one_sendall(registry):
             counted.sent = sent
             return counted, address
 
-    requests_bytes = [
-        b"GET /plant/state HTTP/1.1\r\nHost: plant\r\n\r\n",
-        b"POST /storage_module/skills/S1 HTTP/1.1\r\nHost: plant\r\nContent-Length: 2\r\n\r\n{}",
-        b"POST /cnc_module/skills/M1 HTTP/1.1\r\nHost: plant\r\nContent-Length: 2\r\n\r\n{}",
-        b"GET /nowhere/state HTTP/1.1\r\nHost: plant\r\n\r\n",
-        b"POST /storage_module/skills/S1 HTTP/1.1\r\nHost: plant\r\nContent-Length: 1\r\n\r\n{",
-    ]
     with CountingService(PlantSim.standard_start(registry), port=0) as srv, \
             socket.create_connection(srv.server_address[:2], timeout=5) as sock:
         reader = sock.makefile("rb")
@@ -437,8 +466,76 @@ def test_each_reply_is_one_sendall(registry):
                     length = int(line.split(b":")[1])
             reader.read(length)
         reader.close()
-    assert [reply.split(b" ", 2)[1] for reply in sent] == [b"200", b"200", b"409", b"404", b"400"]
+    return sent
+
+
+def test_each_reply_is_one_sendall(registry):
+    """Head and body of every reply, a 200, a 409, a 404, a 400 and the
+    refusal of a request head alike, go to the socket in one `sendall`."""
+    sent = _sendalls(registry, ONE_OF_EACH_REPLY)
+    assert [reply.split(b" ", 2)[1] for reply in sent] == [b"200", b"200", b"409", b"404", b"400", b"501"]
     for reply in sent:
         head, _, body = reply.partition(b"\r\n\r\n")
         assert isinstance(json.loads(body), dict)
         assert b"Content-Length: %d" % len(body) in head
+
+
+def _stdlib_head(status: int, length: int, close: bool) -> bytes:
+    """The head the stdlib's `send_response` and `send_header` write for a
+    JSON reply of `length` bytes."""
+    handler = JsonHandler.__new__(JsonHandler)
+    handler.request_version, handler.requestline = "HTTP/1.1", ""
+    BaseHTTPRequestHandler.send_response(handler, status)
+    handler.send_header("Content-Type", "application/json")
+    handler.send_header("Content-Length", str(length))
+    if close:
+        handler.send_header("Connection", "close")
+    return b"".join(handler._headers_buffer) + b"\r\n"
+
+
+DATE_LINE = re.compile(rb"\r\nDate: [^\r\n]*\r\n")
+
+
+def test_reply_heads_are_the_stdlibs_bytes(registry):
+    """Each reply's head is byte for byte what `send_response` and
+    `send_header` wrote, its Date aside; the refusal of a head closes."""
+    for reply in _sendalls(registry, ONE_OF_EACH_REPLY):
+        head, blank, body = reply.partition(b"\r\n\r\n")
+        status = int(head.split(b" ", 2)[1])
+        got, dates = DATE_LINE.subn(b"\r\nDate: -\r\n", head + blank)
+        want, stdlib_dates = DATE_LINE.subn(b"\r\nDate: -\r\n", _stdlib_head(status, len(body), status == 501))
+        assert dates == stdlib_dates == 1
+        assert got == want
+
+
+IMF_FIXDATE = re.compile(r"(Mon|Tue|Wed|Thu|Fri|Sat|Sun), \d\d (Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec) \d{4} "
+                         r"\d\d:\d\d:\d\d GMT")
+
+
+def _date_of_reply(service) -> str:
+    head = _reply_to(service, b"GET /plant/state HTTP/1.1\r\nConnection: close\r\n\r\n").partition(b"\r\n\r\n")[0]
+    [date] = [line[6:] for line in head.split(b"\r\n") if line.startswith(b"Date: ")]
+    return date.decode("ascii")
+
+
+def test_reply_date_is_the_imf_fixdate_of_its_second(service):
+    before = int(time.time())
+    date = _date_of_reply(service)
+    after = int(time.time())
+    assert IMF_FIXDATE.fullmatch(date)
+    second = int(email.utils.parsedate_to_datetime(date).timestamp())
+    assert before <= second <= after
+    assert date == email.utils.formatdate(second, usegmt=True)
+
+
+def test_reply_date_changes_when_the_clock_crosses_a_second(service, monkeypatch):
+    """The Date is made once a second and made anew in the next one."""
+    clock = types.SimpleNamespace(time=None)
+    monkeypatch.setattr(plant_service, "time", clock)
+    dates = []
+    for now in (1e9 + 0.2, 1e9 + 0.999, 1e9 + 1.0, 1e9 + 1.7, 1e9 + 60.0):
+        clock.time = lambda now=now: now
+        dates.append(_date_of_reply(service))
+    assert dates == ["Sun, 09 Sep 2001 01:46:40 GMT"] * 2 + ["Sun, 09 Sep 2001 01:46:41 GMT"] * 2 + [
+        "Sun, 09 Sep 2001 01:47:40 GMT"
+    ]
