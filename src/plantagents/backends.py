@@ -29,7 +29,7 @@ from .tasks import TaskSpec, find_task_spec
 DEFAULT_TIMEOUT_SECONDS = 30.0
 # The longest timeout a socket takes: its nanoseconds must fit in 64 bits.
 MAX_TIMEOUT_SECONDS = 9e9
-DEFAULT_MAX_TOKENS = 1024
+MAX_TOKENS = 1024  # sent with every remote completion request
 
 ENV_ENDPOINT = "LLM_ENDPOINT_URL"
 ENV_API_KEY = "LLM_API_KEY"
@@ -57,15 +57,12 @@ class OracleError(BackendError):
 class CompletionRequest:
     prompt: str
     temperature: float = 0.0
-    max_tokens: int = DEFAULT_MAX_TOKENS
 
     def __post_init__(self) -> None:
         if not self.prompt:
             raise ValueError("prompt must not be empty")
         if not 0.0 <= self.temperature <= 1.0:
             raise ValueError(f"temperature out of range: {self.temperature}")
-        if self.max_tokens <= 0:
-            raise ValueError(f"max_tokens must be positive: {self.max_tokens}")
 
 
 @dataclass(frozen=True)
@@ -265,7 +262,7 @@ class RemoteBackend(CompletionBackend):
             "model": self.model,
             "prompt": request.prompt,
             "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
+            "max_tokens": MAX_TOKENS,
         }
         headers = {"Content-Type": "application/json"}
         if self.api_key:

@@ -29,17 +29,11 @@ from .prompts import (
     build_operator_prompt,
     render_transport_demand,
 )
-from .service import call_result
+from .service import call_result, read_reply
 from .tasks import TaskSpec, bundled_task_specs, find_task_spec
 from .validation import function_step_params, goal_details, plan_route, validate_grammar
 
 PLANT_TIMEOUT_SECONDS = 10.0
-
-# Longest plant reply body read; a plant snapshot is about a kilobyte.
-MAX_REPLY_BYTES = 1 << 24
-
-# The stdlib client's own bounds on a reply head's line length and line count.
-_MAXLINE, _MAXHEADERS = http.client._MAXLINE, http.client._MAXHEADERS
 
 
 class OrchestrationError(Exception):
@@ -157,7 +151,7 @@ class HttpPlant:
     lookup: the plant is always an explicit URL.  A call sends only its
     URL's path; a URL on another scheme, host or port gets an `error`
     result and nothing is sent.  Each request is one write; each reply is
-    read by Content-Length only (see `_read_reply`).
+    read by Content-Length only (see `service.read_reply`).
     """
 
     def __init__(self, base_url: str) -> None:
@@ -220,7 +214,7 @@ class HttpPlant:
             if self._sock is None:
                 self._connect()
             self._sock.sendall(request)
-            status, reply, close = _read_reply(self._reader)
+            status, reply, close = read_reply(self._reader)
         except BaseException:
             self.close()  # a half-done exchange must not be reused
             raise
@@ -236,53 +230,6 @@ class HttpPlant:
         # A request is one write, so Nagle's algorithm has nothing to
         # coalesce; off, it never holds one back for a delayed ACK.
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-
-
-def _read_reply(reader) -> tuple[int, bytes, bool]:
-    """One reply in the Content-Length subset of HTTP/1.1 (RFC 9112 section
-    6): a status line, header lines up to the blank one, then exactly
-    Content-Length body bytes.  Returns (status, body, whether the server
-    closes the connection after it).  Raises HTTPException for a reply with
-    no Content-Length, with Transfer-Encoding, a bad status line, a line
-    over `http.client._MAXLINE` bytes or a short body; OSError when the
-    socket fails or times out."""
-    line = reader.readline(_MAXLINE + 1)
-    if not line:
-        raise http.client.RemoteDisconnected("the plant closed the connection without a reply")
-    words = line.split(None, 2)
-    if len(line) > _MAXLINE or len(words) < 2 or words[0] not in (b"HTTP/1.0", b"HTTP/1.1") \
-            or len(words[1]) != 3 or not words[1].isdigit():
-        raise http.client.BadStatusLine(repr(line[:80]))
-    length, close = None, False
-    for _ in range(_MAXHEADERS):
-        line = reader.readline(_MAXLINE + 1)
-        if len(line) > _MAXLINE:
-            raise http.client.LineTooLong("header line")
-        if line in (b"\r\n", b"\n"):
-            break
-        if not line:
-            raise http.client.RemoteDisconnected("the plant closed the connection inside a reply head")
-        name, _, value = line.partition(b":")
-        name, value = name.lower(), value.strip()
-        if name == b"content-length":
-            if length not in (None, value):
-                raise http.client.HTTPException("reply with two different Content-Lengths")
-            length = value
-        elif name == b"transfer-encoding":
-            raise http.client.HTTPException("reply with Transfer-Encoding; only Content-Length framing is read")
-        elif name == b"connection":
-            close = b"close" in [token.strip() for token in value.lower().split(b",")]
-    else:
-        raise http.client.HTTPException(f"reply with more than {_MAXHEADERS} header lines")
-    if length is None or not length.isdigit():
-        raise http.client.HTTPException("reply without a valid Content-Length")
-    size = int(length)
-    if size > MAX_REPLY_BYTES:
-        raise http.client.HTTPException(f"reply of {size} bytes; at most {MAX_REPLY_BYTES} are read")
-    body = reader.read(size)
-    if len(body) != size:
-        raise http.client.IncompleteRead(body, size - len(body))
-    return int(words[1]), body, close
 
 
 def perform_skill_via_operator(
@@ -420,7 +367,10 @@ def _run_on_port(
 
     if task_spec is None:
         task_spec = find_task_spec(bundled_task_specs(), task_text)
-    details = goal_details(task_spec, registry) if task_spec else {}
+    try:
+        details = goal_details(task_spec, registry) if task_spec else {}
+    except CatalogError as exc:  # a goal feature no catalog skill provides
+        return _abort(trace, "manager", f"task not achievable: {exc}")
 
     robot = registry.transport_module()
     transport_index = 0

@@ -28,7 +28,7 @@ import threading
 import time
 from email.utils import formatdate
 from http import HTTPStatus
-from http.client import _MAXHEADERS, _MAXLINE
+from http.client import _MAXHEADERS, _MAXLINE, BadStatusLine, HTTPException, RemoteDisconnected
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
@@ -37,7 +37,8 @@ from .plant import PlantFault, PlantSim
 
 DEFAULT_PORT = 5010
 
-# Largest request body a handler reads; longer bodies are refused unread.
+# Largest body read on the plant link, either way; longer ones are refused
+# unread.  A plant snapshot is about a kilobyte.
 MAX_BODY_BYTES = 1 << 20
 
 _FUNCTIONALITY_RE = re.compile(r"^/([^/]+)/functionalit(?:ies|y)/([^/]+)$")
@@ -133,21 +134,79 @@ class LocalPlant:
 
 
 # ---------------------------------------------------------------------------
-# HTTP plumbing, shared with the stub completions server
+# HTTP plumbing: the plant link's framing, read by both of its ends, and
+# the server, shared with the stub completions server
 
-class _Headers(dict):
-    """A request's header fields by lower-cased name, each with its first
-    value; `in`, `get()` and `[]` take a name in any case, as on the
-    `email.message.Message` the stdlib parser gives."""
+class FramingError(HTTPException):
+    """A message on the plant link that its framing cannot read; `status`
+    is the HTTP status a server refuses it with."""
 
-    def __contains__(self, name) -> bool:
-        return dict.__contains__(self, name.lower())
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
-    def __getitem__(self, name: str) -> str:
-        return dict.__getitem__(self, name.lower())
 
-    def get(self, name: str, default=None):
-        return dict.get(self, name.lower(), default)
+def read_fields(rfile) -> dict[bytes, bytes]:
+    """A message's header fields, read up to and including the blank line
+    that ends its head: value by lower-cased name, the first of a repeated
+    name.  The stdlib's limits hold: a line over `_MAXLINE` bytes or more
+    than `_MAXHEADERS` lines is a 431.  A field line that is no `name:
+    value` (a fold, space before the colon), a head cut off before its
+    blank line and two different Content-Lengths (RFC 9112 sections 5 and
+    6.3) are a 400."""
+    fields: dict[bytes, bytes] = {}
+    for _ in range(_MAXHEADERS):
+        line = rfile.readline(_MAXLINE + 1)
+        if len(line) > _MAXLINE:
+            raise FramingError(431, "Line too long")
+        if line in (b"\r\n", b"\n"):
+            return fields
+        if not line:
+            raise FramingError(400, "Head ended before its blank line")
+        name, colon, value = line.partition(b":")
+        if not colon or not name or name != name.strip():
+            raise FramingError(400, f"Bad header line ({line[:80]!r})")
+        name, value = name.lower(), value.strip()
+        if name == b"content-length" and fields.get(name, value) != value:
+            raise FramingError(400, "Two different Content-Lengths")
+        fields.setdefault(name, value)
+    raise FramingError(431, "Too many headers")
+
+
+def read_body(rfile, fields: dict[bytes, bytes], limit: int = MAX_BODY_BYTES) -> bytes:
+    """Exactly Content-Length bytes, none without one.  FramingError (400)
+    for Transfer-Encoding or a Content-Length that is no number from 0 to
+    `limit` (then nothing is read), and for a body that ends early."""
+    if b"transfer-encoding" in fields:
+        raise FramingError(400, "Transfer-Encoding is not read; only Content-Length frames a body")
+    length = fields.get(b"content-length", b"0")
+    size = int(length) if length.isdigit() else -1
+    if not 0 <= size <= limit:
+        got = length.decode("latin-1")
+        raise FramingError(400, f"Content-Length must be a number from 0 to {limit}, got {got!r}")
+    body = rfile.read(size) if size else b""
+    if len(body) != size:
+        raise FramingError(400, f"body ended after {len(body)} of {size} bytes")
+    return body
+
+
+def read_reply(rfile) -> tuple[int, bytes, bool]:
+    """One reply: a status line, then `read_fields` and `read_body`, with
+    Content-Length required.  Returns (status, body, whether the server
+    closes the connection after it).  Raises HTTPException for a reply it
+    cannot frame; OSError when the socket fails or times out."""
+    line = rfile.readline(_MAXLINE + 1)
+    if not line:
+        raise RemoteDisconnected("the plant closed the connection without a reply")
+    words = line.split(None, 2)
+    if len(line) > _MAXLINE or len(words) < 2 or words[0] not in (b"HTTP/1.0", b"HTTP/1.1") \
+            or len(words[1]) != 3 or not words[1].isdigit():
+        raise BadStatusLine(repr(line[:80]))
+    fields = read_fields(rfile)
+    if b"content-length" not in fields:
+        raise HTTPException("reply without Content-Length")
+    close = b"close" in [token.strip() for token in fields.get(b"connection", b"").lower().split(b",")]
+    return int(words[1]), read_body(rfile, fields), close
 
 
 _REPLY_STARTS: dict[tuple[type, int], bytes] = {}  # status line and `Server` by (handler class, status)
@@ -180,13 +239,10 @@ class JsonHandler(BaseHTTPRequestHandler):
     def parse_request(self) -> bool:
         """The stdlib's `parse_request` without its `email` header parser,
         which took about 40% of a handler's time.  The request line must be
-        `METHOD PATH HTTP/x.y` (else a 400), from HTTP/2 on a 505.  The
-        stdlib's limits hold: a header line over `http.client._MAXLINE`
-        bytes or more than `_MAXHEADERS` lines get a 431.  A field line that
-        is no `name: value` (a fold, space before the colon) gets a 400 (RFC
-        9112 section 5).  Keep-alive and `Expect: 100-continue` follow the
-        stdlib's rules for the HTTP/1.1 this handler speaks.  `self.headers`
-        is a `_Headers`."""
+        `METHOD PATH HTTP/x.y` (else a 400), from HTTP/2 on a 505; a head
+        `read_fields` refuses gets its status.  Keep-alive and `Expect:
+        100-continue` follow the stdlib's rules for the HTTP/1.1 this
+        handler speaks.  `self.headers` is what `read_fields` returns."""
         self.command, self.request_version, self.close_connection = None, self.default_request_version, True
         self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
         words = self.requestline.split()
@@ -201,26 +257,15 @@ class JsonHandler(BaseHTTPRequestHandler):
             return False
         self.command, self.path, self.request_version = words
         self.close_connection = (int(match[1]), int(match[2])) < (1, 1)
-        self.headers = headers = _Headers()
-        for _ in range(_MAXHEADERS):
-            line = self.rfile.readline(_MAXLINE + 1)
-            if len(line) > _MAXLINE:
-                self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Line too long")
-                return False
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, colon, value = str(line, "iso-8859-1").partition(":")
-            if not colon or not name or name != name.strip():
-                self.send_error(HTTPStatus.BAD_REQUEST, f"Bad header line ({line[:80]!r})")
-                return False
-            headers.setdefault(name.lower(), value.strip())
-        else:
-            self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Too many headers")
+        try:
+            self.headers = headers = read_fields(self.rfile)
+        except FramingError as exc:
+            self.send_error(exc.status, str(exc))
             return False
-        connection = headers.get("connection", "").lower()
-        if connection in ("close", "keep-alive"):
-            self.close_connection = connection == "close"
-        if headers.get("expect", "").lower() == "100-continue" and self.request_version >= "HTTP/1.1":
+        connection = headers.get(b"connection", b"").lower()
+        if connection in (b"close", b"keep-alive"):
+            self.close_connection = connection == b"close"
+        if headers.get(b"expect", b"").lower() == b"100-continue" and self.request_version >= "HTTP/1.1":
             return self.handle_expect_100()
         return True
 
@@ -249,25 +294,18 @@ class JsonHandler(BaseHTTPRequestHandler):
         self._reply(code, {"status": "error", "reason": reason})
 
     def _read_body(self) -> bytes:
-        """The request body; ValueError when Content-Length is not a number
-        from 0 to MAX_BODY_BYTES or the body is chunked (then nothing is
-        read), or the client ends the body early or does not send it within
-        `timeout`.  Unless the body is read in full the connection closes
-        after the reply, so no leftover byte is taken for a next request."""
+        """The request body (see `read_body`); ValueError when it cannot be
+        read, or does not arrive within `timeout`.  Unless the body is read
+        in full the connection closes after the reply, so no leftover byte
+        is taken for a next request."""
         close_after = self.close_connection  # as parse_request set it
         self.close_connection = True
-        if "Transfer-Encoding" in self.headers:
-            raise ValueError("Transfer-Encoding is not supported; send Content-Length")
-        header = self.headers.get("Content-Length", "0")
-        length = int(header) if header.isdigit() else -1
-        if not 0 <= length <= MAX_BODY_BYTES:
-            raise ValueError(f"Content-Length must be a number from 0 to {MAX_BODY_BYTES}, got {header!r}")
         try:
-            raw = self.rfile.read(length) if length else b""
+            raw = read_body(self.rfile, self.headers)
+        except FramingError as exc:
+            raise ValueError(str(exc)) from None
         except TimeoutError:
-            raise ValueError(f"body of {length} bytes did not arrive within {self.timeout}s") from None
-        if len(raw) != length:
-            raise ValueError(f"body ended after {len(raw)} of {length} bytes")
+            raise ValueError(f"body did not arrive within {self.timeout}s") from None
         self.close_connection = close_after
         return raw
 
@@ -364,7 +402,9 @@ class _PlantHandler(JsonHandler):
     def do_GET(self) -> None:  # noqa: N802 (stdlib handler naming)
         # A GET's body means nothing and is not read; if one was announced,
         # its bytes must not be taken for a next request.
-        if "Transfer-Encoding" in self.headers or self.headers.get("Content-Length", "0") != "0":
+        try:
+            read_body(self.rfile, self.headers, limit=0)
+        except FramingError:
             self.close_connection = True
         self._reply(*LocalPlant(self.server.sim).get(self.path))
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .catalog import CatalogError, Registry, read_json
+from .catalog import Registry, read_json
 from .plant import MATERIALS, Feature
 
 # Check features applied before any goal feature (incoming inspection)
@@ -88,16 +88,6 @@ class TaskSpec:
             raise TaskError(f"task record missing key {exc}") from exc
         except (AttributeError, TypeError) as exc:
             raise TaskError(f"task record has a field of the wrong type: {exc}") from exc
-
-
-def check_achievable(registry: Registry, spec: TaskSpec) -> None:
-    """Raise TaskError unless every requested feature has a providing skill."""
-    for feat in spec.goal_features + spec.required_checks:
-        try:
-            registry.feature_provider(feat.kind)
-        except CatalogError as exc:
-            raise TaskError(str(exc)) from exc
-    registry.module(spec.initial_location)
 
 
 def load_task_specs(path: str | Path) -> list[TaskSpec]:

@@ -9,6 +9,7 @@ import select
 import socket
 import threading
 import time
+from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -29,6 +30,7 @@ from plantagents import (
 )
 from plantagents.backends import BackendError, CompletionBackend, CompletionResult
 from plantagents.catalog import registry_from_dict
+from plantagents.plant import Feature
 from plantagents.prompts import render_transport_demand
 from plantagents.service import BackgroundServer, JsonHandler
 from plantagents.validation import check_satisfaction
@@ -308,6 +310,17 @@ def test_abort_grammar_violation(live, drilled_spec):
     assert_single_failure(trace, "grammar violation: rule 3: ")
     assert trace.skill_plan == ["S1", "I1", "S2"]
     assert sim.state.version == 0  # nothing was dispatched
+
+
+def test_abort_goal_feature_no_skill_provides(registry, drilled_spec, task_specs):
+    """A task spec whose goal detail no catalog skill can carry aborts the
+    run with one manager record before any call; nothing raises."""
+    sim = PlantSim.standard_start(registry)
+    spec = replace(drilled_spec, goal_features=(*drilled_spec.goal_features, Feature("anodized", "blue")))
+    trace = run_task(spec.instruction, OracleBackend(registry, task_specs), registry, LocalPlant(sim), spec)
+    assert_single_failure(trace, "task not achievable: no skill provides feature 'anodized'")
+    assert trace.records[-1].name == "manager"
+    assert sim.state.version == 0
 
 
 def test_abort_skill_fault_recorded(registry, drilled_spec, task_specs):
@@ -684,6 +697,9 @@ UNFRAMED_REPLIES = {
     "garbage-status-line": (b"HTPT/1.1 2OO OK\r\nContent-Length: 2\r\n\r\n{}", False),
     "short-body": (b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n{}", True),
     "long-header-line": (b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * 70000 + b"\r\nContent-Length: 2\r\n\r\n{}", False),
+    "two-lengths": (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\n{}", False),
+    "cut-off-head": (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n", True),
+    "no-colon field line": (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nno colon here\r\n\r\n{}", False),
 }
 
 

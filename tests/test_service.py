@@ -1,5 +1,6 @@
 import email.utils
 import http.client
+import io
 import json
 import re
 import socket
@@ -11,10 +12,12 @@ from http.server import BaseHTTPRequestHandler
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import plantagents.service as plant_service
 from plantagents import PlantService, PlantSim, serve_plant
-from plantagents.service import DEFAULT_PORT, JsonHandler
+from plantagents.service import DEFAULT_PORT, FramingError, JsonHandler, read_fields
 
 
 @pytest.fixture
@@ -260,13 +263,15 @@ def test_held_open_short_body_gets_400_json_after_timeout(service, monkeypatch):
 def test_client_gone_before_reply_prints_nothing(service, capfd):
     """Replying to a client that has closed its connection is not an error
     worth a traceback on stderr."""
+    threads_before = set(threading.enumerate())
     with socket.create_connection(service.server_address[:2], timeout=5) as sock:
         sock.sendall(SHORT_BODY_REQUEST)
     # The server accepts connections in order, so once this is answered the
-    # closed one has its handler thread; then wait for every handler to end.
+    # closed one has its handler thread; then wait for every handler this
+    # test started to end (a stalled handler of another test is not counted).
     assert requests.get(f"{service.base_url}/plant/state", timeout=5).status_code == 200
     deadline = time.monotonic() + 5
-    while any(t.name.endswith("(process_request_thread)") for t in threading.enumerate()):
+    while any(t.name.endswith("(process_request_thread)") for t in set(threading.enumerate()) - threads_before):
         assert time.monotonic() < deadline, "a handler thread is still running"
         time.sleep(0.01)
     assert capfd.readouterr().err == ""
@@ -325,7 +330,7 @@ def test_stop_ends_an_idle_kept_alive_connection(registry):
     """`stop()` does not wait out an open, idle HTTP/1.1 connection, and it
     ends that connection: the client sees end of input and the handler
     thread goes away."""
-    threads_before = threading.active_count()
+    threads_before = set(threading.enumerate())  # only threads this test starts count
     srv = serve_plant(PlantSim.standard_start(registry))
     conn = http.client.HTTPConnection(*srv.server_address[:2], timeout=5)
     try:
@@ -338,7 +343,7 @@ def test_stop_ends_an_idle_kept_alive_connection(registry):
     finally:
         conn.close()
     deadline = time.monotonic() + 5
-    while threading.active_count() > threads_before:
+    while set(threading.enumerate()) - threads_before:
         assert time.monotonic() < deadline, threading.enumerate()
         time.sleep(0.01)
 
@@ -367,12 +372,15 @@ def _reply_to(service, request: bytes) -> bytes:
         (b"GET /plant/state HTTP/1.1\r\nX-A: 1\r\n folded\r\n\r\n", b"400"),
         (b"GET /plant/state HTTP/1.1\r\nContent-Length : 0\r\n\r\n", b"400"),
         (b"GET /plant/state HTTP/1.1\r\n: empty name\r\n\r\n", b"400"),
+        # RFC 9112 section 6.3: a server must refuse differing Content-Lengths.
+        (b"POST /storage_module/skills/S1 HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 9\r\n\r\n{}", b"400"),
         # Exactly one byte over the stdlib's 65536-byte bound, so the handler reads all of it.
         (b"GET /" + b"a" * 65532, b"414"),
         (b"BREW /plant/state HTTP/1.1\r\nHost: plant\r\n\r\n", b"501"),
     ],
     ids=["long-line", "too-many-headers", "http2", "three-numbers", "non-ascii-digit", "not-http", "no-version",
-         "no-colon", "folded", "space-before-colon", "empty-name", "long-request-line", "unknown-method"],
+         "no-colon", "folded", "space-before-colon", "empty-name", "two-lengths", "long-request-line",
+         "unknown-method"],
 )
 def test_header_parse_refuses_what_it_cannot_read(service, request_bytes, status):
     """The stdlib's limits hold (431 for a line over `_MAXLINE` bytes or
@@ -395,6 +403,17 @@ def test_header_parse_refuses_what_it_cannot_read(service, request_bytes, status
     assert requests.get(f"{service.base_url}/plant/state", timeout=5).json()["version"] == 0
 
 
+def test_head_cut_off_before_its_blank_line_is_refused(service):
+    """A request head that ends with the connection, before its blank
+    line, gets a 400 and is never run."""
+    with socket.create_connection(service.server_address[:2], timeout=5) as sock:
+        sock.sendall(b"POST /storage_module/skills/S1 HTTP/1.1\r\nHost: plant\r\n")
+        sock.shutdown(socket.SHUT_WR)
+        reply = _read_to_eof(sock)
+    assert reply.startswith(b"HTTP/1.1 400 ")
+    assert service.sim.state.version == 0
+
+
 def test_head_is_refused_without_a_body(service):
     """HEAD is no method the plant serves; its 501 reply carries the head a
     GET would, with no body (RFC 9110 section 9.3.2)."""
@@ -405,13 +424,14 @@ def test_head_is_refused_without_a_body(service):
 
 
 def test_header_parse_keeps_the_rules_that_allow_a_request(service):
-    """Field names match in any case; of a repeated field the first value
-    counts; 99 fields are allowed; `Expect: 100-continue` gets its interim
-    reply; `Connection: close` closes after the reply."""
-    pad = b"X-A: 1\r\n" * (http.client._MAXHEADERS - 6)
+    """Field names match in any case; a repeated Content-Length of the same
+    value is one; of another repeated field the first value counts; 99
+    fields are allowed; `Expect: 100-continue` gets its interim reply;
+    `Connection: close` closes after the reply."""
+    pad = b"X-A: 1\r\n" * (http.client._MAXHEADERS - 7)
     request = (
-        b"POST /storage_module/skills/S1 HTTP/1.1\r\nhost: plant\r\nCONTENT-LENGTH: 2\r\ncontent-length: 9\r\n"
-        + pad + b"expect: 100-Continue\r\nConnection: Close\r\n\r\n{}"
+        b"POST /storage_module/skills/S1 HTTP/1.1\r\nhost: plant\r\nCONTENT-LENGTH: 2\r\ncontent-length: 2\r\n"
+        + pad + b"expect: 100-Continue\r\nConnection: Close\r\nconnection: keep-alive\r\n\r\n{}"
     )
     reply = _reply_to(service, request)
     assert reply.startswith(b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\n")
@@ -420,6 +440,50 @@ def test_header_parse_keeps_the_rules_that_allow_a_request(service):
     chunked = b"POST /storage_module/skills/S1 HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n"
     assert _reply_to(service, chunked).startswith(b"HTTP/1.1 400 ")
     assert service.sim.state.version == 1
+
+
+_TCHARS = "!#$%&'*+-.^_`|~0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+FIELD_NAMES = st.one_of(
+    st.sampled_from(["Host", "host", "Connection", "Content-Length", "content-length", "Expect", "X-A"]),
+    st.text(_TCHARS, min_size=1, max_size=12),
+)
+# A field value as RFC 9110 section 5.5 has it: visible characters, inner spaces and tabs.
+FIELD_VALUES = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, include_characters="\t")).map(str.strip)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    fields=st.lists(st.tuples(FIELD_NAMES, FIELD_VALUES), max_size=8),
+    length=st.sampled_from(["0", "2", "17"]),
+    over_limit=st.none() | st.integers(-2, 1),
+    pad=st.none() | st.integers(http.client._MAXLINE - 10, http.client._MAXLINE - 8),  # lines of 65535-65537 bytes
+    where=st.integers(0, 8),
+)
+def test_read_fields_agrees_with_the_stdlib(fields, length, over_limit, pad, where):
+    """On a well-formed head (every Content-Length the same), `read_fields`
+    gives each name the value `http.client.parse_headers(...).get(name)`
+    gives, and it refuses with a 431 exactly where the stdlib raises
+    `LineTooLong` or "got more than 100 headers".  With `over_limit` the
+    head has that many field lines more than the 99 allowed."""
+    fields = [(name, length if name.lower() == "content-length" else value) for name, value in fields]
+    lines = [f"{name}: {value}\r\n".encode() for name, value in fields]
+    if pad is not None:
+        lines.insert(min(where, len(lines)), b"X-Pad: " + b"a" * pad + b"\r\n")
+    if over_limit is not None:
+        lines += [b"X-Filler: 1\r\n"] * (http.client._MAXHEADERS - 1 + over_limit - len(lines))
+    head = b"".join(lines) + b"\r\n"
+    try:
+        expected = http.client.parse_headers(io.BytesIO(head))
+    except http.client.HTTPException as exc:  # LineTooLong is one
+        assert isinstance(exc, http.client.LineTooLong) or str(exc) == "got more than 100 headers"
+        with pytest.raises(FramingError) as refused:
+            read_fields(io.BytesIO(head))
+        assert refused.value.status == 431
+        return
+    got = read_fields(io.BytesIO(head))
+    assert set(got) == {name.lower().encode() for name in expected.keys()}
+    for name in expected.keys():
+        assert got[name.lower().encode()] == expected.get(name).encode("latin-1")
 
 
 class SendallCountingSocket(socket.socket):

@@ -4,12 +4,12 @@ from dataclasses import replace
 import pytest
 
 from plantagents.plant import Feature
+from plantagents.planner import oracle_plan_skills
 from plantagents.tasks import (
     TaskError,
     TaskSpec,
     bundled_task_spec,
     bundled_task_specs,
-    check_achievable,
     find_task_spec,
     load_task_specs,
     random_task_spec,
@@ -138,24 +138,11 @@ def test_bundled_task_spec_unknown():
         bundled_task_spec("golden_gear")
 
 
-def test_check_achievable(registry, task_specs):
-    for spec in task_specs:
-        check_achievable(registry, spec)
-    bad = TaskSpec(
-        instruction="x",
-        initial_location="storage_module",
-        material="steel",
-        goal_features=(Feature(kind="engraved"),),
-    )
-    with pytest.raises(TaskError):
-        check_achievable(registry, bad)
-
-
 def test_random_task_specs_always_achievable(registry):
     rng = random.Random(7)
     for i in range(50):
         spec = random_task_spec(registry, rng, i)
-        check_achievable(registry, spec)
+        assert oracle_plan_skills(registry, spec)
         assert spec.initial_location == "storage_module"
 
 
