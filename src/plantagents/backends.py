@@ -8,13 +8,9 @@ text-completions endpoint).
 
 from __future__ import annotations
 
-import hashlib
-import http.client
 import json
 import os
 import time
-import urllib.error
-import urllib.request
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
@@ -93,6 +89,8 @@ def prompt_hash(prompt: str) -> str:
     Hashing the full prompt means any change to the prompt template
     deliberately invalidates stale recordings.
     """
+    import hashlib  # loaded on first use, like `urllib` in RemoteBackend.complete
+
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
@@ -257,6 +255,11 @@ class RemoteBackend(CompletionBackend):
         )
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
+        # Loaded on first use: `urllib.request` brings in `email` and `ssl`.
+        import http.client
+        import urllib.error
+        import urllib.request
+
         started = time.perf_counter()
         payload = {
             "model": self.model,

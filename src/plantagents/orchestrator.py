@@ -9,7 +9,6 @@ the first fault; the trace then records exactly one non-ok entry.
 from __future__ import annotations
 
 import functools
-import http.client
 import json
 import select
 import socket
@@ -29,7 +28,7 @@ from .prompts import (
     build_operator_prompt,
     render_transport_demand,
 )
-from .service import call_result, read_reply
+from .service import FramingError, call_result, read_reply
 from .tasks import TaskSpec, bundled_task_specs, find_task_spec
 from .validation import function_step_params, goal_details, plan_route, validate_grammar
 
@@ -131,16 +130,16 @@ def _http_origin(url: str) -> tuple[str, int] | None:
 @functools.lru_cache(maxsize=128)
 def _request_path(base_url: str, url: str) -> str:
     """The path a request for `url` sends to the plant at `base_url`; raises
-    InvalidURL (never cached) for a base URL that is not http://, a URL on
-    another scheme, host or port, or a path a request line cannot carry."""
+    FramingError (never cached) for a base URL that is not http://, a URL
+    on another scheme, host or port, or a path a request line cannot carry."""
     origin = _http_origin(base_url)
     if origin is None:
-        raise http.client.InvalidURL(f"not an http:// plant URL: {base_url!r}")
+        raise FramingError(f"not an http:// plant URL: {base_url!r}")
     if _http_origin(url) != origin:
-        raise http.client.InvalidURL(f"{url} is not on the plant at {base_url}")
+        raise FramingError(f"{url} is not on the plant at {base_url}")
     path = urlsplit(url).path
     if not (path.isascii() and path.isprintable()) or " " in path:
-        raise http.client.InvalidURL(f"{url} has a character a request path cannot carry")
+        raise FramingError(f"{url} has a character a request path cannot carry")
     return path
 
 
@@ -178,7 +177,7 @@ class HttpPlant:
         url = f"{self.base_url}/plant/state"
         try:
             status, raw = self._round_trip("GET", url)
-        except (OSError, http.client.HTTPException) as exc:
+        except (OSError, FramingError) as exc:
             raise OrchestrationError(f"connection error: {exc}") from exc
         if status != 200:
             raise OrchestrationError(f"HTTP {status} from {url}")
@@ -190,7 +189,7 @@ class HttpPlant:
     def call(self, url: str, body: dict) -> dict:
         try:
             status, raw = self._round_trip("POST", url, json.dumps(body).encode("utf-8"))
-        except (OSError, http.client.HTTPException) as exc:
+        except (OSError, FramingError) as exc:
             return {"status": "error", "reason": f"connection error: {exc}", "state_version": None}
         try:
             payload = json.loads(raw)
@@ -200,8 +199,8 @@ class HttpPlant:
 
     def _round_trip(self, method: str, url: str, body: bytes | None = None) -> tuple[int, bytes]:
         """One request on the kept-alive connection: (HTTP status, reply
-        body).  Raises OSError or http.client.HTTPException when it fails,
-        InvalidURL (one of the latter) when `url` is not on the plant."""
+        body).  Raises OSError or FramingError when it fails, FramingError
+        also when `url` is not on the plant."""
         head = f"{method} {_request_path(self.base_url, url)} HTTP/1.1\r\nHost: {self._host}\r\n"
         if body is not None:
             head += f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"

@@ -23,13 +23,12 @@ import json
 import re
 import selectors
 import socket
+import socketserver
 import sys
 import threading
 import time
-from email.utils import formatdate
 from http import HTTPStatus
-from http.client import _MAXHEADERS, _MAXLINE, BadStatusLine, HTTPException, RemoteDisconnected
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from time import gmtime
 from urllib.parse import urlsplit
 
 from .catalog import CatalogError
@@ -40,6 +39,7 @@ DEFAULT_PORT = 5010
 # Largest body read on the plant link, either way; longer ones are refused
 # unread.  A plant snapshot is about a kilobyte.
 MAX_BODY_BYTES = 1 << 20
+_MAXLINE, _MAXHEADERS = 65536, 100  # header line bytes and lines allowed, as in `http.client`
 
 _FUNCTIONALITY_RE = re.compile(r"^/([^/]+)/functionalit(?:ies|y)/([^/]+)$")
 _SKILL_RE = re.compile(r"^/([^/]+)/skills/([^/]+)$")
@@ -137,11 +137,12 @@ class LocalPlant:
 # HTTP plumbing: the plant link's framing, read by both of its ends, and
 # the server, shared with the stub completions server
 
-class FramingError(HTTPException):
-    """A message on the plant link that its framing cannot read; `status`
-    is the HTTP status a server refuses it with."""
+class FramingError(Exception):
+    """A message the plant link cannot send or read: a request for a URL
+    not on the plant, or a head or body its framing refuses.  `status` is
+    the HTTP status a server refuses a request with."""
 
-    def __init__(self, status: int, message: str) -> None:
+    def __init__(self, message: str, status: int = 400) -> None:
         super().__init__(message)
         self.status = status
 
@@ -149,28 +150,27 @@ class FramingError(HTTPException):
 def read_fields(rfile) -> dict[bytes, bytes]:
     """A message's header fields, read up to and including the blank line
     that ends its head: value by lower-cased name, the first of a repeated
-    name.  The stdlib's limits hold: a line over `_MAXLINE` bytes or more
-    than `_MAXHEADERS` lines is a 431.  A field line that is no `name:
-    value` (a fold, space before the colon), a head cut off before its
-    blank line and two different Content-Lengths (RFC 9112 sections 5 and
-    6.3) are a 400."""
+    name.  A line over `_MAXLINE` bytes or more than `_MAXHEADERS` lines is
+    a 431.  A field line that is no `name: value` (a fold, space before the
+    colon), a head cut off before its blank line and two different
+    Content-Lengths (RFC 9112 sections 5 and 6.3) are a 400."""
     fields: dict[bytes, bytes] = {}
     for _ in range(_MAXHEADERS):
         line = rfile.readline(_MAXLINE + 1)
         if len(line) > _MAXLINE:
-            raise FramingError(431, "Line too long")
+            raise FramingError("Line too long", 431)
         if line in (b"\r\n", b"\n"):
             return fields
         if not line:
-            raise FramingError(400, "Head ended before its blank line")
+            raise FramingError("Head ended before its blank line")
         name, colon, value = line.partition(b":")
         if not colon or not name or name != name.strip():
-            raise FramingError(400, f"Bad header line ({line[:80]!r})")
+            raise FramingError(f"Bad header line ({line[:80]!r})")
         name, value = name.lower(), value.strip()
         if name == b"content-length" and fields.get(name, value) != value:
-            raise FramingError(400, "Two different Content-Lengths")
+            raise FramingError("Two different Content-Lengths")
         fields.setdefault(name, value)
-    raise FramingError(431, "Too many headers")
+    raise FramingError("Too many headers", 431)
 
 
 def read_body(rfile, fields: dict[bytes, bytes], limit: int = MAX_BODY_BYTES) -> bytes:
@@ -178,39 +178,41 @@ def read_body(rfile, fields: dict[bytes, bytes], limit: int = MAX_BODY_BYTES) ->
     for Transfer-Encoding or a Content-Length that is no number from 0 to
     `limit` (then nothing is read), and for a body that ends early."""
     if b"transfer-encoding" in fields:
-        raise FramingError(400, "Transfer-Encoding is not read; only Content-Length frames a body")
+        raise FramingError("Transfer-Encoding is not read; only Content-Length frames a body")
     length = fields.get(b"content-length", b"0")
     size = int(length) if length.isdigit() else -1
     if not 0 <= size <= limit:
-        got = length.decode("latin-1")
-        raise FramingError(400, f"Content-Length must be a number from 0 to {limit}, got {got!r}")
+        raise FramingError(f"Content-Length must be a number from 0 to {limit}, got {length.decode('latin-1')!r}")
     body = rfile.read(size) if size else b""
     if len(body) != size:
-        raise FramingError(400, f"body ended after {len(body)} of {size} bytes")
+        raise FramingError(f"body ended after {len(body)} of {size} bytes")
     return body
 
 
 def read_reply(rfile) -> tuple[int, bytes, bool]:
     """One reply: a status line, then `read_fields` and `read_body`, with
     Content-Length required.  Returns (status, body, whether the server
-    closes the connection after it).  Raises HTTPException for a reply it
+    closes the connection after it).  Raises FramingError for a reply it
     cannot frame; OSError when the socket fails or times out."""
     line = rfile.readline(_MAXLINE + 1)
     if not line:
-        raise RemoteDisconnected("the plant closed the connection without a reply")
+        raise FramingError("the plant closed the connection without a reply")
     words = line.split(None, 2)
     if len(line) > _MAXLINE or len(words) < 2 or words[0] not in (b"HTTP/1.0", b"HTTP/1.1") \
             or len(words[1]) != 3 or not words[1].isdigit():
-        raise BadStatusLine(repr(line[:80]))
+        raise FramingError(repr(line[:80]))
     fields = read_fields(rfile)
     if b"content-length" not in fields:
-        raise HTTPException("reply without Content-Length")
+        raise FramingError("reply without Content-Length")
     close = b"close" in [token.strip() for token in fields.get(b"connection", b"").lower().split(b",")]
     return int(words[1]), read_body(rfile, fields), close
 
 
+_PHRASES = {status: status.phrase for status in HTTPStatus}
 _REPLY_STARTS: dict[tuple[type, int], bytes] = {}  # status line and `Server` by (handler class, status)
 _date: tuple[int, bytes] = (0, b"")  # (second, its `Date`): one tuple, so never a mismatched pair
+_DAYS = b"Mon Tue Wed Thu Fri Sat Sun".split()
+_MONTHS = b"Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split()
 
 
 def _http_date() -> bytes:
@@ -218,13 +220,17 @@ def _http_date() -> bytes:
     global _date
     second, cached = int(time.time()), _date
     if cached[0] != second:
-        cached = _date = (second, formatdate(second, usegmt=True).encode("ascii"))
+        t = gmtime(second)
+        cached = _date = (second, b"%s, %02d %s %04d %02d:%02d:%02d GMT" % (
+            _DAYS[t.tm_wday], t.tm_mday, _MONTHS[t.tm_mon - 1], t.tm_year, t.tm_hour, t.tm_min, t.tm_sec))
     return cached[1]
 
 
-class JsonHandler(BaseHTTPRequestHandler):
-    """Request handler base: HTTP/1.1 keep-alive, its own header parse,
-    JSON replies in one write, a bounded body read, no logging."""
+class JsonHandler(socketserver.StreamRequestHandler):
+    """Request handler base: HTTP/1.1 keep-alive, its own request loop and
+    header parse, JSON replies in one write, a bounded body read, no
+    logging.  A subclass answers a method in `do_<METHOD>`, from `path`
+    and `headers`, with `_read_body` and `_reply`."""
 
     # One connection carries many requests.  Nagle's algorithm is off: with
     # it, a reply written in two segments waits for the client's delayed
@@ -236,49 +242,64 @@ class JsonHandler(BaseHTTPRequestHandler):
     # sending, or leaves its connection idle, cannot hold a handler thread.
     timeout = 10.0
 
-    def parse_request(self) -> bool:
-        """The stdlib's `parse_request` without its `email` header parser,
-        which took about 40% of a handler's time.  The request line must be
-        `METHOD PATH HTTP/x.y` (else a 400), from HTTP/2 on a 505; a head
-        `read_fields` refuses gets its status.  Keep-alive and `Expect:
-        100-continue` follow the stdlib's rules for the HTTP/1.1 this
-        handler speaks.  `self.headers` is what `read_fields` returns."""
-        self.command, self.request_version, self.close_connection = None, self.default_request_version, True
-        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
-        words = self.requestline.split()
-        if not words:
-            return False
-        match = _HTTP_VERSION_RE.fullmatch(words[-1]) if len(words) == 3 else None
-        if match is None:
-            self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request syntax ({self.requestline!r})")
-            return False
-        if int(match[1]) >= 2:
-            self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED, f"Invalid HTTP version ({words[-1]})")
-            return False
-        self.command, self.path, self.request_version = words
-        self.close_connection = (int(match[1]), int(match[2])) < (1, 1)
+    server_version = "BaseHTTP/0.6"  # with sys_version, the `Server` that `http.server` sends
+    sys_version = "Python/" + sys.version.split()[0]
+
+    def handle(self) -> None:
+        self.close_connection = True
+        self.handle_one_request()
+        while not self.close_connection:
+            self.handle_one_request()
+
+    def handle_one_request(self) -> None:
+        """One request, by the stdlib's rules for HTTP/1.1: a 414 for a
+        request line over 65536 bytes, a 400 for one that is not `METHOD
+        PATH HTTP/x.y`, a 505 from HTTP/2 on, a head's status from
+        `read_fields` (which gives `self.headers`), a 501 for a method with
+        no `do_<METHOD>`.  End of input or a timeout ends the connection."""
+        self.command, self.close_connection = "", True
         try:
-            self.headers = headers = read_fields(self.rfile)
-        except FramingError as exc:
-            self.send_error(exc.status, str(exc))
-            return False
-        connection = headers.get(b"connection", b"").lower()
-        if connection in (b"close", b"keep-alive"):
-            self.close_connection = connection == b"close"
-        if headers.get(b"expect", b"").lower() == b"100-continue" and self.request_version >= "HTTP/1.1":
-            return self.handle_expect_100()
-        return True
+            line = self.rfile.readline(65537)
+            if len(line) > 65536:
+                return self.send_error(HTTPStatus.REQUEST_URI_TOO_LONG)
+            requestline = str(line, "iso-8859-1").rstrip("\r\n")
+            words = requestline.split()
+            if not words:
+                return  # end of input, or an empty line
+            match = _HTTP_VERSION_RE.fullmatch(words[-1]) if len(words) == 3 else None
+            if match is None:
+                return self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request syntax ({requestline!r})")
+            if int(match[1]) >= 2:
+                return self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED, f"Invalid HTTP version ({words[-1]})")
+            self.command, self.path, version = words
+            self.close_connection = (int(match[1]), int(match[2])) < (1, 1)
+            try:
+                self.headers = headers = read_fields(self.rfile)
+            except FramingError as exc:
+                return self.send_error(exc.status, str(exc))
+            connection = headers.get(b"connection", b"").lower()
+            if connection in (b"close", b"keep-alive"):
+                self.close_connection = connection == b"close"
+            if headers.get(b"expect", b"").lower() == b"100-continue" and version >= "HTTP/1.1":
+                self.wfile.write(self.protocol_version.encode("ascii") + b" 100 Continue\r\n\r\n")
+            method = getattr(self, "do_" + self.command, None)
+            if method is None:
+                return self.send_error(HTTPStatus.NOT_IMPLEMENTED, f"Unsupported method ({self.command!r})")
+            method()
+        except TimeoutError:
+            self.close_connection = True
 
     def _reply(self, status: int, payload: dict) -> None:
         """Head and body in one write, so in one segment.  The head is what
-        `send_response` and `send_header` wrote, with `Connection: close` if
-        the connection closes; a reply to HEAD has no body (RFC 9110 9.3.2)."""
+        `http.server`'s `send_response` and `send_header` wrote, with
+        `Connection: close` if the connection closes; a reply to HEAD has
+        no body (RFC 9110 9.3.2)."""
         body = json.dumps(payload).encode("utf-8")
         start = _REPLY_STARTS.get((type(self), status))
         if start is None:
-            phrase = self.responses.get(status, ("",))[0]
             start = _REPLY_STARTS[type(self), status] = (
-                f"{self.protocol_version} {status:d} {phrase}\r\nServer: {self.version_string()}\r\n"
+                f"{self.protocol_version} {status:d} {_PHRASES.get(status, '')}\r\n"
+                f"Server: {self.server_version} {self.sys_version}\r\n"
             ).encode("latin-1")
         close = b"Connection: close\r\n" if self.close_connection else b""
         self.wfile.write(
@@ -286,19 +307,18 @@ class JsonHandler(BaseHTTPRequestHandler):
             % (start, _http_date(), len(body), close, b"" if self.command == "HEAD" else body)
         )
 
-    def send_error(self, code: int, message: str | None = None, explain: str | None = None) -> None:
-        """Refuse a request head with a JSON reply, not the stdlib's HTML
-        page, like every other refusal; the connection closes after it."""
+    def send_error(self, code: int, message: str | None = None) -> None:
+        """Refuse a request head with a JSON reply, like every other
+        refusal; the connection closes after it."""
         self.close_connection = True
-        reason = message or self.responses.get(code, (f"HTTP {code:d}",))[0]
-        self._reply(code, {"status": "error", "reason": reason})
+        self._reply(code, {"status": "error", "reason": message or _PHRASES.get(code, f"HTTP {code:d}")})
 
     def _read_body(self) -> bytes:
         """The request body (see `read_body`); ValueError when it cannot be
         read, or does not arrive within `timeout`.  Unless the body is read
         in full the connection closes after the reply, so no leftover byte
         is taken for a next request."""
-        close_after = self.close_connection  # as parse_request set it
+        close_after = self.close_connection  # as the request's head set it
         self.close_connection = True
         try:
             raw = read_body(self.rfile, self.headers)
@@ -309,15 +329,13 @@ class JsonHandler(BaseHTTPRequestHandler):
         self.close_connection = close_after
         return raw
 
-    def log_message(self, format: str, *args) -> None:
-        pass  # diagnostics go through the replies, not stderr noise
 
-
-class BackgroundServer(ThreadingHTTPServer):
+class BackgroundServer(socketserver.ThreadingTCPServer):
     """Threaded HTTP server that serves on a background thread between
     `start()` and `stop()`, or for the span of a `with` block, or in the
     calling thread with `serve()`."""
 
+    allow_reuse_address = True
     daemon_threads = True
     _thread: threading.Thread | None = None
 

@@ -504,6 +504,20 @@ def test_import_leaves_requests_unloaded():
     assert done.stdout == "False\n"
 
 
+def test_import_loads_no_http_client_email_or_ssl():
+    """`import plantagents.cli` leaves what only `RemoteBackend` and the
+    replay key use to their first call.  Measured against the modules the
+    bare interpreter holds, since `site` may have loaded some already."""
+    code = "import sys; bare = set(sys.modules); import plantagents.cli; print(*sorted(set(sys.modules) - bare))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True)
+    added = set(done.stdout.split())
+    assert "plantagents.cli" in added
+    unwanted = {"http.server", "http.client", "email", "ssl", "urllib.request", "urllib.error", "hashlib"}
+    assert sorted(name for name in added if name in unwanted or name.startswith("email.")) == []
+    done = subprocess.run([sys.executable, "-m", "plantagents", "--version"], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "plantagents 0.1.0\n")
+
+
 def test_serve_process_smoke():
     with subprocess.Popen(
         [sys.executable, "-m", "plantagents", "serve", "--port", "0"],

@@ -1,3 +1,4 @@
+import calendar
 import email.utils
 import http.client
 import io
@@ -9,6 +10,7 @@ import time
 import types
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler
+from unittest import mock
 
 import pytest
 import requests
@@ -544,12 +546,23 @@ def test_each_reply_is_one_sendall(registry):
         assert b"Content-Length: %d" % len(body) in head
 
 
+class _StdlibHandler(BaseHTTPRequestHandler):
+    """`http.server`'s handler, announcing itself as `JsonHandler` does."""
+
+    protocol_version = JsonHandler.protocol_version
+    server_version = JsonHandler.server_version
+    sys_version = JsonHandler.sys_version
+
+    def log_message(self, format, *args):
+        pass
+
+
 def _stdlib_head(status: int, length: int, close: bool) -> bytes:
     """The head the stdlib's `send_response` and `send_header` write for a
     JSON reply of `length` bytes."""
-    handler = JsonHandler.__new__(JsonHandler)
+    handler = _StdlibHandler.__new__(_StdlibHandler)
     handler.request_version, handler.requestline = "HTTP/1.1", ""
-    BaseHTTPRequestHandler.send_response(handler, status)
+    handler.send_response(status)
     handler.send_header("Content-Type", "application/json")
     handler.send_header("Content-Length", str(length))
     if close:
@@ -603,3 +616,18 @@ def test_reply_date_changes_when_the_clock_crosses_a_second(service, monkeypatch
     assert dates == ["Sun, 09 Sep 2001 01:46:40 GMT"] * 2 + ["Sun, 09 Sep 2001 01:46:41 GMT"] * 2 + [
         "Sun, 09 Sep 2001 01:47:40 GMT"
     ]
+
+
+# The seconds around each year's start and each Feb 29 (Mar 1 in other years), to 2**33.
+EDGE_SECONDS = st.builds(
+    lambda year, month_day, offset: calendar.timegm((year, *month_day, 0, 0, 0)) + offset,
+    st.integers(1970, 2242), st.sampled_from([(1, 1), (2, 29), (3, 1)]), st.sampled_from([-86400, -1, 0, 1, 43200]),
+).filter(lambda second: 0 <= second <= 2**33)
+
+
+@settings(max_examples=300, deadline=None)
+@given(second=st.integers(0, 2**33) | EDGE_SECONDS)
+def test_http_date_is_email_utils_formatdate(second):
+    with mock.patch.object(plant_service, "time", types.SimpleNamespace(time=lambda: second + 0.5)):
+        date = plant_service._http_date()
+    assert date == email.utils.formatdate(second, usegmt=True).encode("ascii")
