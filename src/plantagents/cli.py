@@ -42,8 +42,8 @@ from .validation import move_dock_target, validate_plan
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.handler(args)
     except (
@@ -61,59 +61,24 @@ def main(argv: list[str] | None = None) -> int:
         return 130
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser with only the subparser `command` names, when it
+    names one (a run needs no other), else with all of `_COMMANDS`."""
     parser = argparse.ArgumentParser(
         prog="plantagents",
         description="LLM-agent planning and control for a simulated modular production plant",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, handler) -> argparse.ArgumentParser:
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    # Messages as with every subparser built: usage lists all, a missing one is "command".
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, handler, add_flags = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--catalog", help="catalog file (defaults to the bundled plant)")
         p.set_defaults(handler=handler)
-        return p
-
-    p = add("serve", "run the plant HTTP service", _cmd_serve)
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=DEFAULT_PORT)
-    p.add_argument("--material", default="steel", help="material of the staged workpiece")
-    p.add_argument("--workpiece-id", default="wp1")
-
-    p = add("render-prompt", "print a fully assembled agent prompt", _cmd_render_prompt)
-    p.add_argument("--agent", choices=["manager", "operator"], required=True)
-    p.add_argument("--module", help="module id for the operator agent (default: the transport robot)")
-    p.add_argument("--task", required=True, help="task text (manager) or transport demand (operator)")
-
-    p = add("parse", "parse completion text from standard input", _cmd_parse)
-    p.add_argument("--kind", choices=["skills", "steps"], required=True)
-
-    p = add("validate", "judge a plan read from standard input", _cmd_validate)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--task-spec", help="task specification file")
-    group.add_argument("--task-id", help="bundled task id")
-
-    p = add("run-task", "run one task end to end against a plant", _cmd_run_task)
-    p.add_argument("--backend", choices=["oracle", "replay", "remote"], required=True)
-    p.add_argument("--task", required=True, help="task text handed to the manager agent")
-    p.add_argument("--task-spec", help="task specification file (for goal details)")
-    p.add_argument("--plant-url", help="existing plant service; omit to serve a fresh one")
-    p.add_argument("--trace-out", help="write the execution trace JSON here")
-    p.add_argument("--replay-file", help="replay corpus (backend=replay)")
-
-    p = add("collect", "record completions for a task suite into a corpus", _cmd_collect)
-    p.add_argument("--tasks", required=True, help="task specification file")
-    p.add_argument("--n", type=int, required=True, help="completions per task")
-    p.add_argument("--backend", choices=["oracle", "replay", "remote"], default="remote")
-    p.add_argument("--out", required=True, help="corpus file to write")
-    p.add_argument("--replay-file", help="replay corpus (backend=replay)")
-    p.add_argument("--temperature", type=float, default=0.0)
-
-    p = add("evaluate", "score a recorded corpus", _cmd_evaluate)
-    p.add_argument("--corpus", required=True, help="corpus file of {task_spec, completion_text}")
-    p.add_argument("--report", help="write per-sample validation reports here")
-
+        add_flags(p)
     return parser
 
 
@@ -138,6 +103,22 @@ def _make_backend(args, registry: Registry, known_specs: list[TaskSpec]) -> Comp
 # ---------------------------------------------------------------------------
 # Handlers
 
+def _port(text: str) -> int:
+    if not 0 <= (port := int(text)) <= 65535:
+        raise argparse.ArgumentTypeError(f"port must be in 0-65535, got {port}")
+    return port
+
+
+_port.__name__ = "int"  # argparse reports "invalid int value: 'x'" by this name
+
+
+def _serve_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument("--port", type=_port, default=DEFAULT_PORT)
+    p.add_argument("--material", default="steel", help="material of the staged workpiece")
+    p.add_argument("--workpiece-id", default="wp1")
+
+
 def _cmd_serve(args) -> int:
     sim = PlantSim.standard_start(
         _registry(args), workpiece_id=args.workpiece_id, material=args.material
@@ -153,6 +134,12 @@ def _cmd_serve(args) -> int:
     return 0
 
 
+def _render_prompt_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--agent", choices=["manager", "operator"], required=True)
+    p.add_argument("--module", help="module id for the operator agent (default: the transport robot)")
+    p.add_argument("--task", required=True, help="task text (manager) or transport demand (operator)")
+
+
 def _cmd_render_prompt(args) -> int:
     registry = _registry(args)
     if args.agent == "manager":
@@ -161,6 +148,10 @@ def _cmd_render_prompt(args) -> int:
         module_id = args.module or registry.transport_module().id
         print(build_operator_prompt(registry, module_id, args.task))
     return 0
+
+
+def _parse_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kind", choices=["skills", "steps"], required=True)
 
 
 def _cmd_parse(args) -> int:
@@ -175,6 +166,12 @@ def _cmd_parse(args) -> int:
         steps = parse_function_steps(text)
         print(steps_to_json(steps))
     return 0
+
+
+def _validate_flags(p: argparse.ArgumentParser) -> None:
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--task-spec", help="task specification file")
+    group.add_argument("--task-id", help="bundled task id")
 
 
 def _cmd_validate(args) -> int:
@@ -209,6 +206,15 @@ def _cmd_validate(args) -> int:
     report = validate_plan(registry, text, spec)
     print(json.dumps(report.to_dict(), indent=2))
     return 0
+
+
+def _run_task_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--backend", choices=["oracle", "replay", "remote"], required=True)
+    p.add_argument("--task", required=True, help="task text handed to the manager agent")
+    p.add_argument("--task-spec", help="task specification file (for goal details)")
+    p.add_argument("--plant-url", help="existing plant service; omit to serve a fresh one")
+    p.add_argument("--trace-out", help="write the execution trace JSON here")
+    p.add_argument("--replay-file", help="replay corpus (backend=replay)")
 
 
 def _cmd_run_task(args) -> int:
@@ -248,6 +254,15 @@ def _cmd_run_task(args) -> int:
     return 0 if trace.outcome == "completed" else 1
 
 
+def _collect_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tasks", required=True, help="task specification file")
+    p.add_argument("--n", type=int, required=True, help="completions per task")
+    p.add_argument("--backend", choices=["oracle", "replay", "remote"], default="remote")
+    p.add_argument("--out", required=True, help="corpus file to write")
+    p.add_argument("--replay-file", help="replay corpus (backend=replay)")
+    p.add_argument("--temperature", type=float, default=0.0)
+
+
 def _cmd_collect(args) -> int:
     registry = _registry(args)
     specs = load_task_specs(args.tasks)
@@ -258,6 +273,11 @@ def _cmd_collect(args) -> int:
     save_corpus(args.out, samples)
     print(f"wrote {len(samples)} samples to {args.out}")
     return 0
+
+
+def _evaluate_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--corpus", required=True, help="corpus file of {task_spec, completion_text}")
+    p.add_argument("--report", help="write per-sample validation reports here")
 
 
 def _cmd_evaluate(args) -> int:
@@ -271,6 +291,17 @@ def _cmd_evaluate(args) -> int:
             json.dump(payload, fh, indent=2)
         print(f"per-sample reports written to {args.report}", file=sys.stderr)
     return 0
+
+
+_COMMANDS = {
+    "serve": ("run the plant HTTP service", _cmd_serve, _serve_flags),
+    "render-prompt": ("print a fully assembled agent prompt", _cmd_render_prompt, _render_prompt_flags),
+    "parse": ("parse completion text from standard input", _cmd_parse, _parse_flags),
+    "validate": ("judge a plan read from standard input", _cmd_validate, _validate_flags),
+    "run-task": ("run one task end to end against a plant", _cmd_run_task, _run_task_flags),
+    "collect": ("record completions for a task suite into a corpus", _cmd_collect, _collect_flags),
+    "evaluate": ("score a recorded corpus", _cmd_evaluate, _evaluate_flags),
+}
 
 
 if __name__ == "__main__":

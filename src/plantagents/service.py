@@ -340,11 +340,11 @@ class BackgroundServer(socketserver.ThreadingTCPServer):
     _thread: threading.Thread | None = None
 
     def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
         self._connections: set[socket.socket] = set()
         self._connections_lock = threading.Lock()
-        # `stop()` writes a byte here to wake the serving loop at once.
+        # `stop()` wakes the serving loop here; made first, so a failed bind closes it.
         self._wake_r, self._wake_w = socket.socketpair()
+        super().__init__(*args, **kwargs)
 
     @property
     def base_url(self) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .catalog import CatalogError, Registry
 from .parsing import FunctionStep, ParseError, parse_skill_sequence
@@ -140,8 +141,7 @@ def nonstandard_skills(steps: Sequence[str], registry: Registry) -> list[str]:
 # ---------------------------------------------------------------------------
 # Transport routing shared by simulation and live dispatch
 
-@dataclass(frozen=True)
-class RouteStep:
+class RouteStep(NamedTuple):
     """One dispatchable unit: a plain skill call or an expanded transport."""
 
     code: str
@@ -213,14 +213,13 @@ def simulate_skill_plan(
     details = details or {}
     try:
         wp = plant.sole_workpiece()
-        route = plan_route(registry, plan, wp.location)
-        for step in route:
-            if step.transport:
-                assert step.start is not None and step.target is not None
-                for name, params in transport_functionality_calls(step.start, step.target):
+        for code, transport, start, target in plan_route(registry, plan, wp.location):
+            if transport:
+                assert start is not None and target is not None
+                for name, params in transport_functionality_calls(start, target):
                     plant.apply_functionality(name, params)
             else:
-                plant.apply_skill(step.code, wp.id, detail=details.get(step.code))
+                plant.apply_skill(code, wp.id, detail=details.get(code))
     except PlantFault as exc:
         return False, exc.reason, plant
     return True, None, plant

@@ -1,8 +1,13 @@
 """Exercises every subcommand through main(argv), plus one real process."""
 
+import argparse
+import errno
 import io
 import json
+import os
+import re
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -23,7 +28,7 @@ from plantagents import (
     parse_function_steps,
     steps_to_json,
 )
-from plantagents.cli import main
+from plantagents.cli import _COMMANDS, _build_parser, main
 from plantagents.parsing import FunctionStep
 
 
@@ -50,6 +55,77 @@ def test_subcommand_required():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def _outcome(capsys, call):
+    """(exit code, stdout, stderr) of `call`, whether it returns or exits."""
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+PARSER_ARGVS = [
+    [],
+    ["-h"],
+    ["--version"],
+    ["frobnicate"],
+    *([name, "-h"] for name in _COMMANDS),
+    ["run-task", "--task", "x"],
+    ["render-prompt", "--agent", "boss", "--task", "x"],
+    ["run-task", "--backend", "oracle", "--task", "x", "extra"],
+    ["serve", "--port", "x"],
+    ["validate", "--task-spec", "a", "--task-id", "b"],
+    ["run-task", "--back", "nope", "--task", "x"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_main_parses_as_the_parser_with_every_subcommand(capsys, argv):
+    """`main` builds only the subparser its first word names; what it prints
+    and how it exits stay those of the parser with all of them."""
+    full = _outcome(capsys, lambda: _build_parser().parse_args(argv))
+    assert full[0] in (0, 2)
+    assert _outcome(capsys, lambda: main(argv)) == full
+
+
+def test_a_run_builds_only_its_own_subparser(monkeypatch, tmp_path, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    spec = bundled_task_specs()[0]
+    argv = ["run-task", "--backend", "oracle", "--task", spec.instruction, "--trace-out", str(tmp_path / "t.json")]
+    assert main(argv) == 0
+    assert built == ["plantagents", "plantagents run-task"]
+
+
+def test_main_without_argv_parses_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["plantagents", "render-prompt", "--agent", "manager", "--task", "x"])
+    assert main() == 0
+    assert capsys.readouterr().out.startswith("Role and goal: ")
+
+
+@pytest.mark.parametrize("port", ["99999", "65536", "-1"])
+def test_serve_refuses_a_port_out_of_range(capsys, port):
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--port", port])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument --port: port must be in 0-65535, got {port}\n")
+
+
+def test_serve_on_a_busy_port_is_an_error(capsys):
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        assert main(["serve", "--port", str(listener.getsockname()[1])]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: [Errno {errno.EADDRINUSE}] ")
 
 
 def test_render_prompt_manager(capsys):
@@ -381,6 +457,35 @@ def test_run_task_oracle_end_to_end(tmp_path, capsys):
     trace = json.loads(trace_path.read_text("utf-8"))
     assert trace["outcome"] == "completed"
     assert all(r["status"] == "ok" for r in trace["records"])
+
+
+def test_run_task_traces_are_stable_across_hash_seeds(tmp_path):
+    """The trace of each bundled task, with the plant's port normalised,
+    does not depend on the interpreter's hash randomization."""
+    child = (
+        "import sys\n"
+        "from plantagents import bundled_task_specs\n"
+        "from plantagents.cli import main\n"
+        "for i, spec in enumerate(bundled_task_specs()):\n"
+        "    out = f'{sys.argv[1]}/{i}.json'\n"
+        "    assert main(['run-task', '--backend', 'oracle', '--task', spec.instruction, '--trace-out', out]) == 0\n"
+    )
+    runs = set()
+    for seed in ("0", "1", "4242"):
+        out = tmp_path / seed
+        out.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-B", "-c", child, str(out)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin", "PYTHONPATH": os.environ["PYTHONPATH"]},
+        )
+        assert proc.returncode == 0, proc.stderr
+        traces = [path.read_text("utf-8") for path in sorted(out.iterdir())]
+        runs.add(tuple(re.sub(r"127\.0\.0\.1:\d+", "127.0.0.1:PORT", trace) for trace in traces))
+    assert len(runs) == 1
+    assert len(runs.pop()) == len(bundled_task_specs())
 
 
 def test_run_task_prints_trace_without_out_file(capsys):

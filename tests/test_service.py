@@ -1,5 +1,6 @@
 import calendar
 import email.utils
+import errno
 import http.client
 import io
 import json
@@ -326,6 +327,23 @@ def test_pipelined_requests_on_one_connection_are_both_answered(service):
         reply = _read_to_eof(sock)
     assert reply.count(b"HTTP/1.1 200 ") == 2
     assert reply.endswith(b'{"status": "ok", "state_version": 1}')
+
+
+def test_bind_to_a_busy_port_raises_oserror_and_closes_its_sockets(registry, monkeypatch):
+    opened = []
+
+    class RecordingSocket(socket.socket):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opened.append(self)
+
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        monkeypatch.setattr(socket, "socket", RecordingSocket)
+        with pytest.raises(OSError) as exc:
+            PlantService(PlantSim.standard_start(registry), port=listener.getsockname()[1])
+    assert exc.value.errno == errno.EADDRINUSE
+    # the listening socket and the wake pair
+    assert [sock.fileno() for sock in opened] == [-1, -1, -1]
 
 
 def test_stop_ends_an_idle_kept_alive_connection(registry):
