@@ -199,9 +199,9 @@ def _cmd_validate(args) -> int:
         sim = PlantSim.standard_start(
             registry, material=spec.material, location=start_module, in_inventory=False
         )
-        last = dispatch_function_steps(registry, steps, LocalPlant(sim))[-1][1]
-        executable = last["status"] == "ok"
-        print(json.dumps({"executable": executable, "fault": last["reason"]}, indent=2))
+        last = dispatch_function_steps(registry, steps, LocalPlant(sim))[-1]
+        executable = last.status == "ok"
+        print(json.dumps({"executable": executable, "fault": last.reason}, indent=2))
         return 0 if executable else 1
     report = validate_plan(registry, text, spec)
     print(json.dumps(report.to_dict(), indent=2))

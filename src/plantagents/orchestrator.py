@@ -9,6 +9,7 @@ the first fault; the trace then records exactly one non-ok entry.
 from __future__ import annotations
 
 import functools
+import io
 import json
 import select
 import socket
@@ -51,16 +52,7 @@ class TraceRecord:
     transport_index: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "endpoint": self.endpoint,
-            "request": self.request,
-            "status": self.status,
-            "reason": self.reason,
-            "state_version": self.state_version,
-            "transport_index": self.transport_index,
-        }
+        return dict(vars(self))  # the fields in the order they are declared
 
 
 @dataclass
@@ -143,6 +135,23 @@ def _request_path(base_url: str, url: str) -> str:
     return path
 
 
+class _SocketStream(io.RawIOBase):
+    """A socket as the raw stream under `HttpPlant`'s reply reader.  While
+    `nowait` is set a read returns at once with nothing, so the reader's
+    `peek` shows only the bytes it already holds."""
+
+    nowait = False
+
+    def __init__(self, sock: socket.socket) -> None:
+        self._sock = sock
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int | None:
+        return None if self.nowait else self._sock.recv_into(buffer)
+
+
 class HttpPlant:
     """The plant port for a plant service reached over HTTP.
 
@@ -217,13 +226,18 @@ class HttpPlant:
         except BaseException:
             self.close()  # a half-done exchange must not be reused
             raise
-        if close:
+        # Bytes read past the reply were never asked for, and the next reply
+        # would be read from them.
+        self._reader.raw.nowait = True
+        stray = self._reader.peek(1)
+        self._reader.raw.nowait = False
+        if close or stray:
             self.close()
         return status, reply
 
     def _connect(self) -> None:
         self._sock = socket.create_connection(self._origin, timeout=PLANT_TIMEOUT_SECONDS)
-        self._reader = self._sock.makefile("rb")
+        self._reader = io.BufferedReader(_SocketStream(self._sock))
         self._idle = select.poll()
         self._idle.register(self._sock, select.POLLIN)
         # A request is one write, so Nagle's algorithm has nothing to
@@ -238,10 +252,10 @@ def perform_skill_via_operator(
     backend: CompletionBackend,
     plant: PlantPort,
     exchanges: list[dict] | None = None,
-) -> list[tuple[FunctionStep, dict]]:
+) -> list[TraceRecord]:
     """Expand one transport demand into functionality calls and run them.
 
-    Returns the (step, response) pairs of `dispatch_function_steps`.
+    Returns the trace records of `dispatch_function_steps`.
     Raises OrchestrationError when the completion or its parse fails,
     before any call is made.
     """
@@ -268,17 +282,16 @@ def dispatch_function_steps(
     registry: Registry,
     steps: Sequence[FunctionStep],
     plant: PlantPort,
-) -> list[tuple[FunctionStep, dict]]:
+) -> list[TraceRecord]:
     """Call each parsed functionality step on the plant, in order.
 
-    Returns (step, response) pairs in call order; each response is the
-    call's ok/fault/error dict plus the `request` body it was given.
-    Dispatch stops after the first non-ok response, so only the last pair
-    can be non-ok.  Parsed URLs are canonicalized and must be registered
-    in the catalog; unregistered endpoints are refused, not called.
+    Returns a trace record per call, in call order, with no transport index.
+    Dispatch stops after the first non-ok call, so only the last record can
+    be non-ok.  Parsed URLs are canonicalized and must be registered in the
+    catalog; unregistered endpoints are refused, not called.
     """
     allowed = registry.known_endpoints()
-    pairs: list[tuple[FunctionStep, dict]] = []
+    records: list[TraceRecord] = []
     for step in steps:
         url = canonical_url(step.url)
         try:
@@ -287,11 +300,18 @@ def dispatch_function_steps(
             body, refusal = {"params": {}}, exc.reason
         if url not in allowed:
             refusal = f"unregistered endpoint: {step.url}"
-        response = plant.call(url, body) if refusal is None else {"status": "error", "reason": refusal}
-        pairs.append((step, {**response, "request": body}))
-        if response["status"] != "ok":
+        records.append(_plant_call(plant, "functionality", step.action, url, body, refusal))
+        if records[-1].status != "ok":
             break
-    return pairs
+    return records
+
+
+def _plant_call(plant: PlantPort, kind: str, name: str, url: str, body: dict, refusal: str | None) -> TraceRecord:
+    """One plant call as its trace record, at the canonical endpoint.  With a
+    `refusal` nothing is called, and the record is an error for that reason."""
+    response = plant.call(url, body) if refusal is None else {"status": "error", "reason": refusal}
+    return TraceRecord(kind, name, canonical_url(url), body, response["status"], response.get("reason"),
+                       response.get("state_version"))
 
 
 def run_task(
@@ -374,42 +394,28 @@ def _run_on_port(
     robot = registry.transport_module()
     transport_index = 0
     for step in plan_route(registry, plan.steps, wp_module):
-        # Every route step becomes (name, url, response) calls, dispatched
-        # up to the first non-ok one; a transport is several, a skill one.
+        # A transport is several functionality calls, a skill one call; the
+        # run ends at the first non-ok record, which dispatch leaves last.
         if step.transport:
             transport_index += 1
             assert step.start is not None and step.target is not None
             try:
                 # The catalog allows a module without a transport phrase.
                 demand = render_transport_demand(registry, step.start, step.target)
-                pairs = perform_skill_via_operator(
+                records = perform_skill_via_operator(
                     registry, robot.id, demand, backend, plant, trace.exchanges
                 )
             except (PromptError, OrchestrationError) as exc:
                 return _abort(trace, "operator", str(exc))
-            kind, index = "functionality", transport_index
-            calls = [(fn_step.action, fn_step.url, response) for fn_step, response in pairs]
+            for record in records:
+                record.transport_index = transport_index
         else:
-            skill = registry.skill(step.code)
             body = {"workpiece_id": wp_id, "detail": details.get(step.code)}
-            kind, index = "skill", None
-            calls = [(step.code, skill.endpoint, {**plant.call(skill.endpoint, body), "request": body})]
-        for name, url, response in calls:
-            trace.records.append(
-                TraceRecord(
-                    kind=kind,
-                    name=name,
-                    endpoint=canonical_url(url),
-                    request=response["request"],
-                    status=response["status"],
-                    reason=response.get("reason"),
-                    state_version=response.get("state_version"),
-                    transport_index=index,
-                )
-            )
-            if response["status"] != "ok":
-                trace.abort_reason = trace.records[-1].reason
-                return trace
+            records = [_plant_call(plant, "skill", step.code, registry.skill(step.code).endpoint, body, None)]
+        trace.records += records
+        if records[-1].status != "ok":
+            trace.abort_reason = records[-1].reason
+            return trace
 
     try:
         trace.final_state = plant.state()

@@ -193,19 +193,20 @@ def read_reply(rfile) -> tuple[int, bytes, bool]:
     """One reply: a status line, then `read_fields` and `read_body`, with
     Content-Length required.  Returns (status, body, whether the server
     closes the connection after it).  Raises FramingError for a reply it
-    cannot frame; OSError when the socket fails or times out."""
+    cannot frame, and for a status that has no body (1xx, 204 and 304; RFC
+    9112 section 6.3); OSError when the socket fails or times out."""
     line = rfile.readline(_MAXLINE + 1)
     if not line:
         raise FramingError("the plant closed the connection without a reply")
     words = line.split(None, 2)
-    if len(line) > _MAXLINE or len(words) < 2 or words[0] not in (b"HTTP/1.0", b"HTTP/1.1") \
-            or len(words[1]) != 3 or not words[1].isdigit():
+    status = int(words[1]) if len(words) > 1 and len(words[1]) == 3 and words[1].isdigit() else 0
+    if len(line) > _MAXLINE or status < 200 or status in (204, 304) or words[0] not in (b"HTTP/1.0", b"HTTP/1.1"):
         raise FramingError(repr(line[:80]))
     fields = read_fields(rfile)
     if b"content-length" not in fields:
         raise FramingError("reply without Content-Length")
     close = b"close" in [token.strip() for token in fields.get(b"connection", b"").lower().split(b",")]
-    return int(words[1]), read_body(rfile, fields), close
+    return status, read_body(rfile, fields), close
 
 
 _PHRASES = {status: status.phrase for status in HTTPStatus}

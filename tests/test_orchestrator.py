@@ -4,6 +4,7 @@ The invariant under test throughout: a trace is either all-ok and
 "completed", or "aborted" with exactly one non-ok record at the tail.
 """
 
+import hashlib
 import json
 import select
 import socket
@@ -28,6 +29,7 @@ from plantagents import (
     run_task,
     serve_plant,
 )
+from plantagents import orchestrator
 from plantagents.backends import BackendError, CompletionBackend, CompletionResult
 from plantagents.catalog import registry_from_dict
 from plantagents.plant import Feature
@@ -382,10 +384,10 @@ def test_perform_skill_via_operator_runs_transport(live):
     sim, srv, reg, backend = live
     demand = render_transport_demand(reg, "storage_module", "painting_module")
     with HttpPlant(srv.base_url) as plant:
-        pairs = perform_skill_via_operator(reg, "robotino_7", demand, backend, plant)
+        records = perform_skill_via_operator(reg, "robotino_7", demand, backend, plant)
 
-    assert [step.action for step, _ in pairs] == TRANSPORT_ACTIONS
-    assert all(resp["status"] == "ok" for _, resp in pairs)
+    assert [r.name for r in records] == TRANSPORT_ACTIONS
+    assert all(r.status == "ok" for r in records)
     assert sim.state.robot.position == "painting_module"
     assert sim.sole_workpiece().location == "painting_module"
 
@@ -395,10 +397,10 @@ def test_perform_skill_via_operator_stops_at_first_fault(live):
     # loading at the cnc module finds no workpiece there
     demand = render_transport_demand(reg, "cnc_module", "laser_module")
     with HttpPlant(srv.base_url) as plant:
-        pairs = perform_skill_via_operator(reg, "robotino_7", demand, backend, plant)
-    statuses = [resp["status"] for _, resp in pairs]
+        records = perform_skill_via_operator(reg, "robotino_7", demand, backend, plant)
+    statuses = [r.status for r in records]
     assert statuses == ["ok", "fault"]
-    assert pairs[-1][1]["reason"] == "load: no workpiece at cnc_module"
+    assert records[-1].reason == "load: no workpiece at cnc_module"
 
 
 def test_perform_skill_via_operator_prompt_error(live):
@@ -485,6 +487,24 @@ def test_in_process_trace_equals_http_trace(registry, task_specs, spec_index):
     assert in_process.outcome == "completed"
     assert in_process.to_dict() == over_http.to_dict()
     assert sim.state.version == len(in_process.records)
+
+
+# SHA-256 of `json.dumps(trace.to_dict())` for an oracle run of each bundled
+# task over `LocalPlant`, as the code wrote them when these were recorded: a
+# change to a trace's bytes shows here.
+TRACE_DIGESTS = {
+    "drilled_sheet": "7a34343b38df8bd272ff8896594cc87bd542f2b29a0515f7ba9cf29c5bbb00d1",
+    "lasered_nameplate": "7da94a33abcbe44ecab39d30398411ad23f8d2d522eb2575c35610976a0c757f",
+    "returned_nameplate": "aa908e9903fa34830c2af4cb28a0505a4179d08d674ab0ca188bc8ee34ea534d",
+}
+
+
+@pytest.mark.parametrize("task_id", TRACE_DIGESTS)
+def test_trace_bytes_are_pinned(registry, task_specs, task_id):
+    spec = next(spec for spec in task_specs if spec.id == task_id)
+    trace = run_task(spec.instruction, OracleBackend(registry, task_specs), registry,
+                     LocalPlant(PlantSim.standard_start(registry)))
+    assert hashlib.sha256(json.dumps(trace.to_dict()).encode()).hexdigest() == TRACE_DIGESTS[task_id]
 
 
 class FailingPlant:
@@ -633,6 +653,18 @@ def test_http_plant_reconnects_after_unasked_bytes_on_an_idle_connection(registr
         assert plant.state()["version"] == 0
 
 
+def test_http_plant_reconnects_after_unasked_bytes_in_the_reply_segment():
+    """A byte the service writes together with its reply arrives in the
+    reader's buffer, where no poll of the socket sees it: the connection is
+    closed after that reply, and the next call connects afresh and succeeds
+    instead of reading the byte as the start of its reply."""
+    replies = [(_reply(SNAPSHOT) + b"x", False), (_reply(SNAPSHOT), False)]
+    with RawPlant(replies) as stub, HttpPlant(stub.base_url) as plant:
+        assert plant.state() == SNAPSHOT
+        assert plant.state() == SNAPSHOT
+    assert stub.connections == 2
+
+
 # -- the HTTP port's framing ---------------------------------------------------------
 
 
@@ -654,7 +686,11 @@ class RawPlant:
         return self
 
     def __exit__(self, *exc_info):
-        self._listener.close()  # ends a wait in accept()
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)  # ends a wait in accept() on Linux
+        except OSError:
+            pass
+        self._listener.close()
         self._thread.join(5)
 
     def _serve(self):
@@ -756,3 +792,86 @@ def test_http_plant_refuses_a_path_it_cannot_send(path):
     assert result["status"] == "error"
     assert result["reason"].endswith("has a character a request path cannot carry")
     assert stub.connections == 0
+
+
+# -- runs against a plant that lies ----------------------------------------------------
+
+
+class RecordingPlant(LocalPlant):
+    """An in-process plant that keeps the payload of each reply it gives,
+    state snapshots included, in call order."""
+
+    def __init__(self, sim):
+        super().__init__(sim)
+        self.payloads = []
+
+    def state(self):
+        self.payloads.append(super().state())
+        return self.payloads[-1]
+
+    def post(self, path, body):
+        status, payload = super().post(path, body)
+        self.payloads.append(payload)
+        return status, payload
+
+
+def _run_on_a_liar(registry, task_specs, spec, lie, k):
+    """The trace of an oracle run over HTTP against a `RawPlant` that gives
+    the replies of an honest plant (the start state, one per call, the final
+    state), except that reply number `k` is `lie(payload)`: (reply bytes,
+    close after it)."""
+    stub = RawPlant([])
+    reg = registry.rebased(stub.base_url)
+    honest_plant = RecordingPlant(PlantSim.standard_start(reg))
+    honest = run_task(spec.instruction, OracleBackend(reg, task_specs), reg, honest_plant)
+    assert honest.outcome == "completed"
+    stub.replies = [(_reply(payload), False) for payload in honest_plant.payloads]
+    stub.replies[k] = lie(honest_plant.payloads[k])
+    with stub:
+        trace = run_task(spec.instruction, OracleBackend(reg, task_specs), reg, stub.base_url)
+    # Both trace invariants: a completed run is the honest run; an aborted
+    # one is the honest run up to one non-ok record, which comes last.
+    if trace.outcome == "completed":
+        assert trace.to_dict() == honest.to_dict()
+    else:
+        assert non_ok(trace) == [trace.records[-1]]
+        assert trace.records[-1].reason == trace.abort_reason
+        kept = [r.to_dict() for r in trace.records[:-1]]
+        assert kept == [r.to_dict() for r in honest.records[:len(kept)]]
+    return trace, stub
+
+
+# The start state, the first skill call, a functionality call inside the
+# first transport, and the final state.
+LIE_AT = [0, 1, 3, 26]
+
+
+@pytest.mark.parametrize("k", LIE_AT)
+def test_a_reply_to_no_request_is_never_read(registry, task_specs, drilled_spec, k):
+    """The plant sends a second copy of a reply with it, a reply to a request
+    never made: the client drops the connection, and the run completes as
+    on an honest plant."""
+    trace, stub = _run_on_a_liar(registry, task_specs, drilled_spec, lambda p: (_reply(p) * 2, False), k)
+    assert trace.outcome == "completed"
+    assert stub.connections == (1 if k == LIE_AT[-1] else 2)  # after the last reply, no call is left
+
+
+@pytest.mark.parametrize("k", LIE_AT[:3])
+def test_a_reply_that_stalls_mid_body_aborts_the_run(registry, task_specs, drilled_spec, monkeypatch, k):
+    """A reply that stops three bytes before its body ends, on a connection
+    the plant keeps open, fails its call after `PLANT_TIMEOUT_SECONDS`."""
+    monkeypatch.setattr(orchestrator, "PLANT_TIMEOUT_SECONDS", 0.1)
+    trace, _ = _run_on_a_liar(registry, task_specs, drilled_spec, lambda p: (_reply(p)[:-3], False), k)
+    assert trace.outcome == "aborted"
+    assert trace.abort_reason.endswith("connection error: timed out")
+    assert len(trace.records) == max(k, 1)
+
+
+@pytest.mark.parametrize("k", LIE_AT)
+def test_bytes_after_a_closing_reply_are_never_read(registry, task_specs, drilled_spec, k):
+    """A reply with `Connection: close` is read in full and the connection
+    closed, whatever follows it; the run completes as on an honest plant."""
+    trace, stub = _run_on_a_liar(registry, task_specs, drilled_spec,
+                                 lambda p: (_reply(p, "Connection: close") + b"HTTP/1.1 200 OK\r\n", True), k)
+    assert trace.outcome == "completed"
+    assert stub.connections == (1 if k == LIE_AT[-1] else 2)

@@ -506,6 +506,85 @@ def test_read_fields_agrees_with_the_stdlib(fields, length, over_limit, pad, whe
         assert got[name.lower().encode()] == expected.get(name).encode("latin-1")
 
 
+class _BytesSocket:
+    """What `http.client.HTTPResponse` reads a reply from: a socket whose
+    stream holds `data` and then ends."""
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+
+    def makefile(self, mode):
+        return io.BytesIO(self.data)
+
+
+def _stdlib_reply(data: bytes):
+    """(status, body) as `http.client` reads them from `data`, or None when it refuses."""
+    response = http.client.HTTPResponse(_BytesSocket(data), method="POST")
+    try:
+        response.begin()
+        return response.status, response.read()
+    except http.client.HTTPException:
+        return None
+
+
+def _read_reply(data: bytes):
+    """(status, body) as `service.read_reply` reads them from `data`, or None when it refuses."""
+    try:
+        return plant_service.read_reply(io.BytesIO(data))[:2]
+    except FramingError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    interim=st.sampled_from([False, False, False, True]),
+    version=st.sampled_from(["HTTP/1.1"] * 4 + ["HTTP/1.0", "HTTP/1.2", "HTTP/0.9", "HTTP/2", "http/1.1", "HTTP/1"]),
+    status=st.sampled_from(["200"] * 4 + ["409", "999", "099", "100", "103", "204", "304"]
+                           + ["20", "1000", "0200", "+200"]),
+    reason=st.sampled_from([" OK", " Not Found", "", " "]),
+    fields=st.lists(st.tuples(FIELD_NAMES.filter(lambda n: n.lower() not in ("content-length", "transfer-encoding")),
+                              FIELD_VALUES), max_size=3),
+    lengths=st.sampled_from([["2"]] * 6 + [["0"], ["7"], [], ["2", "2"], ["2", "7"]])
+    | st.lists(st.sampled_from(["0", "2", "7", "02", " 2 ", "+2", "-1", "2_0", "abc", ""]), max_size=2),
+    chunked=st.sampled_from([False, False, False, True]),
+    body=st.sampled_from([b"{}", b"{}\r\n0\r\n\r\n", b"2\r\n{}\r\n0\r\n\r\n"]) | st.binary(max_size=9),
+    cut=st.none() | st.none() | st.none() | st.integers(0, 200),
+)
+def test_read_reply_agrees_with_the_stdlib(interim, version, status, reason, fields, lengths, chunked, body, cut):
+    """`read_reply` and `http.client.HTTPResponse` read the same status and
+    body from a reply, or both refuse it, apart from the replies only
+    `read_reply` refuses (docs/formats.md, "Plant link framing"): a version
+    other than HTTP/1.0 and 1.1, a status that is not three digits from 200
+    on or that has no body (1xx, 204, 304), a Content-Length missing, not
+    plain digits or given twice with different values, Transfer-Encoding,
+    and a head cut off before its blank line."""
+    lines = [f"{version} {status}{reason}", *(f"{name}: {value}" for name, value in fields)]
+    lines += [f"Content-Length: {length}" for length in lengths]
+    if chunked:
+        lines.append("Transfer-Encoding: chunked")
+    head = "".join(f"{line}\r\n" for line in lines).encode("latin-1") + b"\r\n"
+    prefix = b"HTTP/1.1 100 Continue\r\n\r\n" if interim else b""
+    data = prefix + head + body
+    if cut is not None:
+        data = data[:cut]
+    mine, theirs = _read_reply(data), _stdlib_reply(data)
+    if mine is not None:
+        assert mine == theirs
+        return
+    if theirs is None:
+        return
+    plain = [length.strip() for length in lengths if length.strip().isdigit()]
+    only_read_reply_refuses = {
+        "version": version not in ("HTTP/1.0", "HTTP/1.1"),
+        "status": not (len(status) == 3 and status.isdigit() and 200 <= int(status) and status not in ("204", "304")),
+        "interim": interim,
+        "length": len(plain) != len(lengths) or not lengths or len(set(map(int, plain))) > 1,
+        "transfer-encoding": chunked,
+        "cut head": len(data) < len(prefix + head),
+    }
+    assert any(only_read_reply_refuses.values()), (data, theirs)
+
+
 class SendallCountingSocket(socket.socket):
     """An accepted socket that records each `sendall`."""
 

@@ -298,8 +298,8 @@ def test_grammar_valid_implies_executable_sampled(plan):
 
 def _dispatch(steps, sim):
     """(ok, fault) of dispatching the steps to `sim` as run-task does."""
-    last = dispatch_function_steps(REGISTRY, steps, LocalPlant(sim))[-1][1]
-    return last["status"] == "ok", last["reason"]
+    last = dispatch_function_steps(REGISTRY, steps, LocalPlant(sim))[-1]
+    return last.status == "ok", last.reason
 
 
 def test_dispatch_function_steps_golden():
