@@ -12,11 +12,11 @@ import json
 import os
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 from urllib.parse import urlsplit
 
-from .catalog import Registry, read_json
+from .catalog import CheckedRecord, Registry, read_json
 from .parsing import ParseError
 from .planner import PlanningError, oracle_plan_skills
 from .prompts import PromptError, fill_transport_output, parse_transport_demand
@@ -49,20 +49,22 @@ class OracleError(BackendError):
     """The oracle cannot solve the prompted task."""
 
 
-@dataclass(frozen=True)
-class CompletionRequest:
+class _CompletionRequestFields(NamedTuple):
     prompt: str
     temperature: float = 0.0
 
-    def __post_init__(self) -> None:
+
+class CompletionRequest(CheckedRecord, _CompletionRequestFields):
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not self.prompt:
             raise ValueError("prompt must not be empty")
         if not 0.0 <= self.temperature <= 1.0:
             raise ValueError(f"temperature out of range: {self.temperature}")
 
 
-@dataclass(frozen=True)
-class CompletionResult:
+class CompletionResult(NamedTuple):
     text: str
     backend_id: str
     latency_seconds: float

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import string
-from dataclasses import dataclass, field, replace
-from importlib import resources
+from collections.abc import Mapping
 from pathlib import Path
+from types import MappingProxyType
+from typing import NamedTuple
 from urllib.parse import urlsplit, urlunsplit
 
 # Module kinds with semantics the plant understands.
@@ -27,8 +28,23 @@ class CatalogError(Exception):
     """The catalog file is malformed or violates a registry invariant."""
 
 
-@dataclass(frozen=True)
-class Functionality:
+class CheckedRecord:
+    """Listed before a `NamedTuple` base, runs the record's `_check` on every
+    construction, `_replace` included."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+class Functionality(NamedTuple):
     """A single HTTP-invokable primitive of a module component."""
 
     name: str
@@ -37,15 +53,13 @@ class Functionality:
     parameters: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     id: str
     name: str
     functionalities: tuple[Functionality, ...] = ()
 
 
-@dataclass(frozen=True)
-class Skill:
+class Skill(NamedTuple):
     """An offered capability of a module, invokable at ``endpoint``.
 
     ``feature`` names the workpiece feature the skill applies (production
@@ -60,8 +74,7 @@ class Skill:
     role: str | None = None
 
 
-@dataclass(frozen=True)
-class Module:
+class Module(NamedTuple):
     id: str
     name: str
     kind: str
@@ -77,20 +90,19 @@ class Module:
     # Extra context paragraphs shown before the functionality list in the
     # operator prompt (only meaningful for modules with functionalities).
     operator_preamble: tuple[str, ...] = ()
-    # Technical metadata carried along but never rendered into prompts.
-    info: dict = field(default_factory=dict)
+    # Technical metadata carried along but never rendered into prompts; the
+    # default is read-only, so modules built without it share nothing mutable.
+    info: Mapping[str, object] = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class PromptExample:
+class PromptExample(NamedTuple):
     """A verified input/output pair shown in the Examples section."""
 
     input: str
     output: str
 
 
-@dataclass(frozen=True)
-class TransportExample:
+class TransportExample(NamedTuple):
     """Worked operator example, stored as endpoints into the shared template."""
 
     input: str
@@ -98,8 +110,7 @@ class TransportExample:
     target_module: str
 
 
-@dataclass(frozen=True)
-class PromptAssets:
+class PromptAssets(NamedTuple):
     """Fixed prompt text blocks that belong to the plant description."""
 
     manager_role_goal: str
@@ -117,7 +128,6 @@ class PromptAssets:
     transport_demand_template: str
 
 
-@dataclass
 class Registry:
     """Validated catalog with lookup helpers.
 
@@ -127,23 +137,14 @@ class Registry:
     derive changed copies via :meth:`rebased`.
     """
 
-    modules: tuple[Module, ...]
-    prompts: PromptAssets
-    _skills: dict[str, tuple[Module, Skill]] = field(init=False, repr=False)
-    _modules: dict[str, Module] = field(init=False, repr=False)
-    _phrases: dict[str, Module] = field(init=False, repr=False)
-    _features: dict[str, tuple[Module, Skill]] = field(init=False, repr=False)
-    _ranks: dict[str, int] = field(init=False, repr=False)
-    _storage: Module = field(init=False, repr=False)
-    _transport: Module = field(init=False, repr=False)
-    _roles: dict[str, Skill] = field(init=False, repr=False)
-    _transport_skill: Skill = field(init=False, repr=False)
-    _endpoints: frozenset[str] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
+    def __init__(self, modules: tuple[Module, ...], prompts: PromptAssets) -> None:
+        self.modules, self.prompts = modules, prompts
         if not self.modules:
             raise CatalogError("catalog describes no modules")
-        self._modules, self._skills, self._phrases, self._features = {}, {}, {}, {}
+        self._modules: dict[str, Module] = {}
+        self._skills: dict[str, tuple[Module, Skill]] = {}
+        self._phrases: dict[str, Module] = {}
+        self._features: dict[str, tuple[Module, Skill]] = {}
         urls: list[str] = []
         for m in self.modules:
             where = f"module {m.id}"
@@ -297,17 +298,16 @@ class Registry:
             return urlunsplit((base.scheme, base.netloc, parts.path, "", ""))
 
         modules = tuple(
-            replace(
-                m,
-                skills=tuple(replace(s, endpoint=swap(s.endpoint)) for s in m.skills),
+            m._replace(
+                skills=tuple(s._replace(endpoint=swap(s.endpoint)) for s in m.skills),
                 components=tuple(
-                    replace(c, functionalities=tuple(replace(f, url=swap(f.url)) for f in c.functionalities))
+                    c._replace(functionalities=tuple(f._replace(url=swap(f.url)) for f in c.functionalities))
                     for c in m.components
                 ),
             )
             for m in self.modules
         )
-        return replace(self, modules=modules)
+        return type(self)(modules, self.prompts)
 
 
 def _check_skill(s: Skill, where: str) -> None:
@@ -475,7 +475,7 @@ def read_json(path: str | Path, what: str):
 
 def bundled_catalog() -> Registry:
     """The catalog shipped with the package (the reference plant)."""
-    return registry_from_dict(read_json(resources.files("plantagents.data") / "catalog.json", "catalog file"))
+    return registry_from_dict(read_json(Path(__file__).parent / "data" / "catalog.json", "catalog file"))
 
 
 # ---------------------------------------------------------------------------

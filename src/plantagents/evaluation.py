@@ -10,18 +10,17 @@ deterministic; a separate collect step populates corpora.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .backends import CompletionBackend, CompletionRequest
-from .catalog import Registry, read_json
+from .catalog import CheckedRecord, Registry, read_json
 from .prompts import build_manager_prompt
 from .tasks import TaskSpec
 from .validation import ValidationReport, validate_plan
 
 
-@dataclass(frozen=True)
-class EvalSample:
+class EvalSample(NamedTuple):
     spec: TaskSpec
     completion_text: str
 
@@ -35,14 +34,17 @@ class EvalSample:
         return cls(spec=TaskSpec.from_dict(raw.get("task_spec")), completion_text=raw["completion_text"])
 
 
-@dataclass(frozen=True)
-class EvalMetrics:
+class _EvalMetricsFields(NamedTuple):
     samples: int
     executable_fraction: float
     correct_fraction: float
     minimal_fraction: float
 
-    def __post_init__(self) -> None:
+
+class EvalMetrics(CheckedRecord, _EvalMetricsFields):
+    __slots__ = ()
+
+    def _check(self) -> None:
         chain = (self.minimal_fraction, self.correct_fraction, self.executable_fraction)
         if not all(0.0 <= x <= 1.0 for x in chain):
             raise ValueError(f"fractions out of range: {chain}")
@@ -111,9 +113,7 @@ def save_corpus(path: str | Path, samples: list[EvalSample]) -> None:
 
 
 def bundled_corpus_path() -> Path:
-    from importlib import resources
-
-    return Path(str(resources.files("plantagents.data").joinpath("corpus_50.json")))
+    return Path(__file__).parent / "data" / "corpus_50.json"
 
 
 def collect_corpus(

@@ -14,7 +14,6 @@ import json
 import select
 import socket
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
 from urllib.parse import urlsplit
@@ -40,32 +39,28 @@ class OrchestrationError(Exception):
     """An agent-level step failed before any service call could happen."""
 
 
-@dataclass
 class TraceRecord:
-    kind: str  # "skill" | "functionality" | "agent"
-    name: str
-    endpoint: str
-    request: dict
-    status: str  # "ok" | "fault" | "error"
-    reason: str | None = None
-    state_version: int | None = None
-    transport_index: int | None = None
+    def __init__(self, kind: str, name: str, endpoint: str, request: dict, status: str, reason: str | None = None,
+                 state_version: int | None = None, transport_index: int | None = None) -> None:
+        self.kind = kind  # "skill" | "functionality" | "agent"
+        self.name, self.endpoint, self.request = name, endpoint, request
+        self.status = status  # "ok" | "fault" | "error"
+        self.reason, self.state_version, self.transport_index = reason, state_version, transport_index
 
     def to_dict(self) -> dict:
-        return dict(vars(self))  # the fields in the order they are declared
+        return dict(vars(self))  # the fields in the order `__init__` sets them
 
 
-@dataclass
 class ExecutionTrace:
-    task_text: str
-    backend_id: str
-    outcome: str = "aborted"
-    abort_reason: str | None = None
-    skill_plan: list[str] | None = None
-    records: list[TraceRecord] = field(default_factory=list)
-    exchanges: list[dict] = field(default_factory=list)
-    start_state: dict | None = None
-    final_state: dict | None = None
+    def __init__(self, task_text: str, backend_id: str) -> None:
+        self.task_text, self.backend_id = task_text, backend_id
+        self.outcome = "aborted"
+        self.abort_reason: str | None = None
+        self.skill_plan: list[str] | None = None
+        self.records: list[TraceRecord] = []
+        self.exchanges: list[dict] = []
+        self.start_state: dict | None = None
+        self.final_state: dict | None = None
 
     def transport_expansions(self) -> list[list[TraceRecord]]:
         """Functionality records grouped by transport, in plan order."""

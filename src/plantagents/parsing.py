@@ -10,21 +10,19 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ParseError(ValueError):
     """The text does not contain a recognizable plan."""
 
 
-@dataclass(frozen=True)
-class SkillPlan:
+class SkillPlan(NamedTuple):
     steps: tuple[str, ...]
     explanation_lines: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class FunctionStep:
+class FunctionStep(NamedTuple):
     step: int
     description: str
     action: str
@@ -125,7 +123,7 @@ def steps_from_json(text: str) -> list[FunctionStep]:
     for item in payload:
         try:
             step = FunctionStep(int(item["step"]), item["description"], item["action"], item["url"])
-        except (TypeError, KeyError, ValueError) as exc:
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed step record: {item!r}") from exc
         if not all(isinstance(text, str) for text in (step.description, step.action, step.url)):
             raise ParseError(f"malformed step record: {item!r}")

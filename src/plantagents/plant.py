@@ -9,7 +9,7 @@ pass through one lock; the state version counts successful calls.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .catalog import Registry
 
@@ -31,8 +31,7 @@ class PlantFault(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class Feature:
+class Feature(NamedTuple):
     kind: str
     detail: str | None = None
 
@@ -44,14 +43,13 @@ class Feature:
         return cls(kind=raw["kind"], detail=raw.get("detail"))
 
 
-@dataclass
 class Workpiece:
-    id: str
-    material: str
-    # Assigned features in application order; kinds never repeat.
-    features: list[Feature] = field(default_factory=list)
-    location: str = ON_ROBOT
-    in_inventory: bool = False
+    def __init__(self, id: str, material: str, features: list[Feature] | None = None, location: str = ON_ROBOT,
+                 in_inventory: bool = False) -> None:
+        self.id, self.material = id, material
+        # Assigned features in application order; kinds never repeat.
+        self.features = [] if features is None else features
+        self.location, self.in_inventory = location, in_inventory
 
     def feature_kinds(self) -> list[str]:
         return [f.kind for f in self.features]
@@ -66,11 +64,9 @@ class Workpiece:
         }
 
 
-@dataclass
 class RobotState:
-    position: str | None = None
-    docked: bool = False
-    carrying: str | None = None
+    def __init__(self, position: str | None = None, docked: bool = False, carrying: str | None = None) -> None:
+        self.position, self.docked, self.carrying = position, docked, carrying
 
     def to_dict(self) -> dict:
         return {
@@ -80,11 +76,9 @@ class RobotState:
         }
 
 
-@dataclass
 class PlantState:
-    workpieces: dict[str, Workpiece]
-    robot: RobotState
-    version: int = 0
+    def __init__(self, workpieces: dict[str, Workpiece], robot: RobotState, version: int = 0) -> None:
+        self.workpieces, self.robot, self.version = workpieces, robot, version
 
     def to_dict(self) -> dict:
         return {

@@ -9,9 +9,10 @@ text, so identical calls yield byte-identical prompts.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .catalog import (
+    CheckedRecord,
     Registry,
     alias_url,
     render_manager_context,
@@ -23,17 +24,20 @@ class PromptError(ValueError):
     """The prompt cannot be built from the given inputs."""
 
 
-@dataclass(frozen=True)
-class PromptSpec:
-    """The five prompt sections, pre-rendered but not yet concatenated."""
-
+class _PromptSpecFields(NamedTuple):
     role_goal: str
     context: str
     instructions: str
     examples: tuple[tuple[str, str], ...]
     input: str
 
-    def __post_init__(self) -> None:
+
+class PromptSpec(CheckedRecord, _PromptSpecFields):
+    """The five prompt sections, pre-rendered but not yet concatenated."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         for label, value in (
             ("role_goal", self.role_goal),
             ("context", self.context),

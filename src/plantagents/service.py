@@ -152,8 +152,8 @@ def read_fields(rfile) -> dict[bytes, bytes]:
     that ends its head: value by lower-cased name, the first of a repeated
     name.  A line over `_MAXLINE` bytes or more than `_MAXHEADERS` lines is
     a 431.  A field line that is no `name: value` (a fold, space before the
-    colon), a head cut off before its blank line and two different
-    Content-Lengths (RFC 9112 sections 5 and 6.3) are a 400."""
+    colon), a head cut off before its blank line and two Content-Lengths of
+    different values (RFC 9112 sections 5 and 6.3) are a 400."""
     fields: dict[bytes, bytes] = {}
     for _ in range(_MAXHEADERS):
         line = rfile.readline(_MAXLINE + 1)
@@ -168,7 +168,9 @@ def read_fields(rfile) -> dict[bytes, bytes]:
             raise FramingError(f"Bad header line ({line[:80]!r})")
         name, value = name.lower(), value.strip()
         if name == b"content-length" and fields.get(name, value) != value:
-            raise FramingError("Two different Content-Lengths")
+            first = fields[name]  # `2` and `02` are one decimal value (RFC 9110 section 8.6)
+            if not (first.isdigit() and value.isdigit() and int(first) == int(value)):
+                raise FramingError("Two different Content-Lengths")
         fields.setdefault(name, value)
     raise FramingError("Too many headers", 431)
 

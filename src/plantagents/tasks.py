@@ -8,11 +8,10 @@ starts.  Three reference tasks ship with the package.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
-from .catalog import Registry, read_json
+from .catalog import CheckedRecord, Registry, read_json
 from .plant import MATERIALS, Feature
 
 # Check features applied before any goal feature (incoming inspection)
@@ -26,8 +25,7 @@ class TaskError(ValueError):
     """A task specification is malformed or unachievable."""
 
 
-@dataclass(frozen=True)
-class TaskSpec:
+class _TaskSpecFields(NamedTuple):
     instruction: str
     initial_location: str
     material: str
@@ -35,7 +33,11 @@ class TaskSpec:
     required_checks: tuple[Feature, ...] = ()
     id: str = ""
 
-    def __post_init__(self) -> None:
+
+class TaskSpec(CheckedRecord, _TaskSpecFields):
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not isinstance(self.id, str):
             raise TaskError(f"task id must be a string, got {type(self.id).__name__}")
         # The simulator reads an empty location as storage; the planner does not.
@@ -101,7 +103,7 @@ def load_task_specs(path: str | Path) -> list[TaskSpec]:
 
 def bundled_task_specs() -> list[TaskSpec]:
     """The three reference tasks shipped with the package."""
-    raw = read_json(resources.files("plantagents.data") / "tasks.json", "task file")
+    raw = read_json(Path(__file__).parent / "data" / "tasks.json", "task file")
     return [TaskSpec.from_dict(item) for item in raw]
 
 

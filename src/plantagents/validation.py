@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .catalog import CatalogError, Registry
@@ -25,8 +24,7 @@ from .tasks import TaskSpec
 STANDARD_START = "robot undocked at storage; workpiece in storage inventory"
 
 
-@dataclass(frozen=True)
-class GrammarViolation:
+class GrammarViolation(NamedTuple):
     rule: int
     message: str
 
@@ -34,22 +32,22 @@ class GrammarViolation:
         return {"rule": self.rule, "message": self.message}
 
 
-@dataclass
 class ValidationReport:
-    parsed: bool = False
-    parse_error: str | None = None
-    plan: list[str] = field(default_factory=list)
-    grammar_ok: bool | None = None
-    violations: list[GrammarViolation] = field(default_factory=list)
-    nonstandard_skills: list[str] = field(default_factory=list)
-    executable: bool | None = None
-    fault: str | None = None
-    satisfies_task: bool | None = None
-    missing: list[str] = field(default_factory=list)
-    minimal: bool | None = None
-    plan_length: int | None = None
-    oracle_length: int | None = None
-    start_state: str = STANDARD_START
+    def __init__(self) -> None:
+        self.parsed = False
+        self.parse_error: str | None = None
+        self.plan: list[str] = []
+        self.grammar_ok: bool | None = None
+        self.violations: list[GrammarViolation] = []
+        self.nonstandard_skills: list[str] = []
+        self.executable: bool | None = None
+        self.fault: str | None = None
+        self.satisfies_task: bool | None = None
+        self.missing: list[str] = []
+        self.minimal: bool | None = None
+        self.plan_length: int | None = None
+        self.oracle_length: int | None = None
+        self.start_state = STANDARD_START
 
     def to_dict(self) -> dict:
         return {

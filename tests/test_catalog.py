@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -372,7 +371,7 @@ def test_registry_refuses_a_template_it_could_not_fill(which, template, match):
         registry_from_dict(data)
     assert match in str(loaded.value)
     bundled = bundled_catalog()
-    prompts = replace(bundled.prompts, **{f"transport_{which}_template": template})
+    prompts = bundled.prompts._replace(**{f"transport_{which}_template": template})
     with pytest.raises(CatalogError) as direct:
         Registry(modules=bundled.modules, prompts=prompts)
     unchecked = object.__new__(Registry)
@@ -408,8 +407,8 @@ def test_rebased_changes_only_urls(registry):
     moved = registry.rebased("http://127.0.0.1:9999")
     assert moved.prompts == registry.prompts
     for old, new in zip(registry.modules, moved.modules):
-        assert replace(new, skills=(), components=()) == replace(old, skills=(), components=())
-        assert [replace(s, endpoint="") for s in new.skills] == [replace(s, endpoint="") for s in old.skills]
-        old_fns = [(c.id, c.name, replace(f, url="")) for c in old.components for f in c.functionalities]
-        new_fns = [(c.id, c.name, replace(f, url="")) for c in new.components for f in c.functionalities]
+        assert new._replace(skills=(), components=()) == old._replace(skills=(), components=())
+        assert [s._replace(endpoint="") for s in new.skills] == [s._replace(endpoint="") for s in old.skills]
+        old_fns = [(c.id, c.name, f._replace(url="")) for c in old.components for f in c.functionalities]
+        new_fns = [(c.id, c.name, f._replace(url="")) for c in new.components for f in c.functionalities]
         assert new_fns == old_fns

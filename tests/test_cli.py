@@ -430,6 +430,17 @@ def test_task_spec_file_wins_over_a_bundled_task(tmp_path, capsys, registry, dri
     assert milling in trace["skill_plan"] and drilling not in trace["skill_plan"]
 
 
+@pytest.mark.parametrize("step", ["1e400", "NaN"])
+def test_validate_refuses_a_step_number_no_int_holds(monkeypatch, capsys, step):
+    feed(monkeypatch, '[{"step": %s, "description": "d", "action": "a", "url": "u"}]' % step)
+    rc = main(["validate", "--task-id", "drilled_sheet"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed step record: {'step': ")
+    assert "Traceback" not in captured.err
+
+
 def test_validate_function_steps_need_move_dock(monkeypatch, capsys):
     steps = [{"step": 1, "description": "Load the workpiece.", "action": "load", "url": "http://x/y/functionalities/load"}]
     feed(monkeypatch, json.dumps(steps))
@@ -611,13 +622,16 @@ def test_import_leaves_requests_unloaded():
 
 def test_import_loads_no_http_client_email_or_ssl():
     """`import plantagents.cli` leaves what only `RemoteBackend` and the
-    replay key use to their first call.  Measured against the modules the
-    bare interpreter holds, since `site` may have loaded some already."""
+    replay key use to their first call, and loads neither `dataclasses`
+    (with `inspect`) nor `importlib.resources`.  Measured against the
+    modules the bare interpreter holds, since `site` may have loaded some
+    already."""
     code = "import sys; bare = set(sys.modules); import plantagents.cli; print(*sorted(set(sys.modules) - bare))"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True)
     added = set(done.stdout.split())
     assert "plantagents.cli" in added
-    unwanted = {"http.server", "http.client", "email", "ssl", "urllib.request", "urllib.error", "hashlib"}
+    unwanted = {"http.server", "http.client", "email", "ssl", "urllib.request", "urllib.error", "hashlib",
+                "dataclasses", "inspect", "importlib.resources"}
     assert sorted(name for name in added if name in unwanted or name.startswith("email.")) == []
     done = subprocess.run([sys.executable, "-m", "plantagents", "--version"], capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout) == (0, "plantagents 0.1.0\n")

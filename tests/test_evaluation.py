@@ -1,6 +1,5 @@
 """Offline metrics over recorded completions, and the bundled corpus."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -104,7 +103,7 @@ def test_oracle_planned_once_per_task(registry, corpus, monkeypatch):
 def test_unplannable_task_is_planned_only_when_reached(registry, drilled_spec):
     """No plan exists from the CNC module; samples that fail earlier never
     ask for one, so the corpus scores without raising."""
-    spec = dataclasses.replace(drilled_spec, initial_location="cnc_module")
+    spec = drilled_spec._replace(initial_location="cnc_module")
     samples = [
         EvalSample(spec=spec, completion_text="I cannot help with that."),
         EvalSample(spec=spec, completion_text="{S1 - S2}"),

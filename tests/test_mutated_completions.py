@@ -8,7 +8,6 @@ and the plant is called on catalog endpoints only.
 """
 
 import re
-from dataclasses import replace
 from urllib.parse import urlsplit
 
 from hypothesis import HealthCheck, given, settings
@@ -89,18 +88,18 @@ class MutatingBackend(CompletionBackend):
                 return result  # most mutated plans break the grammar, so keep half to reach the operator
             sequence, rest = re.fullmatch(r"\{(.*?)\}(.*)", result.text, re.DOTALL).groups()
             codes = mutated(self.data, re.findall(r"\((\w+)\)", sequence))
-            return replace(result, text="{%s}%s" % (" – ".join(f"({code})" for code in codes), rest))
+            return result._replace(text="{%s}%s" % (" – ".join(f"({code})" for code in codes), rest))
         steps = mutated(self.data, steps, self._bad_step)
         text = "\n".join(
             f'({n}) {step.description}. Call the functionality "{step.action}" using the URL "{step.url}".'
             for n, step in enumerate(steps, start=1)
         )
-        return replace(result, text=text)
+        return result._replace(text=text)
 
     def _bad_step(self, step: FunctionStep | None) -> FunctionStep:
         url = self.data.draw(st.sampled_from(BAD_URLS))
         if step is not None:
-            return replace(step, url=url)
+            return step._replace(url=url)
         action, sentence = self.data.draw(st.sampled_from(INSERTED_SENTENCES))
         return FunctionStep(step=0, description=sentence, action=action, url=url)
 

@@ -10,7 +10,6 @@ import select
 import socket
 import threading
 import time
-from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -318,7 +317,7 @@ def test_abort_goal_feature_no_skill_provides(registry, drilled_spec, task_specs
     """A task spec whose goal detail no catalog skill can carry aborts the
     run with one manager record before any call; nothing raises."""
     sim = PlantSim.standard_start(registry)
-    spec = replace(drilled_spec, goal_features=(*drilled_spec.goal_features, Feature("anodized", "blue")))
+    spec = drilled_spec._replace(goal_features=(*drilled_spec.goal_features, Feature("anodized", "blue")))
     trace = run_task(spec.instruction, OracleBackend(registry, task_specs), registry, LocalPlant(sim), spec)
     assert_single_failure(trace, "task not achievable: no skill provides feature 'anodized'")
     assert trace.records[-1].name == "manager"

@@ -82,6 +82,12 @@ def test_steps_from_json_rejects_wrong_field_types(field, value):
         steps_from_json(json.dumps([record]))
 
 
+@pytest.mark.parametrize("step", ["1e400", "-1e400", "NaN", "Infinity"])
+def test_steps_from_json_refuses_a_step_number_no_int_holds(step):
+    with pytest.raises(ParseError, match="malformed step record"):
+        steps_from_json('[{"step": %s, "description": "d", "action": "a", "url": "u"}]' % step)
+
+
 def test_golden_skill_sequence():
     plan = parse_skill_sequence(MANAGER_COMPLETION)
     assert plan.steps == ("S1", "T1", "P2", "T1", "I3", "T1", "S2")

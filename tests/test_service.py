@@ -506,6 +506,15 @@ def test_read_fields_agrees_with_the_stdlib(fields, length, over_limit, pad, whe
         assert got[name.lower().encode()] == expected.get(name).encode("latin-1")
 
 
+def test_a_content_length_repeated_with_leading_zeros_counts_once():
+    """`2` and `02` are one decimal value, so the pair frames the body as
+    the stdlib reads it; `2` and `3` are still refused."""
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 02\r\n\r\n{}"
+    assert plant_service.read_reply(io.BytesIO(reply))[:2] == (200, b"{}") == _stdlib_reply(reply)
+    with pytest.raises(FramingError, match="Two different Content-Lengths"):
+        plant_service.read_reply(io.BytesIO(reply.replace(b"02", b"3")))
+
+
 class _BytesSocket:
     """What `http.client.HTTPResponse` reads a reply from: a socket whose
     stream holds `data` and then ends."""

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -127,7 +126,7 @@ def test_load_task_specs_missing_file(tmp_path):
 
 
 def test_find_task_spec_takes_the_first_match(task_specs, drilled_spec):
-    twin = replace(drilled_spec, id="twin")
+    twin = drilled_spec._replace(id="twin")
     assert find_task_spec([twin, *task_specs], drilled_spec.instruction) is twin
     assert find_task_spec(task_specs, drilled_spec.instruction) == drilled_spec
     assert find_task_spec(task_specs, "produce nothing known") is None
