@@ -74,7 +74,6 @@ from .plant import (
 )
 from .prompts import (
     PromptError,
-    PromptSpec,
     build_manager_prompt,
     build_operator_prompt,
     fill_transport_output,

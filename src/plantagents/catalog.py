@@ -191,11 +191,35 @@ class Registry:
             raise CatalogError("transport module offers no transport skill")
         self._transport_skill = found[0]
         urls_named = {f"url_{fn.name}" for comp in self._transport.components for fn in comp.functionalities}
-        _check_template(self.prompts.transport_demand_template, {"start", "target"}, "operator demand_template")
-        _check_template(
-            self.prompts.transport_output_template, {"start", "target", *urls_named}, "operator output_template"
-        )
+        if not urls_named:
+            raise CatalogError(f"transport module {self._transport.id!r} exposes no functionalities")
+        self._check_prompts(urls_named)
         self._endpoints = frozenset(canonical_url(u) for u in urls)
+
+    def _check_prompts(self, urls_named: set[str]) -> None:
+        """Refuse prompt text a prompt builder could not use, so that every
+        prompt of a run can be built once the registry is."""
+        p = self.prompts
+        for agent, role_goal, instructions, examples in (
+            ("manager", p.manager_role_goal, p.manager_instructions, p.manager_examples),
+            ("operator", p.operator_role_goal, p.operator_instructions, p.operator_examples),
+        ):
+            for key, text in (("role_goal", role_goal), ("instructions", instructions)):
+                if not (isinstance(text, str) and text.strip()):
+                    raise CatalogError(f"{agent} {key} must be a string with non-space text, got {text!r}")
+            if not examples:
+                raise CatalogError(f"{agent} prompts need at least one worked example")
+        if not isinstance(p.manager_modules_intro, str):
+            raise CatalogError(f"manager modules_intro must be a string, got {p.manager_modules_intro!r}")
+        phrased = [m.id for m in self._phrases.values()]
+        for i, example in enumerate(p.operator_examples, start=1):
+            for key, module_id in (("start_module", example.start_module), ("target_module", example.target_module)):
+                if module_id not in phrased:
+                    raise CatalogError(
+                        f"operator example {i}: {key} {module_id!r} is no module with a transport phrase"
+                    )
+        _check_template(p.transport_demand_template, {"start", "target"}, "operator demand_template")
+        _check_template(p.transport_output_template, {"start", "target", *urls_named}, "operator output_template")
 
     def _single_kind(self, kind: str) -> Module:
         found = [m for m in self.modules if m.kind == kind]

@@ -85,15 +85,10 @@ def parse_function_steps(text: str) -> list[FunctionStep]:
     """
     if not text or not text.strip():
         raise ParseError("empty completion text")
-    steps = [
-        FunctionStep(
-            step=int(m.group(1)),
-            description=m.group(2),
-            action=m.group(3),
-            url=m.group(4),
-        )
-        for m in _STEP_RE.finditer(text)
-    ]
+    try:
+        steps = [FunctionStep(int(m[1]), m[2], m[3], m[4]) for m in _STEP_RE.finditer(text)]
+    except ValueError:  # `int` refuses a number of more than 4300 digits
+        raise ParseError("a step number has too many digits") from None
     if not steps:
         raise ParseError("no functionality steps found")
     for expected, found in enumerate(steps, start=1):
@@ -115,7 +110,7 @@ def steps_to_json(steps: list[FunctionStep]) -> str:
 def steps_from_json(text: str) -> list[FunctionStep]:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also a number with more digits than `int` converts
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, list):
         raise ParseError("expected a JSON array of steps")

@@ -9,10 +9,11 @@ text, so identical calls yield byte-identical prompts.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+import string
+from collections.abc import Iterable
+from functools import lru_cache
 
 from .catalog import (
-    CheckedRecord,
     Registry,
     alias_url,
     render_manager_context,
@@ -24,83 +25,47 @@ class PromptError(ValueError):
     """The prompt cannot be built from the given inputs."""
 
 
-class _PromptSpecFields(NamedTuple):
-    role_goal: str
-    context: str
-    instructions: str
-    examples: tuple[tuple[str, str], ...]
-    input: str
-
-
-class PromptSpec(CheckedRecord, _PromptSpecFields):
-    """The five prompt sections, pre-rendered but not yet concatenated."""
-
-    __slots__ = ()
-
-    def _check(self) -> None:
-        for label, value in (
-            ("role_goal", self.role_goal),
-            ("context", self.context),
-            ("instructions", self.instructions),
-            ("input", self.input),
-        ):
-            if not value.strip():
-                raise PromptError(f"prompt section {label} must not be empty")
-        if not self.examples:
-            raise PromptError("a prompt needs at least one worked example")
-
-    def render(self) -> str:
-        blocks = [
-            f"Role and goal: {self.role_goal}",
-            f"Context:\n{self.context}",
-            f"Instructions: {self.instructions}",
-            "Examples:\n" + "\n\n".join(
-                f"Input: {inp} Output: {out}" for inp, out in self.examples
-            ),
-            "Input: {%s}\nOutput:" % self.input,
-        ]
-        return "\n\n".join(blocks)
+def _render(role_goal: str, context: str, instructions: str, examples: Iterable[tuple[str, str]], text: str) -> str:
+    """The five sections, blank-line separated; `examples` are (input, output) pairs, `text` the new input."""
+    return "\n\n".join((
+        f"Role and goal: {role_goal}",
+        f"Context:\n{context}",
+        f"Instructions: {instructions}",
+        "Examples:\n" + "\n\n".join(f"Input: {inp} Output: {out}" for inp, out in examples),
+        "Input: {%s}\nOutput:" % text,
+    ))
 
 
 def build_manager_prompt(registry: Registry, task_text: str) -> str:
     if not task_text or not task_text.strip():
         raise PromptError("task text must not be empty")
     assets = registry.prompts
-    spec = PromptSpec(
-        role_goal=assets.manager_role_goal,
-        context=render_manager_context(registry),
-        instructions=assets.manager_instructions,
+    return _render(
+        assets.manager_role_goal,
+        render_manager_context(registry),
+        assets.manager_instructions,
         # Manager examples show the input in task braces, as the final
         # input line does.
-        examples=tuple(("{%s}" % e.input, e.output) for e in assets.manager_examples),
-        input=task_text,
+        (("{%s}" % e.input, e.output) for e in assets.manager_examples),
+        task_text,
     )
-    return spec.render()
 
 
 def build_operator_prompt(registry: Registry, module_id: str, demand_text: str) -> str:
     if not demand_text or not demand_text.strip():
         raise PromptError("demand text must not be empty")
     assets = registry.prompts
-    examples = tuple(
-        (e.input, fill_transport_output(registry, e.start_module, e.target_module))
-        for e in assets.operator_examples
+    return _render(
+        assets.operator_role_goal,
+        render_operator_context(registry, module_id),
+        assets.operator_instructions,
+        ((e.input, fill_transport_output(registry, e.start_module, e.target_module)) for e in assets.operator_examples),
+        demand_text,
     )
-    spec = PromptSpec(
-        role_goal=assets.operator_role_goal,
-        context=render_operator_context(registry, module_id),
-        instructions=assets.operator_instructions,
-        examples=examples,
-        input=demand_text,
-    )
-    return spec.render()
 
 
 # ---------------------------------------------------------------------------
 # Transport demand text: the skill-call message handed to the operator agent.
-
-_DEMAND_RE = re.compile(r"from (?:the )?(.+?) module to (?:the )?(.+?) module")
-
 
 def render_transport_demand(registry: Registry, start_module: str, target_module: str) -> str:
     template = registry.prompts.transport_demand_template
@@ -111,13 +76,28 @@ def render_transport_demand(registry: Registry, start_module: str, target_module
 
 
 def parse_transport_demand(registry: Registry, text: str) -> tuple[str, str]:
-    """Recover (start module id, target module id) from a demand text."""
-    match = _DEMAND_RE.search(text)
-    if match is None:
+    """Recover (start module id, target module id) from a demand text, by
+    reading it back through the catalog's demand template."""
+    match = _demand_pattern(registry.prompts.transport_demand_template).fullmatch(text)
+    if match is None or len(match.groupdict()) != 2:
         raise PromptError(f"not a transport demand: {text!r}")
-    start = registry.module_by_phrase(match.group(1))
-    target = registry.module_by_phrase(match.group(2))
+    start = registry.module_by_phrase(match["start"])
+    target = registry.module_by_phrase(match["target"])
     return start.id, target.id
+
+
+@lru_cache(maxsize=8)
+def _demand_pattern(template: str) -> re.Pattern[str]:
+    """The inverse of `template`: its literal text escaped, the first
+    {start} and {target} a named group each, and a repeat of either a
+    back-reference to it."""
+    parts, seen = [], set()
+    for literal, name, _, _ in string.Formatter().parse(template):
+        parts.append(re.escape(literal))
+        if name is not None:
+            parts.append(f"(?P={name})" if name in seen else f"(?P<{name}>.+?)")
+            seen.add(name)
+    return re.compile("".join(parts), re.DOTALL)
 
 
 def fill_transport_output(registry: Registry, start_module: str, target_module: str) -> str:

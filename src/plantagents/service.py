@@ -169,7 +169,7 @@ def read_fields(rfile) -> dict[bytes, bytes]:
         name, value = name.lower(), value.strip()
         if name == b"content-length" and fields.get(name, value) != value:
             first = fields[name]  # `2` and `02` are one decimal value (RFC 9110 section 8.6)
-            if not (first.isdigit() and value.isdigit() and int(first) == int(value)):
+            if not (first.isdigit() and value.isdigit() and first.lstrip(b"0") == value.lstrip(b"0")):
                 raise FramingError("Two different Content-Lengths")
         fields.setdefault(name, value)
     raise FramingError("Too many headers", 431)
@@ -182,7 +182,8 @@ def read_body(rfile, fields: dict[bytes, bytes], limit: int = MAX_BODY_BYTES) ->
     if b"transfer-encoding" in fields:
         raise FramingError("Transfer-Encoding is not read; only Content-Length frames a body")
     length = fields.get(b"content-length", b"0")
-    size = int(length) if length.isdigit() else -1
+    digits = length.lstrip(b"0")  # converted only when it could be at most `limit`
+    size = int(digits or b"0") if length.isdigit() and len(digits) <= len(str(limit)) else -1
     if not 0 <= size <= limit:
         raise FramingError(f"Content-Length must be a number from 0 to {limit}, got {length.decode('latin-1')!r}")
     body = rfile.read(size) if size else b""

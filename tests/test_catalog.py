@@ -6,6 +6,7 @@ from plantagents.catalog import (
     CatalogError,
     Registry,
     _load_module,
+    _load_prompts,
     alias_url,
     bundled_catalog,
     canonical_url,
@@ -282,6 +283,46 @@ def _duplicate_functionality(data):
     functionalities[2]["name"] = functionalities[1]["name"]
 
 
+def _blank_manager_role_goal(data):
+    data["prompts"]["manager"]["role_goal"] = " "
+
+
+def _blank_operator_role_goal(data):
+    data["prompts"]["operator"]["role_goal"] = "  "
+
+
+def _numeric_manager_instructions(data):
+    data["prompts"]["manager"]["instructions"] = 5
+
+
+def _numeric_operator_instructions(data):
+    data["prompts"]["operator"]["instructions"] = 5
+
+
+def _numeric_modules_intro(data):
+    data["prompts"]["manager"]["modules_intro"] = 5
+
+
+def _no_manager_examples(data):
+    data["prompts"]["manager"]["examples"] = []
+
+
+def _no_operator_examples(data):
+    data["prompts"]["operator"]["examples"] = []
+
+
+def _example_starts_at_the_robot(data):
+    data["prompts"]["operator"]["examples"][0]["start_module"] = "robotino_7"
+
+
+def _example_targets_an_unknown_module(data):
+    data["prompts"]["operator"]["examples"][0]["target_module"] = "foundry_module"
+
+
+def _robot_without_functionalities(data):
+    _module(data, "robotino_7")["components"] = []
+
+
 # Each mutation of the bundled catalog breaks one registry rule.
 BROKEN_RULES = [
     (_second_storage, "exactly one storage module, not 2"),
@@ -293,6 +334,19 @@ BROKEN_RULES = [
     (_no_transport_skill, "transport module offers no transport skill"),
     (_numeric_feature, "skill T1 has a feature that is not a string: 5"),
     (_numeric_role, "skill S1 has a role that is not a string: 5"),
+    # The prompt text: every prompt a run builds can be built once the registry is.
+    (_blank_manager_role_goal, "manager role_goal must be a string with non-space text, got ' '"),
+    (_blank_operator_role_goal, "operator role_goal must be a string with non-space text, got '  '"),
+    (_numeric_manager_instructions, "manager instructions must be a string with non-space text, got 5"),
+    (_numeric_operator_instructions, "operator instructions must be a string with non-space text, got 5"),
+    (_numeric_modules_intro, "manager modules_intro must be a string, got 5"),
+    (_no_manager_examples, "manager prompts need at least one worked example"),
+    (_no_operator_examples, "operator prompts need at least one worked example"),
+    (_example_starts_at_the_robot,
+     "operator example 1: start_module 'robotino_7' is no module with a transport phrase"),
+    (_example_targets_an_unknown_module,
+     "operator example 1: target_module 'foundry_module' is no module with a transport phrase"),
+    (_robot_without_functionalities, "transport module 'robotino_7' exposes no functionalities"),
 ]
 
 # The same for the rules on a module's own entries.
@@ -329,7 +383,7 @@ def test_direct_and_rebased_registries_keep_every_rule(mutate, match):
     with pytest.raises(CatalogError) as loaded:
         registry_from_dict(data)
     modules = tuple(_load_module(m) for m in data["modules"])
-    prompts = bundled_catalog().prompts
+    prompts = _load_prompts(data["prompts"])
     with pytest.raises(CatalogError) as direct:
         Registry(modules=modules, prompts=prompts)
     assert str(direct.value) == str(loaded.value)

@@ -279,6 +279,45 @@ def test_catalog_of_wrong_json_types_is_an_error(tmp_path, capsys, catalog):
     assert capsys.readouterr().err.startswith("error: catalog entry of the wrong shape: TypeError")
 
 
+def _prompts_with(agent, key, value):
+    data = _bundled_catalog_with()
+    data["prompts"][agent][key] = value
+    return data
+
+
+def _operator_example_from_the_robot():
+    data = _bundled_catalog_with()
+    data["prompts"]["operator"]["examples"][0]["start_module"] = "robotino_7"
+    return data
+
+
+@pytest.mark.parametrize(
+    "catalog, message",
+    [
+        (_prompts_with("operator", "examples", []), "operator prompts need at least one worked example"),
+        (_prompts_with("operator", "role_goal", "  "), "operator role_goal must be a string with non-space text"),
+        (_prompts_with("operator", "instructions", 5), "operator instructions must be a string with non-space text"),
+        (_operator_example_from_the_robot(), "operator example 1: start_module 'robotino_7' is no module"),
+        (_prompts_with("manager", "examples", []), "manager prompts need at least one worked example"),
+    ],
+    ids=["no-operator-examples", "blank-role-goal", "numeric-instructions", "example-from-robot",
+         "no-manager-examples"],
+)
+def test_run_task_refuses_a_catalog_before_serving_a_plant(tmp_path, monkeypatch, capsys, catalog, message):
+    """A catalog whose prompt text no run could use ends `run-task` with
+    `error: ...` before a plant is served or called."""
+    served = []
+    monkeypatch.setattr("plantagents.cli.serve_plant", served.append)
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(catalog), "utf-8")
+    spec = bundled_task_specs()[0]
+    assert main(["run-task", "--backend", "oracle", "--task", spec.instruction, "--catalog", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert served == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [

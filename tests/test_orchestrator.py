@@ -32,7 +32,7 @@ from plantagents import orchestrator
 from plantagents.backends import BackendError, CompletionBackend, CompletionResult
 from plantagents.catalog import registry_from_dict
 from plantagents.plant import Feature
-from plantagents.prompts import render_transport_demand
+from plantagents.prompts import fill_transport_output, render_transport_demand
 from plantagents.service import BackgroundServer, JsonHandler
 from plantagents.validation import check_satisfaction
 
@@ -269,6 +269,20 @@ def test_abort_on_a_reply_without_a_reason(registry, task_specs, drilled_spec, s
     assert trace.abort_reason == expected
 
 
+def test_reworded_demand_template_runs_to_completion(task_specs, drilled_spec):
+    """The oracle reads each demand back through the catalog's own demand
+    template, so a catalog that rewords it still completes the task."""
+    data = json.loads(resources.files("plantagents.data").joinpath("catalog.json").read_text("utf-8"))
+    data["prompts"]["operator"]["demand_template"] = "(T1) Carry the workpiece from {start} over to {target}."
+    registry = registry_from_dict(data)
+    sim = PlantSim.standard_start(registry)
+    trace = run_task(drilled_spec.instruction, OracleBackend(registry, task_specs), registry, LocalPlant(sim))
+    assert trace.outcome == "completed", trace.abort_reason
+    demands = [e["demand"] for e in trace.exchanges if e["agent"] == "operator"]
+    assert demands[0] == "(T1) Carry the workpiece from storage over to inspection."
+    assert len(demands) == 4
+
+
 def test_abort_on_a_module_without_transport_phrase(task_specs, drilled_spec):
     """A transport to a module the catalog gives no phrase aborts the run
     with one operator record."""
@@ -352,6 +366,21 @@ def test_abort_operator_unparseable_mid_run(live, returned_spec):
     skill_records = [r for r in trace.records if r.kind == "skill"]
     assert [r.name for r in skill_records] == ["S1"]
     assert [r.status for r in skill_records] == ["ok"]
+
+
+def test_abort_operator_step_number_of_too_many_digits(registry, returned_spec, task_specs):
+    """A step number `int` cannot convert aborts the run with one operator
+    record, like any operator output the parser cannot read."""
+    sim = PlantSim.standard_start(registry)
+    huge = fill_transport_output(registry, "storage_module", "painting_module").replace(
+        "(1) Move", "(%s) Move" % ("1" * 4301)
+    )
+    backend = ScriptedBackend(["{(S1) – (T1) – (P2) – (T1) – (I3) – (T1) – (S2)}", huge])
+    trace = run_task(returned_spec.instruction, backend, registry, LocalPlant(sim))
+    assert_single_failure(trace, "operator output unparseable: a step number has too many digits")
+    assert trace.records[-1].name == "operator"
+    assert [r.name for r in trace.records if r.kind == "skill"] == ["S1"]
+    assert sim.state.version == 1
 
 
 def test_abort_unregistered_endpoint_is_refused(live, returned_spec):
@@ -733,6 +762,7 @@ UNFRAMED_REPLIES = {
     "short-body": (b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n{}", True),
     "long-header-line": (b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * 70000 + b"\r\nContent-Length: 2\r\n\r\n{}", False),
     "two-lengths": (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\n{}", False),
+    "5000-digit-length": (b"HTTP/1.1 200 OK\r\nContent-Length: " + b"1" * 5000 + b"\r\n\r\n{}", False),
     "cut-off-head": (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n", True),
     "no-colon field line": (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nno colon here\r\n\r\n{}", False),
 }

@@ -88,6 +88,11 @@ def test_steps_from_json_refuses_a_step_number_no_int_holds(step):
         steps_from_json('[{"step": %s, "description": "d", "action": "a", "url": "u"}]' % step)
 
 
+def test_steps_from_json_refuses_a_number_of_too_many_digits():
+    with pytest.raises(ParseError, match="not valid JSON: "):
+        steps_from_json('[{"step": %s, "description": "d", "action": "a", "url": "u"}]' % ("1" * 4301))
+
+
 def test_golden_skill_sequence():
     plan = parse_skill_sequence(MANAGER_COMPLETION)
     assert plan.steps == ("S1", "T1", "P2", "T1", "I3", "T1", "S2")
@@ -144,6 +149,15 @@ def test_function_steps_reject_unordered_numbering():
     shuffled = "\n".join([lines[0], lines[3], lines[1], lines[2], lines[5], lines[4]])
     with pytest.raises(ParseError, match="missing step 1"):
         parse_function_steps(shuffled)
+
+
+@pytest.mark.parametrize("digits", [4301, 5000])
+def test_function_steps_refuse_a_step_number_of_too_many_digits(digits):
+    """`int` refuses a string of more than 4300 digits; the parser says so
+    as a ParseError, like any other completion it cannot read."""
+    huge = TRANSPORT_OUTPUT.replace("(1) Move", "(%s) Move" % ("1" * digits))
+    with pytest.raises(ParseError, match="a step number has too many digits"):
+        parse_function_steps(huge)
 
 
 def test_function_step_is_frozen():

@@ -1,8 +1,8 @@
 import pytest
 
+from plantagents.catalog import CatalogError, Registry
 from plantagents.prompts import (
     PromptError,
-    PromptSpec,
     build_manager_prompt,
     build_operator_prompt,
     fill_transport_output,
@@ -103,6 +103,41 @@ def test_parse_demand_rejects_unknown_phrase(registry):
         parse_transport_demand(registry, text)
 
 
+@pytest.mark.parametrize("template", [
+    "(T1) Carry the workpiece from {start} over to {target}.",
+    "Move it: {start} -> {target}? (from {start}, [not] to {{start}}*)",
+    "{target} <- {start}",
+])
+def test_demand_roundtrip_through_a_reworded_template(registry, template):
+    """A demand is read back through the catalog's own template, its
+    literal text matched as written."""
+    reworded = Registry(registry.modules, registry.prompts._replace(transport_demand_template=template))
+    for start, target in [("storage_module", "painting_module"), ("laser_module", "cnc_module")]:
+        text = render_transport_demand(reworded, start, target)
+        assert parse_transport_demand(reworded, text) == (start, target)
+    with pytest.raises(PromptError, match="not a transport demand"):
+        parse_transport_demand(reworded, render_transport_demand(registry, "storage_module", "cnc_module"))
+    with pytest.raises(CatalogError, match="no module with transport phrase 'foundry'"):
+        parse_transport_demand(reworded, template.format(start="foundry", target="CNC"))
+
+
+def test_a_repeated_demand_placeholder_must_repeat_its_phrase(registry):
+    template = "Move it: {start} -> {target} (from {start})"
+    reworded = Registry(registry.modules, registry.prompts._replace(transport_demand_template=template))
+    text = "Move it: storage -> CNC (from storage)"
+    assert parse_transport_demand(reworded, text) == ("storage_module", "cnc_module")
+    with pytest.raises(PromptError, match="not a transport demand"):
+        parse_transport_demand(reworded, "Move it: storage -> CNC (from painting)")
+
+
+def test_a_demand_template_without_start_reads_no_demand(registry):
+    reworded = Registry(registry.modules, registry.prompts._replace(transport_demand_template="To the {target}."))
+    text = render_transport_demand(reworded, "storage_module", "cnc_module")
+    assert text == "To the CNC."
+    with pytest.raises(PromptError, match="not a transport demand"):
+        parse_transport_demand(reworded, text)
+
+
 def test_fill_transport_output_uses_singular_urls(registry):
     text = fill_transport_output(registry, "storage_module", "cnc_module")
     assert "/robotino_7/functionality/move_dock" in text
@@ -113,25 +148,6 @@ def test_fill_transport_output_mentions_both_modules(registry):
     text = fill_transport_output(registry, "laser_module", "inspection_module")
     assert "from the laser machine module" in text
     assert "to the inspection module" in text
-
-
-def test_prompt_spec_validation():
-    with pytest.raises(PromptError, match="at least one worked example"):
-        PromptSpec(
-            role_goal="r",
-            context="c",
-            instructions="i",
-            examples=(),
-            input="x",
-        )
-    with pytest.raises(PromptError, match="section context"):
-        PromptSpec(
-            role_goal="r",
-            context=" ",
-            instructions="i",
-            examples=(("a", "b"),),
-            input="x",
-        )
 
 
 def test_sections_separated_by_blank_lines(registry):

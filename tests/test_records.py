@@ -15,12 +15,10 @@ from plantagents.evaluation import EvalMetrics, EvalSample
 from plantagents.orchestrator import TraceRecord
 from plantagents.parsing import FunctionStep, SkillPlan
 from plantagents.plant import Feature
-from plantagents.prompts import PromptError, PromptSpec
 from plantagents.tasks import TaskError, TaskSpec
 from plantagents.validation import GrammarViolation
 
 SPEC = {"instruction": "Produce a drilled sheet.", "initial_location": "storage_module", "material": "steel"}
-PROMPT = {"role_goal": "r", "context": "c", "instructions": "i", "examples": (("a", "b"),), "input": "x"}
 
 
 def test_equal_task_specs_are_one_dict_key(drilled_spec):
@@ -68,10 +66,6 @@ def test_task_spec_construction_checks(change, message):
      "fractions must nest (minimal <= correct <= executable): (0.5, 0.75, 0.5)"),
     (lambda: EvalMetrics(4, 1.0, 1.0, 1.0)._replace(minimal_fraction=-1.0), ValueError,
      "fractions out of range: (-1.0, 1.0, 1.0)"),
-    (lambda: PromptSpec(**{**PROMPT, "role_goal": " "}), PromptError, "prompt section role_goal must not be empty"),
-    (lambda: PromptSpec(**{**PROMPT, "input": ""}), PromptError, "prompt section input must not be empty"),
-    (lambda: PromptSpec(**{**PROMPT, "examples": ()}), PromptError, "a prompt needs at least one worked example"),
-    (lambda: PromptSpec(**PROMPT)._replace(context="\n"), PromptError, "prompt section context must not be empty"),
 ])
 def test_checked_record_construction(make, error, message):
     with pytest.raises(error) as refused:
@@ -98,7 +92,6 @@ def _frozen_records():
     yield FunctionStep(1, "d", "load", "http://x/y"), "url"
     yield CompletionRequest("p"), "temperature"
     yield CompletionResult("t", "oracle", 0.0), "text"
-    yield PromptSpec(**PROMPT), "input"
 
 
 @pytest.mark.parametrize("record, field", [pytest.param(*case, id=type(case[0]).__name__) for case in _frozen_records()])

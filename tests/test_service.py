@@ -300,8 +300,9 @@ def _read_to_eof(sock) -> bytes:
         (b"POST /storage_module/skills/S1 HTTP/1.1\r\nContent-Length: 99999999\r\n", b"400"),
         (b"POST /storage_module/skills/S1 HTTP/1.1\r\nTransfer-Encoding: chunked\r\n", b"400"),
         (b"GET /plant/state HTTP/1.1\r\nContent-Length: %d\r\n" % len(SMUGGLED_REQUEST), b"200"),
+        (b"GET /plant/state HTTP/1.1\r\nContent-Length: " + b"1" * 5000 + b"\r\n", b"200"),
     ],
-    ids=["oversized-length", "chunked", "get-with-body"],
+    ids=["oversized-length", "chunked", "get-with-body", "get-with-5000-digit-length"],
 )
 def test_unread_body_is_never_parsed_as_a_next_request(service, head, status):
     """A body the handler does not read closes the connection after the
@@ -394,13 +395,15 @@ def _reply_to(service, request: bytes) -> bytes:
         (b"GET /plant/state HTTP/1.1\r\n: empty name\r\n\r\n", b"400"),
         # RFC 9112 section 6.3: a server must refuse differing Content-Lengths.
         (b"POST /storage_module/skills/S1 HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 9\r\n\r\n{}", b"400"),
+        # A length of more digits than `int` converts is refused unconverted.
+        (b"POST /storage_module/skills/S1 HTTP/1.1\r\nContent-Length: " + b"1" * 5000 + b"\r\n\r\n{}", b"400"),
         # Exactly one byte over the stdlib's 65536-byte bound, so the handler reads all of it.
         (b"GET /" + b"a" * 65532, b"414"),
         (b"BREW /plant/state HTTP/1.1\r\nHost: plant\r\n\r\n", b"501"),
     ],
     ids=["long-line", "too-many-headers", "http2", "three-numbers", "non-ascii-digit", "not-http", "no-version",
-         "no-colon", "folded", "space-before-colon", "empty-name", "two-lengths", "long-request-line",
-         "unknown-method"],
+         "no-colon", "folded", "space-before-colon", "empty-name", "two-lengths", "5000-digit-length",
+         "long-request-line", "unknown-method"],
 )
 def test_header_parse_refuses_what_it_cannot_read(service, request_bytes, status):
     """The stdlib's limits hold (431 for a line over `_MAXLINE` bytes or
@@ -506,13 +509,21 @@ def test_read_fields_agrees_with_the_stdlib(fields, length, over_limit, pad, whe
         assert got[name.lower().encode()] == expected.get(name).encode("latin-1")
 
 
-def test_a_content_length_repeated_with_leading_zeros_counts_once():
+def test_a_content_length_repeated_with_leading_zeros_counts_once(service):
     """`2` and `02` are one decimal value, so the pair frames the body as
-    the stdlib reads it; `2` and `3` are still refused."""
+    the stdlib reads it; `2` and `3` are still refused.  The service reads
+    a request's pair by the same rule."""
     reply = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 02\r\n\r\n{}"
     assert plant_service.read_reply(io.BytesIO(reply))[:2] == (200, b"{}") == _stdlib_reply(reply)
     with pytest.raises(FramingError, match="Two different Content-Lengths"):
         plant_service.read_reply(io.BytesIO(reply.replace(b"02", b"3")))
+    # Compared without converting: more digits than `int` reads are fine.
+    padded = reply.replace(b"02", b"0" * 4990 + b"2")
+    assert plant_service.read_reply(io.BytesIO(padded))[:2] == (200, b"{}")
+    with pytest.raises(FramingError, match="Two different Content-Lengths"):
+        plant_service.read_reply(io.BytesIO(padded.replace(b"02", b"03")))
+    request = b"POST /storage_module/skills/S1 HTTP/1.1\r\nConnection: close\r\n" + padded.split(b"\r\n", 1)[1]
+    assert _reply_to(service, request).endswith(b'{"status": "ok", "state_version": 1}')
 
 
 class _BytesSocket:
