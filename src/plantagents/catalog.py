@@ -219,6 +219,11 @@ class Registry:
                         f"operator example {i}: {key} {module_id!r} is no module with a transport phrase"
                     )
         _check_template(p.transport_demand_template, {"start", "target"}, "operator demand_template")
+        # The oracle reads each demand back through this template: (name, format spec, conversion) of its fields.
+        fields = {f[1:] for f in string.Formatter().parse(p.transport_demand_template) if f[1] is not None}
+        if fields != {("start", "", None), ("target", "", None)}:
+            raise CatalogError(f"operator demand_template must name {{start}} and {{target}}, with no conversion or "
+                               f"format spec, or no demand can be read back: {p.transport_demand_template!r}")
         _check_template(p.transport_output_template, {"start", "target", *urls_named}, "operator output_template")
 
     def _single_kind(self, kind: str) -> Module:
@@ -244,8 +249,9 @@ class Registry:
     def skill_host(self, code: str) -> Module:
         return self._skill_entry(code)[0]
 
-    def has_skill(self, code: str) -> bool:
-        return code in self._skills
+    def skill_entry(self, code: str) -> tuple[Module, Skill] | None:
+        """(host module, skill) of a catalog skill code, or None."""
+        return self._skills.get(code)
 
     def _skill_entry(self, code: str) -> tuple[Module, Skill]:
         try:

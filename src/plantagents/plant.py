@@ -9,6 +9,7 @@ pass through one lock; the state version counts successful calls.
 from __future__ import annotations
 
 import threading
+from collections.abc import Iterable
 from typing import NamedTuple
 
 from .catalog import Registry
@@ -169,22 +170,28 @@ class PlantSim:
 
     def apply_functionality(self, name: str, params: dict | None = None) -> int:
         """Run one transport-robot functionality; returns the new version."""
-        params = params or {}
+        return self.apply_functionalities(((name, params or {}),))
+
+    def apply_functionalities(self, calls: Iterable[tuple[str, dict]]) -> int:
+        """Run `(name, params)` functionalities in order under one hold of
+        the lock; returns the new version.  The first `PlantFault` stops
+        the run, with the calls before it applied, as separate calls would."""
         with self._lock:
-            handler = _FUNCTIONALITIES.get(name)
-            if handler is None:
-                raise PlantFault(f"unknown functionality: {name}")
-            handler(self, params)
-            self.state.version += 1
+            for name, params in calls:
+                handler = _FUNCTIONALITIES.get(name)
+                if handler is None:
+                    raise PlantFault(f"unknown functionality: {name}")
+                handler(self, params)
+                self.state.version += 1
             return self.state.version
 
     def apply_skill(self, code: str, workpiece_id: str, detail: str | None = None) -> int:
         """Run one module skill on a workpiece; returns the new version."""
         with self._lock:
-            if not self.registry.has_skill(code):
+            entry = self.registry.skill_entry(code)
+            if entry is None:
                 raise PlantFault(f"unknown skill: {code}")
-            host = self.registry.skill_host(code)
-            skill = self.registry.skill(code)
+            host, skill = entry
             if host.kind == "transport":
                 raise PlantFault("transport skills execute via operator agent")
             wp = self.state.workpieces.get(workpiece_id)

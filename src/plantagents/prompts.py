@@ -79,7 +79,7 @@ def parse_transport_demand(registry: Registry, text: str) -> tuple[str, str]:
     """Recover (start module id, target module id) from a demand text, by
     reading it back through the catalog's demand template."""
     match = _demand_pattern(registry.prompts.transport_demand_template).fullmatch(text)
-    if match is None or len(match.groupdict()) != 2:
+    if match is None:
         raise PromptError(f"not a transport demand: {text!r}")
     start = registry.module_by_phrase(match["start"])
     target = registry.module_by_phrase(match["target"])

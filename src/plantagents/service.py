@@ -123,7 +123,8 @@ class LocalPlant:
         registry = self.sim.registry
         if not registry.has_module(module_id):
             return 404, {"status": "error", "reason": f"unknown module {module_id!r}"}
-        if not registry.has_skill(code) or registry.skill_host(code).id != module_id:
+        entry = registry.skill_entry(code)
+        if entry is None or entry[0].id != module_id:
             return 409, {"status": "fault", "reason": f"module {module_id} offers no skill {code}"}
         try:
             workpiece_id = body.get("workpiece_id") or self.sim.sole_workpiece().id

@@ -82,7 +82,7 @@ def validate_grammar(steps: Sequence[str], registry: Registry) -> list[GrammarVi
         return [GrammarViolation(1, "a production process needs at least one process step")]
 
     # One catalog lookup per distinct known code, in plan order.
-    hosts = {code: registry.skill_host(code) for code in dict.fromkeys(steps) if registry.has_skill(code)}
+    hosts = {code: entry[0] for code in dict.fromkeys(steps) if (entry := registry.skill_entry(code))}
     for code in steps:
         if code not in hosts:
             violations.append(GrammarViolation(8, f"unknown skill code {code}"))
@@ -129,9 +129,8 @@ def nonstandard_skills(steps: Sequence[str], registry: Registry) -> list[str]:
     transport_code = registry.transport_skill().code
     flagged = []
     for code in steps:
-        if not registry.has_skill(code):
-            continue
-        if registry.skill_host(code).kind == "transport" and code != transport_code:
+        entry = registry.skill_entry(code)
+        if entry is not None and entry[0].kind == "transport" and code != transport_code:
             flagged.append(code)
     return flagged
 
@@ -163,19 +162,20 @@ def plan_route(registry: Registry, steps: Sequence[str], initial_module: str) ->
     following: str | None = None
     for code in reversed(steps):
         targets.append(following)
-        if registry.has_skill(code) and (host := registry.skill_host(code)).kind != "transport":
-            following = host.id
+        entry = registry.skill_entry(code)
+        if entry is not None and entry[0].kind != "transport":
+            following = entry[0].id
     targets.reverse()
 
     route: list[RouteStep] = []
     wp_module = initial_module
     for code, target in zip(steps, targets):
         if code != transport_code:
-            route.append(RouteStep(code=code))
+            route.append(RouteStep(code))
             continue
         if target is None:
             target = wp_module
-        route.append(RouteStep(code=code, transport=True, start=wp_module, target=target))
+        route.append(RouteStep(code, True, wp_module, target))
         wp_module = target
     return route
 
@@ -204,7 +204,7 @@ def simulate_skill_plan(
 ) -> tuple[bool, str | None, PlantSim]:
     """Replay a skill plan on `plant`, changing it in place.
 
-    Transport skills expand into the canonical five-functionality sequence.
+    Each transport replays as one batch of its five functionality calls.
     Returns (executable, first fault reason, `plant` itself).  A caller who
     wants to keep its plant passes `plant.clone()`.
     """
@@ -214,8 +214,7 @@ def simulate_skill_plan(
         for code, transport, start, target in plan_route(registry, plan, wp.location):
             if transport:
                 assert start is not None and target is not None
-                for name, params in transport_functionality_calls(start, target):
-                    plant.apply_functionality(name, params)
+                plant.apply_functionalities(transport_functionality_calls(start, target))
             else:
                 plant.apply_skill(code, wp.id, detail=details.get(code))
     except PlantFault as exc:

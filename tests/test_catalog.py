@@ -49,6 +49,8 @@ def test_skill_lookup(registry):
     assert registry.skill_host("M1").id == "cnc_module"
     with pytest.raises(CatalogError, match="unknown skill"):
         registry.skill("M9")
+    assert registry.skill_entry("M1") == (registry.skill_host("M1"), skill)
+    assert registry.skill_entry("M9") is None
 
 
 def test_storage_and_transport_roles(registry):
@@ -323,6 +325,18 @@ def _robot_without_functionalities(data):
     _module(data, "robotino_7")["components"] = []
 
 
+def _demand_without_start(data):
+    data["prompts"]["operator"]["demand_template"] = "To the {target}."
+
+
+def _demand_with_a_conversion(data):
+    data["prompts"]["operator"]["demand_template"] = "From the {start!s} module to the {target} module."
+
+
+def _demand_with_a_format_spec(data):
+    data["prompts"]["operator"]["demand_template"] = "From the {start} module to the {target:>3} module."
+
+
 # Each mutation of the bundled catalog breaks one registry rule.
 BROKEN_RULES = [
     (_second_storage, "exactly one storage module, not 2"),
@@ -347,6 +361,10 @@ BROKEN_RULES = [
     (_example_targets_an_unknown_module,
      "operator example 1: target_module 'foundry_module' is no module with a transport phrase"),
     (_robot_without_functionalities, "transport module 'robotino_7' exposes no functionalities"),
+    # A demand the oracle could not read back through its template.
+    (_demand_without_start, "operator demand_template must name {start} and {target}"),
+    (_demand_with_a_conversion, "with no conversion or format spec, or no demand can be read back"),
+    (_demand_with_a_format_spec, "with no conversion or format spec, or no demand can be read back"),
 ]
 
 # The same for the rules on a module's own entries.
@@ -436,11 +454,15 @@ def test_registry_refuses_a_template_it_could_not_fill(which, template, match):
 
 
 def test_registry_accepts_a_template_that_names_fewer_placeholders():
+    """An output template may leave placeholders out; a demand template
+    may not, since the oracle reads each demand back through it."""
     data = _raw_catalog()
-    data["prompts"]["operator"]["demand_template"] = "(T1) Take it to the {target!s:>3} module."
     data["prompts"]["operator"]["output_template"] = "Call {url_load}, then {{literally}} {url_unload}."
     registry = registry_from_dict(data)
-    assert registry.prompts.transport_demand_template.format(target="CNC") == "(T1) Take it to the CNC module."
+    assert registry.prompts.transport_output_template.format(url_load="a", url_unload="b") == "Call a, then {literally} b."
+    data["prompts"]["operator"]["demand_template"] = "(T1) Take it to the {target!s:>3} module."
+    with pytest.raises(CatalogError, match="must name {start} and {target}"):
+        registry_from_dict(data)
 
 
 def test_registry_built_directly_is_checked(registry):

@@ -1,5 +1,6 @@
 """Offline metrics over recorded completions, and the bundled corpus."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -81,6 +82,18 @@ def test_bundled_corpus_stage_mix(registry, corpus):
         "parse_failed": 1,
         "grammar_failed": 1,
     }
+
+
+# SHA-256 of `json.dumps` of the bundled corpus's reports, in corpus order.
+CORPUS_50_REPORTS_DIGEST = "3206b988a14a17d36ebb4884af9ccc0d36132f680af37fc339201defd4d83d38"
+
+
+def test_corpus_50_reports_are_pinned(registry, corpus):
+    """Every field of every report, not only the three fractions: a changed
+    plan, violation or missing-feature text fails here."""
+    _, reports = evaluate_corpus_detailed(registry, corpus)
+    digest = hashlib.sha256(json.dumps([r.to_dict() for r in reports]).encode()).hexdigest()
+    assert digest == CORPUS_50_REPORTS_DIGEST
 
 
 def test_oracle_planned_once_per_task(registry, corpus, monkeypatch):

@@ -4,10 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plantagents import bundled_catalog
 from plantagents.plant import (
     ON_ROBOT,
     PlantFault,
     PlantSim,
+    PlantState,
+    RobotState,
+    Workpiece,
     transport_functionality_calls,
 )
 from permutations import permutation_survey
@@ -274,3 +278,54 @@ def test_random_functionality_soup_never_corrupts(names):
     wp = sim.sole_workpiece()
     locations = {m.id for m in sim.registry.modules} | {ON_ROBOT}
     assert wp.location in locations
+
+
+_REGISTRY = bundled_catalog()
+_MODULES = [m.id for m in _REGISTRY.modules]
+_START_STATES = st.builds(
+    lambda position, docked, carrying, location, in_inventory: PlantSim(
+        _REGISTRY,
+        PlantState({"wp1": Workpiece("wp1", "steel", location=location, in_inventory=in_inventory)},
+                   RobotState(position, docked, carrying)),
+    ),
+    position=st.sampled_from([None, *_MODULES]),
+    docked=st.booleans(),
+    carrying=st.sampled_from([None, "wp1"]),
+    location=st.sampled_from([ON_ROBOT, *_MODULES]),
+    in_inventory=st.booleans(),
+)
+_CALLS = st.one_of(
+    st.tuples(st.just("move_dock"), st.fixed_dictionaries({"target_module": st.sampled_from([*_MODULES, "foundry"])})),
+    st.tuples(st.sampled_from(["move_dock", "load", "undock", "unload", "fly"]), st.just({})),
+)
+
+
+def _outcome(sim, run):
+    try:
+        result = run(sim)
+    except PlantFault as exc:
+        result = exc.reason
+    return result, sim.state.to_dict()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_START_STATES, st.lists(_CALLS, max_size=8))
+def test_batched_functionalities_equal_separate_calls(sim, calls):
+    """One batch returns and leaves what the same calls made one by one
+    do, up to and including the first fault.  Each single call adds one to
+    the version or faults with the state untouched."""
+
+    def one_by_one(plant):
+        version = plant.state.version
+        for name, params in calls:
+            before = plant.state.to_dict()
+            try:
+                version = plant.apply_functionality(name, params)
+            except PlantFault:
+                assert plant.state.to_dict() == before
+                raise
+            assert version == before["version"] + 1
+        return version
+
+    batched = _outcome(sim.clone(), lambda plant: plant.apply_functionalities(calls))
+    assert batched == _outcome(sim.clone(), one_by_one)

@@ -130,14 +130,6 @@ def test_a_repeated_demand_placeholder_must_repeat_its_phrase(registry):
         parse_transport_demand(reworded, "Move it: storage -> CNC (from painting)")
 
 
-def test_a_demand_template_without_start_reads_no_demand(registry):
-    reworded = Registry(registry.modules, registry.prompts._replace(transport_demand_template="To the {target}."))
-    text = render_transport_demand(reworded, "storage_module", "cnc_module")
-    assert text == "To the CNC."
-    with pytest.raises(PromptError, match="not a transport demand"):
-        parse_transport_demand(reworded, text)
-
-
 def test_fill_transport_output_uses_singular_urls(registry):
     text = fill_transport_output(registry, "storage_module", "cnc_module")
     assert "/robotino_7/functionality/move_dock" in text

@@ -186,8 +186,9 @@ def forward_scan_route(registry, steps, initial_module):
             continue
         target = wp_module
         for later in steps[i + 1 :]:
-            if registry.has_skill(later) and registry.skill_host(later).kind != "transport":
-                target = registry.skill_host(later).id
+            entry = registry.skill_entry(later)
+            if entry is not None and entry[0].kind != "transport":
+                target = entry[0].id
                 break
         route.append(RouteStep(code=code, transport=True, start=wp_module, target=target))
         wp_module = target
