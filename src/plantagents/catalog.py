@@ -10,12 +10,15 @@ code change.
 from __future__ import annotations
 
 import json
+import re
 import string
 from collections.abc import Mapping
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
 from urllib.parse import urlsplit, urlunsplit
+
+from .parsing import ParseError, parse_function_steps
 
 # Module kinds with semantics the plant understands.
 MODULE_KINDS = ("storage", "inspection", "machining", "painting", "laser", "transport")
@@ -145,6 +148,7 @@ class Registry:
         self._skills: dict[str, tuple[Module, Skill]] = {}
         self._phrases: dict[str, Module] = {}
         self._features: dict[str, tuple[Module, Skill]] = {}
+        self._functionalities: dict[tuple[str, str], Functionality] = {}
         urls: list[str] = []
         for m in self.modules:
             where = f"module {m.id}"
@@ -159,11 +163,14 @@ class Registry:
                 if m.transport_phrase in self._phrases:
                     raise CatalogError(f"transport phrase {m.transport_phrase!r} names two modules")
                 self._phrases[m.transport_phrase] = m
+            elif m.kind != "transport":  # a transport to it could not be demanded
+                raise CatalogError(f"{where}: only the transport module may have no transport phrase")
             for comp in m.components:
                 names = [fn.name for fn in comp.functionalities]
                 for fn in comp.functionalities:
                     if names.count(fn.name) > 1:
                         raise CatalogError(f"{where}: duplicate functionality {fn.name!r} in {comp.id}")
+                    self._functionalities.setdefault((m.id, fn.name), fn)
                     urls.append(_checked_url(fn.url, f"{where} functionality {fn.name}"))
             for s in m.skills:
                 _check_skill(s, where)
@@ -190,13 +197,14 @@ class Registry:
         if not found:
             raise CatalogError("transport module offers no transport skill")
         self._transport_skill = found[0]
-        urls_named = {f"url_{fn.name}" for comp in self._transport.components for fn in comp.functionalities}
-        if not urls_named:
+        self._output_urls = {f"url_{fn.name}": alias_url(fn.url) for comp in self._transport.components
+                             for fn in comp.functionalities}
+        if not self._output_urls:
             raise CatalogError(f"transport module {self._transport.id!r} exposes no functionalities")
-        self._check_prompts(urls_named)
+        self._check_prompts()
         self._endpoints = frozenset(canonical_url(u) for u in urls)
 
-    def _check_prompts(self, urls_named: set[str]) -> None:
+    def _check_prompts(self) -> None:
         """Refuse prompt text a prompt builder could not use, so that every
         prompt of a run can be built once the registry is."""
         p = self.prompts
@@ -224,7 +232,21 @@ class Registry:
         if fields != {("start", "", None), ("target", "", None)}:
             raise CatalogError(f"operator demand_template must name {{start}} and {{target}}, with no conversion or "
                                f"format spec, or no demand can be read back: {p.transport_demand_template!r}")
-        _check_template(p.transport_output_template, {"start", "target", *urls_named}, "operator output_template")
+        names = {"start", "target", *self._output_urls}
+        _check_template(p.transport_output_template, names, "operator output_template")
+        # A run reads each transport's dock targets back from the operator's steps, as the examples show them.
+        for i, example in enumerate(p.operator_examples, start=1):
+            start, target = self._modules[example.start_module], self._modules[example.target_module]
+            text = p.transport_output_template.format(
+                start=start.transport_phrase, target=target.transport_phrase, **self._output_urls)
+            try:
+                steps = parse_function_steps(text)
+            except ParseError:
+                steps = []
+            docked = [move_dock_target(self, s.description) for s in steps if s.action == "move_dock"]
+            if docked != [start.id, target.id]:
+                raise CatalogError(f"operator example {i}: the output_template's move_dock steps do not dock at "
+                                   f"{start.id} and then {target.id} (they read {docked})")
 
     def _single_kind(self, kind: str) -> Module:
         found = [m for m in self.modules if m.kind == kind]
@@ -282,12 +304,16 @@ class Registry:
         return self._transport_skill
 
     def functionality(self, module_id: str, name: str) -> Functionality:
-        mod = self.module(module_id)
-        for comp in mod.components:
-            for fn in comp.functionalities:
-                if fn.name == name:
-                    return fn
-        raise CatalogError(f"module {module_id!r} has no functionality {name!r}")
+        fn = self._functionalities.get((module_id, name))
+        if fn is None:
+            self.module(module_id)  # an unknown module is refused as such
+            raise CatalogError(f"module {module_id!r} has no functionality {name!r}")
+        return fn
+
+    def output_urls(self) -> dict[str, str]:
+        """`url_<name>` of each robot functionality, the operator output
+        template's placeholders, in the singular spelling the examples use."""
+        return self._output_urls
 
     def module_functionalities(self, module_id: str) -> tuple[Functionality, ...]:
         mod = self.module(module_id)
@@ -377,6 +403,19 @@ def _checked_url(url: str, where: str) -> str:
     if not parts.scheme or not parts.netloc or not parts.path:
         raise CatalogError(f"{where}: not an absolute service URL: {url!r}")
     return url
+
+
+_MOVE_DOCK_TARGET_RE = re.compile(r"to (?:the )?(.+?) module")
+
+
+def move_dock_target(registry: Registry, description: str) -> str | None:
+    """Module id a move_dock step drives to, read from its description."""
+    for phrase in _MOVE_DOCK_TARGET_RE.findall(description):
+        try:
+            return registry.module_by_phrase(phrase).id
+        except CatalogError:
+            continue
+    return None
 
 
 # ---------------------------------------------------------------------------

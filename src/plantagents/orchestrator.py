@@ -28,7 +28,7 @@ from .prompts import (
     build_operator_prompt,
     render_transport_demand,
 )
-from .service import FramingError, call_result, read_reply
+from .service import FramingError, call_result, decode_json, read_reply
 from .tasks import TaskSpec, bundled_task_specs, find_task_spec
 from .validation import function_step_params, goal_details, plan_route, validate_grammar
 
@@ -115,10 +115,11 @@ def _http_origin(url: str) -> tuple[str, int] | None:
 
 
 @functools.lru_cache(maxsize=128)
-def _request_path(base_url: str, url: str) -> str:
-    """The path a request for `url` sends to the plant at `base_url`; raises
-    FramingError (never cached) for a base URL that is not http://, a URL
-    on another scheme, host or port, or a path a request line cannot carry."""
+def _request_head(base_url: str, method: str, url: str) -> bytes:
+    """The request line and `Host` of a request for `url` to the plant at
+    `base_url`, sending only the URL's path; raises FramingError (never
+    cached) for a base URL that is not http://, a URL on another scheme,
+    host or port, or a path a request line cannot carry."""
     origin = _http_origin(base_url)
     if origin is None:
         raise FramingError(f"not an http:// plant URL: {base_url!r}")
@@ -127,7 +128,8 @@ def _request_path(base_url: str, url: str) -> str:
     path = urlsplit(url).path
     if not (path.isascii() and path.isprintable()) or " " in path:
         raise FramingError(f"{url} has a character a request path cannot carry")
-    return path
+    host = urlsplit(base_url).netloc.rpartition("@")[2]
+    return f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n".encode("ascii")
 
 
 class _SocketStream(io.RawIOBase):
@@ -160,7 +162,6 @@ class HttpPlant:
     def __init__(self, base_url: str) -> None:
         self.base_url = base_url.rstrip("/")
         self._origin = _http_origin(self.base_url)
-        self._host = urlsplit(self.base_url).netloc.rpartition("@")[2]
         self._sock: socket.socket | None = None
         self._reader = None
 
@@ -186,7 +187,7 @@ class HttpPlant:
         if status != 200:
             raise OrchestrationError(f"HTTP {status} from {url}")
         try:
-            return json.loads(raw)
+            return decode_json(raw)
         except ValueError as exc:
             raise OrchestrationError(f"non-JSON response from {url}") from exc
 
@@ -196,7 +197,7 @@ class HttpPlant:
         except (OSError, FramingError) as exc:
             return {"status": "error", "reason": f"connection error: {exc}", "state_version": None}
         try:
-            payload = json.loads(raw)
+            payload = decode_json(raw)
         except ValueError:
             payload = {}
         return call_result(status, payload if isinstance(payload, dict) else {})
@@ -205,10 +206,9 @@ class HttpPlant:
         """One request on the kept-alive connection: (HTTP status, reply
         body).  Raises OSError or FramingError when it fails, FramingError
         also when `url` is not on the plant."""
-        head = f"{method} {_request_path(self.base_url, url)} HTTP/1.1\r\nHost: {self._host}\r\n"
-        if body is not None:
-            head += f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
-        request = (head + "\r\n").encode("ascii") + (body or b"")
+        head = _request_head(self.base_url, method, url)
+        request = head + b"\r\n" if body is None else (
+            b"%sContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s" % (head, len(body), body))
         # An idle socket that polls readable was closed by the service (after
         # its idle timeout, say) or holds bytes no request asked for.
         if self._sock is not None and self._idle.poll(0):
@@ -395,7 +395,7 @@ def _run_on_port(
             transport_index += 1
             assert step.start is not None and step.target is not None
             try:
-                # The catalog allows a module without a transport phrase.
+                # The robot's own module has no transport phrase.
                 demand = render_transport_demand(registry, step.start, step.target)
                 records = perform_skill_via_operator(
                     registry, robot.id, demand, backend, plant, trace.exchanges

@@ -13,12 +13,7 @@ import string
 from collections.abc import Iterable
 from functools import lru_cache
 
-from .catalog import (
-    Registry,
-    alias_url,
-    render_manager_context,
-    render_operator_context,
-)
+from .catalog import Registry, render_manager_context, render_operator_context
 
 
 class PromptError(ValueError):
@@ -108,16 +103,11 @@ def fill_transport_output(registry: Registry, start_module: str, target_module: 
     are written in the singular path spelling the examples use; the plant
     service accepts both spellings.
     """
-    robot = registry.transport_module()
-    urls = {
-        f"url_{fn.name}": alias_url(fn.url)
-        for fn in registry.module_functionalities(robot.id)
-    }
     # The registry allows only these placeholders in the template.
     return registry.prompts.transport_output_template.format(
         start=_phrase(registry, start_module),
         target=_phrase(registry, target_module),
-        **urls,
+        **registry.output_urls(),
     )
 
 

@@ -27,6 +27,7 @@ import socketserver
 import sys
 import threading
 import time
+from functools import lru_cache
 from http import HTTPStatus
 from time import gmtime
 from urllib.parse import urlsplit
@@ -41,14 +42,27 @@ DEFAULT_PORT = 5010
 MAX_BODY_BYTES = 1 << 20
 _MAXLINE, _MAXHEADERS = 65536, 100  # header line bytes and lines allowed, as in `http.client`
 
-_FUNCTIONALITY_RE = re.compile(r"^/([^/]+)/functionalit(?:ies|y)/([^/]+)$")
-_SKILL_RE = re.compile(r"^/([^/]+)/skills/([^/]+)$")
+_POST_ROUTE_RE = re.compile(r"^/([^/]+)/(functionalit(?:ies|y)|skills)/([^/]+)$")
 _MODULE_STATE_RE = re.compile(r"^/([^/]+)/state$")
 _HTTP_VERSION_RE = re.compile(r"HTTP/(\d{1,10})\.(\d{1,10})", re.ASCII)
 
 
 # The JSON type each request body field must have unless it is null.
 _FIELD_TYPES = {"params": dict, "workpiece_id": str, "detail": str}
+
+_json_decode = json.JSONDecoder().decode
+
+
+def decode_json(raw: bytes):
+    """What `json.loads(raw)` gives or raises, without its per-call keyword handling."""
+    return _json_decode(raw.decode(json.detect_encoding(raw), "surrogatepass"))
+
+
+@lru_cache(maxsize=256)
+def _post_route(path: str) -> tuple[bool, str, str] | None:
+    """(whether it names a skill, module id, skill code or functionality name) of a POST path, or None."""
+    match = _POST_ROUTE_RE.match(path)
+    return None if match is None else (match[2] == "skills", match[1], match[3])
 
 
 def call_result(status: int, payload: dict) -> dict:
@@ -99,13 +113,11 @@ class LocalPlant:
                 return 400, {"status": "error", "reason": f"{key} has the wrong JSON type"}
         if not all(isinstance(value, str) for value in (body.get("params") or {}).values()):
             return 400, {"status": "error", "reason": "params values must be strings"}
-        match = _FUNCTIONALITY_RE.match(path)
-        if match:
-            return self._functionality(*match.groups(), body)
-        match = _SKILL_RE.match(path)
-        if match:
-            return self._skill(*match.groups(), body)
-        return 404, {"status": "error", "reason": f"no route {path}"}
+        route = _post_route(path)
+        if route is None:
+            return 404, {"status": "error", "reason": f"no route {path}"}
+        skill, module_id, name = route
+        return (self._skill if skill else self._functionality)(module_id, name, body)
 
     def _functionality(self, module_id: str, name: str, body: dict) -> tuple[int, dict]:
         if not self.sim.registry.has_module(module_id):
@@ -156,17 +168,16 @@ def read_fields(rfile) -> dict[bytes, bytes]:
     colon), a head cut off before its blank line and two Content-Lengths of
     different values (RFC 9112 sections 5 and 6.3) are a 400."""
     fields: dict[bytes, bytes] = {}
+    readline = rfile.readline
     for _ in range(_MAXHEADERS):
-        line = rfile.readline(_MAXLINE + 1)
+        line = readline(_MAXLINE + 1)
         if len(line) > _MAXLINE:
             raise FramingError("Line too long", 431)
-        if line in (b"\r\n", b"\n"):
-            return fields
-        if not line:
-            raise FramingError("Head ended before its blank line")
         name, colon, value = line.partition(b":")
-        if not colon or not name or name != name.strip():
-            raise FramingError(f"Bad header line ({line[:80]!r})")
+        if not (colon and name and name.strip() == name):
+            if line == b"\r\n" or line == b"\n":
+                return fields
+            raise FramingError(f"Bad header line ({line[:80]!r})" if line else "Head ended before its blank line")
         name, value = name.lower(), value.strip()
         if name == b"content-length" and fields.get(name, value) != value:
             first = fields[name]  # `2` and `02` are one decimal value (RFC 9110 section 8.6)
@@ -209,7 +220,8 @@ def read_reply(rfile) -> tuple[int, bytes, bool]:
     fields = read_fields(rfile)
     if b"content-length" not in fields:
         raise FramingError("reply without Content-Length")
-    close = b"close" in [token.strip() for token in fields.get(b"connection", b"").lower().split(b",")]
+    connection = fields.get(b"connection")
+    close = connection is not None and b"close" in [token.strip() for token in connection.lower().split(b",")]
     return status, read_body(rfile, fields), close
 
 
@@ -218,6 +230,13 @@ _REPLY_STARTS: dict[tuple[type, int], bytes] = {}  # status line and `Server` by
 _date: tuple[int, bytes] = (0, b"")  # (second, its `Date`): one tuple, so never a mismatched pair
 _DAYS = b"Mon Tue Wed Thu Fri Sat Sun".split()
 _MONTHS = b"Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split()
+
+
+@lru_cache(maxsize=32)
+def _http_version(word: str) -> tuple[int, int] | None:
+    """(major, minor) of a request line's `HTTP/x.y`, or None for another word."""
+    match = _HTTP_VERSION_RE.fullmatch(word)
+    return None if match is None else (int(match[1]), int(match[2]))
 
 
 def _http_date() -> bytes:
@@ -271,13 +290,13 @@ class JsonHandler(socketserver.StreamRequestHandler):
             words = requestline.split()
             if not words:
                 return  # end of input, or an empty line
-            match = _HTTP_VERSION_RE.fullmatch(words[-1]) if len(words) == 3 else None
-            if match is None:
+            number = _http_version(words[-1]) if len(words) == 3 else None
+            if number is None:
                 return self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request syntax ({requestline!r})")
-            if int(match[1]) >= 2:
+            if number[0] >= 2:
                 return self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED, f"Invalid HTTP version ({words[-1]})")
             self.command, self.path, version = words
-            self.close_connection = (int(match[1]), int(match[2])) < (1, 1)
+            self.close_connection = number < (1, 1)
             try:
                 self.headers = headers = read_fields(self.rfile)
             except FramingError as exc:
@@ -286,7 +305,7 @@ class JsonHandler(socketserver.StreamRequestHandler):
             if connection in (b"close", b"keep-alive"):
                 self.close_connection = connection == b"close"
             if headers.get(b"expect", b"").lower() == b"100-continue" and version >= "HTTP/1.1":
-                self.wfile.write(self.protocol_version.encode("ascii") + b" 100 Continue\r\n\r\n")
+                self.connection.sendall(self.protocol_version.encode("ascii") + b" 100 Continue\r\n\r\n")
             method = getattr(self, "do_" + self.command, None)
             if method is None:
                 return self.send_error(HTTPStatus.NOT_IMPLEMENTED, f"Unsupported method ({self.command!r})")
@@ -307,7 +326,7 @@ class JsonHandler(socketserver.StreamRequestHandler):
                 f"Server: {self.server_version} {self.sys_version}\r\n"
             ).encode("latin-1")
         close = b"Connection: close\r\n" if self.close_connection else b""
-        self.wfile.write(
+        self.connection.sendall(
             b"%sDate: %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n%s\r\n%s"
             % (start, _http_date(), len(body), close, b"" if self.command == "HEAD" else body)
         )
@@ -342,6 +361,9 @@ class BackgroundServer(socketserver.ThreadingTCPServer):
 
     allow_reuse_address = True
     daemon_threads = True
+    # Connects wait in the kernel's queue until accepted; socketserver's 5 made a
+    # sixth wait out a SYN retransmit (1 s) whenever the accept loop lagged.
+    request_queue_size = socket.SOMAXCONN
     _thread: threading.Thread | None = None
 
     def __init__(self, *args, **kwargs) -> None:
@@ -434,7 +456,7 @@ class _PlantHandler(JsonHandler):
     def do_POST(self) -> None:  # noqa: N802
         try:
             raw = self._read_body()
-            body = json.loads(raw) if raw else {}
+            body = decode_json(raw) if raw else {}
         except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
             self._reply(400, {"status": "error", "reason": f"malformed request: {exc}"})
             return

@@ -9,11 +9,10 @@ planner's shortest solution.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .catalog import CatalogError, Registry
+from .catalog import Registry, move_dock_target
 from .parsing import FunctionStep, ParseError, parse_skill_sequence
 from .planner import oracle_plan_skills
 from .plant import PlantFault, PlantSim, transport_functionality_calls
@@ -178,19 +177,6 @@ def plan_route(registry: Registry, steps: Sequence[str], initial_module: str) ->
         route.append(RouteStep(code, True, wp_module, target))
         wp_module = target
     return route
-
-
-_MOVE_DOCK_TARGET_RE = re.compile(r"to (?:the )?(.+?) module")
-
-
-def move_dock_target(registry: Registry, description: str) -> str | None:
-    """Module id a move_dock step drives to, read from its description."""
-    for phrase in _MOVE_DOCK_TARGET_RE.findall(description):
-        try:
-            return registry.module_by_phrase(phrase).id
-        except CatalogError:
-            continue
-    return None
 
 
 # ---------------------------------------------------------------------------

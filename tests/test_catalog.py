@@ -231,6 +231,18 @@ def _duplicate_transport_phrase(data):
     _module(data, "laser_module")["transport_phrase"] = _module(data, "cnc_module")["transport_phrase"]
 
 
+def _module_without_transport_phrase(data):
+    _module(data, "inspection_module")["transport_phrase"] = None
+
+
+def _move_dock_step_reworded(data):
+    operator = data["prompts"]["operator"]
+    first, rest = operator["output_template"].split("\n(2)", 1)
+    operator["output_template"] = first.replace(
+        "Move the transport robot to the {start} module and dock it", "Dock the transport robot at the {start} station"
+    ) + "\n(2)" + rest
+
+
 def _feature_and_role(data):
     _skill(data, "S1")["feature"] = "retrieved"
 
@@ -343,6 +355,9 @@ BROKEN_RULES = [
     (_second_transport, "exactly one transport module, not 2"),
     (_duplicate_module_id, "duplicate module id 'cnc_module'"),
     (_duplicate_transport_phrase, "transport phrase 'CNC' names two modules"),
+    # No transport to or from it could be demanded.
+    (_module_without_transport_phrase,
+     "module inspection_module: only the transport module may have no transport phrase"),
     (_feature_and_role, "skill S1 has both a feature and a role"),
     (_no_store_skill, "storage module has no 'store' skill"),
     (_no_transport_skill, "transport module offers no transport skill"),
@@ -365,6 +380,9 @@ BROKEN_RULES = [
     (_demand_without_start, "operator demand_template must name {start} and {target}"),
     (_demand_with_a_conversion, "with no conversion or format spec, or no demand can be read back"),
     (_demand_with_a_format_spec, "with no conversion or format spec, or no demand can be read back"),
+    # A run could not read the dock targets back from the operator's steps.
+    (_move_dock_step_reworded, "operator example 1: the output_template's move_dock steps do not dock at "
+                               "laser_module and then cnc_module"),
 ]
 
 # The same for the rules on a module's own entries.
@@ -454,12 +472,21 @@ def test_registry_refuses_a_template_it_could_not_fill(which, template, match):
 
 
 def test_registry_accepts_a_template_that_names_fewer_placeholders():
-    """An output template may leave placeholders out; a demand template
-    may not, since the oracle reads each demand back through it."""
+    """An output template may leave placeholders out, as long as its
+    move_dock steps still name the start and target modules; a demand
+    template may not, since the oracle reads each demand back through it."""
     data = _raw_catalog()
     data["prompts"]["operator"]["output_template"] = "Call {url_load}, then {{literally}} {url_unload}."
+    with pytest.raises(CatalogError, match=r"do not dock at laser_module and then cnc_module \(they read \[\]\)"):
+        registry_from_dict(data)
+    step = '({n}) Go to the {{{where}}} module. Call the functionality "move_dock" using the URL "{{url_move_dock}}"'
+    template = step.format(n=1, where="start") + "\n" + step.format(n=2, where="target") + ", then {{literally}} stop."
+    data["prompts"]["operator"]["output_template"] = template
     registry = registry_from_dict(data)
-    assert registry.prompts.transport_output_template.format(url_load="a", url_unload="b") == "Call a, then {literally} b."
+    assert registry.prompts.transport_output_template.format(start="a", target="b", url_move_dock="u") == (
+        '(1) Go to the a module. Call the functionality "move_dock" using the URL "u"\n'
+        '(2) Go to the b module. Call the functionality "move_dock" using the URL "u", then {literally} stop.'
+    )
     data["prompts"]["operator"]["demand_template"] = "(T1) Take it to the {target!s:>3} module."
     with pytest.raises(CatalogError, match="must name {start} and {target}"):
         registry_from_dict(data)

@@ -6,6 +6,7 @@ The invariant under test throughout: a trace is either all-ok and
 
 import hashlib
 import json
+import re
 import select
 import socket
 import threading
@@ -283,18 +284,6 @@ def test_reworded_demand_template_runs_to_completion(task_specs, drilled_spec):
     assert len(demands) == 4
 
 
-def test_abort_on_a_module_without_transport_phrase(task_specs, drilled_spec):
-    """A transport to a module the catalog gives no phrase aborts the run
-    with one operator record."""
-    data = json.loads(resources.files("plantagents.data").joinpath("catalog.json").read_text("utf-8"))
-    next(m for m in data["modules"] if m["id"] == "inspection_module")["transport_phrase"] = None
-    registry = registry_from_dict(data)
-    sim = PlantSim.standard_start(registry)
-    trace = run_task(drilled_spec.instruction, OracleBackend(registry, task_specs), registry, LocalPlant(sim))
-    assert_single_failure(trace, "module 'inspection_module' has no transport phrase")
-    assert trace.records[-1].name == "operator"
-
-
 def test_abort_empty_task_prompt(live):
     sim, srv, reg, _ = live
     trace = run_task("", ScriptedBackend(["unused"]), reg, srv.base_url)
@@ -533,6 +522,61 @@ def test_trace_bytes_are_pinned(registry, task_specs, task_id):
     trace = run_task(spec.instruction, OracleBackend(registry, task_specs), registry,
                      LocalPlant(PlantSim.standard_start(registry)))
     assert hashlib.sha256(json.dumps(trace.to_dict()).encode()).hexdigest() == TRACE_DIGESTS[task_id]
+
+
+class _RecordingSocket(socket.socket):
+    """An accepted connection that records what it receives and sends."""
+
+    def recv_into(self, buffer, *args):
+        n = super().recv_into(buffer, *args)
+        self.received.append(bytes(buffer[:n]))
+        return n
+
+    def sendall(self, data, *args):
+        self.sent.append(bytes(data))
+        return super().sendall(data, *args)
+
+
+def _wire_transcript(registry, task_specs, spec) -> bytes:
+    """Every request byte the service received and every reply byte it sent
+    for an oracle run of `spec` over HTTP, with each reply's `Date`, the
+    `Server` version and the port normalised."""
+    received, sent = [], []
+
+    class RecordingService(PlantService):
+        def get_request(self):
+            connection, address = super().get_request()
+            recorded = _RecordingSocket(fileno=connection.detach())
+            recorded.received, recorded.sent = received, sent
+            return recorded, address
+
+    sim = PlantSim.standard_start(registry, material=spec.material, location=spec.initial_location)
+    with RecordingService(sim, port=0) as srv:
+        reg = registry.rebased(srv.base_url)
+        trace = run_task(spec.instruction, OracleBackend(reg, task_specs), reg, srv.base_url, task_spec=spec)
+        port = srv.server_address[1]
+    assert trace.outcome == "completed"
+    transcript = b"".join(received) + b"\n-- replies --\n" + b"".join(sent)
+    transcript = re.sub(rb"\r\nDate: [^\r\n]*\r\n", b"\r\nDate: -\r\n", transcript)
+    transcript = transcript.replace(f"{JsonHandler.server_version} {JsonHandler.sys_version}".encode(), b"SERVER")
+    return transcript.replace(b"127.0.0.1:%d" % port, b"127.0.0.1:PORT")
+
+
+# SHA-256 of `_wire_transcript` for each bundled task, as the plant link
+# wrote its requests and replies when these were recorded.
+WIRE_DIGESTS = {
+    "drilled_sheet": "db000c7706d5c7b760c5b15f8adeb914a087880c2905057027d292f5e2dc728e",
+    "lasered_nameplate": "dfa22d9702cc5050b4947145d3104109c3eed8afd95484df5c8a845abe775d46",
+    "returned_nameplate": "d1d5b5da17e90de3a01642677c7e80ff5a5f8b328ded1e2d656ce67a21e40ab1",
+}
+
+
+@pytest.mark.parametrize("task_id", WIRE_DIGESTS)
+def test_wire_bytes_are_pinned(registry, task_specs, task_id):
+    spec = next(spec for spec in task_specs if spec.id == task_id)
+    transcript = _wire_transcript(registry, task_specs, spec)
+    assert transcript.count(b"HTTP/1.1 200 OK\r\n") == transcript.count(b" HTTP/1.1\r\nHost: 127.0.0.1:PORT\r\n")
+    assert hashlib.sha256(transcript).hexdigest() == WIRE_DIGESTS[task_id]
 
 
 class FailingPlant:

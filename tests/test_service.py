@@ -1,4 +1,5 @@
 import calendar
+import contextlib
 import email.utils
 import errno
 import http.client
@@ -345,6 +346,21 @@ def test_bind_to_a_busy_port_raises_oserror_and_closes_its_sockets(registry, mon
     assert exc.value.errno == errno.EADDRINUSE
     # the listening socket and the wake pair
     assert [sock.fileno() for sock in opened] == [-1, -1, -1]
+
+
+def test_an_unstarted_service_queues_many_connects(registry):
+    """Connects wait in the listen backlog until the service serves them,
+    many more than socketserver's default of 5; each is then answered."""
+    srv = PlantService(PlantSim.standard_start(registry), port=0)
+    with contextlib.ExitStack() as stack:
+        stack.callback(srv.stop)
+        clients = [stack.enter_context(socket.create_connection(srv.server_address[:2], timeout=0.5))
+                   for _ in range(20)]
+        srv.start()
+        for sock in clients:
+            sock.settimeout(5)
+            sock.sendall(b"GET /plant/state HTTP/1.1\r\nConnection: close\r\n\r\n")
+            assert _read_to_eof(sock).startswith(b"HTTP/1.1 200 OK\r\n")
 
 
 def test_stop_ends_an_idle_kept_alive_connection(registry):
