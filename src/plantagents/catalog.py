@@ -444,6 +444,12 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _strings(value, where: str) -> tuple[str, ...]:
+    if not (isinstance(value, list) and all(isinstance(item, str) for item in value)):
+        raise CatalogError(f"{where} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
 def _load_skill(raw: dict, where: str) -> Skill:
     return Skill(
         code=_require(raw, "code", where),
@@ -465,7 +471,7 @@ def _load_component(raw: dict, where: str) -> Component:
                 name=_require(f, "name", where),
                 description=_require(f, "description", where),
                 url=_require(f, "url", where),
-                parameters=tuple(f.get("parameters", [])),
+                parameters=_strings(f.get("parameters", []), f"{where} functionality {f['name']}: parameters"),
             )
             for f in raw.get("functionalities", [])
         ),
@@ -484,7 +490,7 @@ def _load_module(raw: dict) -> Module:
         transport_phrase=raw.get("transport_phrase"),
         skills=tuple(_load_skill(s, where) for s in _require(raw, "skills", where)),
         components=tuple(_load_component(c, where) for c in raw.get("components", [])),
-        operator_preamble=tuple(raw.get("operator_preamble", [])),
+        operator_preamble=_strings(raw.get("operator_preamble", []), f"{where}: operator_preamble"),
         info=dict(raw.get("info", {})),
     )
 
@@ -494,7 +500,7 @@ def _load_prompts(raw: dict) -> PromptAssets:
     op = _require(raw, "operator", "prompts")
     return PromptAssets(
         manager_role_goal=_require(man, "role_goal", "manager prompts"),
-        manager_rules=tuple(_require(man, "rules", "manager prompts")),
+        manager_rules=_strings(_require(man, "rules", "manager prompts"), "manager prompts: rules"),
         manager_modules_intro=_require(man, "modules_intro", "manager prompts"),
         manager_instructions=_require(man, "instructions", "manager prompts"),
         manager_examples=tuple(

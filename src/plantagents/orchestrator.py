@@ -28,7 +28,7 @@ from .prompts import (
     build_operator_prompt,
     render_transport_demand,
 )
-from .service import FramingError, call_result, decode_json, read_reply
+from .service import FramingError, call_result, decode_json, encode_json, read_reply
 from .tasks import TaskSpec, bundled_task_specs, find_task_spec
 from .validation import function_step_params, goal_details, plan_route, validate_grammar
 
@@ -166,7 +166,7 @@ class HttpPlant:
         self._reader = None
 
     def close(self) -> None:
-        """Close the kept-alive connection, which frees its handler thread."""
+        """Close the kept-alive connection, so its handler thread can take another."""
         if self._sock is not None:
             self._reader.close()
             self._sock.close()
@@ -193,7 +193,7 @@ class HttpPlant:
 
     def call(self, url: str, body: dict) -> dict:
         try:
-            status, raw = self._round_trip("POST", url, json.dumps(body).encode("utf-8"))
+            status, raw = self._round_trip("POST", url, encode_json(body).encode("utf-8"))
         except (OSError, FramingError) as exc:
             return {"status": "error", "reason": f"connection error: {exc}", "state_version": None}
         try:

@@ -51,6 +51,7 @@ _HTTP_VERSION_RE = re.compile(r"HTTP/(\d{1,10})\.(\d{1,10})", re.ASCII)
 _FIELD_TYPES = {"params": dict, "workpiece_id": str, "detail": str}
 
 _json_decode = json.JSONDecoder().decode
+encode_json = json.JSONEncoder().encode  # `json.dumps(x)` without its per-call keyword handling
 
 
 def decode_json(raw: bytes):
@@ -318,7 +319,7 @@ class JsonHandler(socketserver.StreamRequestHandler):
         `http.server`'s `send_response` and `send_header` wrote, with
         `Connection: close` if the connection closes; a reply to HEAD has
         no body (RFC 9110 9.3.2)."""
-        body = json.dumps(payload).encode("utf-8")
+        body = encode_json(payload).encode("utf-8")
         start = _REPLY_STARTS.get((type(self), status))
         if start is None:
             start = _REPLY_STARTS[type(self), status] = (
@@ -357,18 +358,20 @@ class JsonHandler(socketserver.StreamRequestHandler):
 class BackgroundServer(socketserver.ThreadingTCPServer):
     """Threaded HTTP server that serves on a background thread between
     `start()` and `stop()`, or for the span of a `with` block, or in the
-    calling thread with `serve()`."""
+    calling thread with `serve()`.  Up to `max_idle_handlers` handler
+    threads whose connection ended wait for the next one."""
 
     allow_reuse_address = True
-    daemon_threads = True
     # Connects wait in the kernel's queue until accepted; socketserver's 5 made a
     # sixth wait out a SYN retransmit (1 s) whenever the accept loop lagged.
     request_queue_size = socket.SOMAXCONN
+    max_idle_handlers = 4
     _thread: threading.Thread | None = None
 
     def __init__(self, *args, **kwargs) -> None:
         self._connections: set[socket.socket] = set()
         self._connections_lock = threading.Lock()
+        self._idle: list[tuple] | None = []  # (thread, wake lock, connection box) each; None once stopped
         # `stop()` wakes the serving loop here; made first, so a failed bind closes it.
         self._wake_r, self._wake_w = socket.socketpair()
         super().__init__(*args, **kwargs)
@@ -401,7 +404,24 @@ class BackgroundServer(socketserver.ThreadingTCPServer):
     def process_request(self, request, client_address) -> None:
         with self._connections_lock:
             self._connections.add(request)
-        super().process_request(request, client_address)
+            if self._idle:  # to the thread that idled last
+                _, wake, box = self._idle.pop()
+                box.append((request, client_address))
+                return wake.release()
+        threading.Thread(target=self._handler, args=(request, client_address), daemon=True).start()
+
+    def _handler(self, request, client_address) -> None:
+        """A handler thread: after each connection, it idles until handed
+        the next one, unless the server stops or has enough idle."""
+        wake, box = threading.Lock(), [(request, client_address)]
+        wake.acquire()
+        while box:
+            self.process_request_thread(*box.pop())
+            with self._connections_lock:
+                if self._idle is None or len(self._idle) >= self.max_idle_handlers:
+                    return
+                self._idle.append((threading.current_thread(), wake, box))
+            wake.acquire()  # released with a connection in `box`, or by `stop()`
 
     def shutdown_request(self, request) -> None:
         with self._connections_lock:
@@ -415,18 +435,22 @@ class BackgroundServer(socketserver.ThreadingTCPServer):
 
     def stop(self) -> None:
         """Stop serving.  Open connections end too: a request already sent
-        still gets its reply, but then the connection closes, and its
-        handler thread ends instead of idling until the handler's timeout."""
+        still gets its reply, then the connection closes and its handler
+        thread ends; handler threads left idle end before this returns."""
         if self._thread is not None:
             self._wake_w.send(b"\0")
             self._thread.join()
             self._thread = None
         with self._connections_lock:
+            idle, self._idle = self._idle or [], None
             for connection in self._connections:
                 try:
                     connection.shutdown(socket.SHUT_RD)
                 except OSError:
                     pass  # its handler is closing it
+        for thread, wake, _ in idle:
+            wake.release()
+            thread.join()
         self.server_close()
 
     def server_close(self) -> None:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -430,6 +431,47 @@ def test_direct_and_rebased_registries_keep_every_rule(mutate, match):
     with pytest.raises(CatalogError) as rebased:
         unchecked.rebased("http://127.0.0.1:9")
     assert str(rebased.value) == str(loaded.value).replace("129.69.102.129:5010", "127.0.0.1:9")
+
+
+def _set_rules(data, value):
+    data["prompts"]["manager"]["rules"] = value
+
+
+def _set_preamble(data, value):
+    _module(data, "robotino_7")["operator_preamble"] = value
+
+
+def _set_parameters(data, value):
+    _module(data, "robotino_7")["components"][0]["functionalities"][0]["parameters"] = value
+
+
+# (where the list goes, a value that is no list of strings, the message).
+STRING_LIST_RULES = [
+    (_set_rules, "No skill twice.", "manager prompts: rules must be a list of strings, got 'No skill twice.'"),
+    (_set_rules, ["No skill twice.", 2], "manager prompts: rules must be a list of strings, got ['No skill twice.', 2]"),
+    (_set_preamble, "You drive the robot.",
+     "module robotino_7: operator_preamble must be a list of strings, got 'You drive the robot.'"),
+    (_set_preamble, [None], "module robotino_7: operator_preamble must be a list of strings, got [None]"),
+    (_set_parameters, "target_module", "module robotino_7 component functionality_handler_001 functionality "
+                                       "move_dock: parameters must be a list of strings, got 'target_module'"),
+    (_set_parameters, [{"name": "target_module"}], "functionality move_dock: parameters must be a list of strings"),
+]
+
+
+@pytest.mark.parametrize(
+    "put, value, message", STRING_LIST_RULES,
+    ids=[f"{put.__name__.removeprefix('_set_')}-{'string' if isinstance(value, str) else 'item'}"
+         for put, value, _ in STRING_LIST_RULES],
+)
+def test_a_list_of_strings_is_not_read_from_a_string_or_other_items(put, value, message):
+    """A string where the catalog needs a list of strings is refused at
+    load, not split into characters (the manager context once read
+    `(1) N | (2) o | ...`), and so is a list with an item that is no
+    string."""
+    data = _raw_catalog()
+    put(data, value)
+    with pytest.raises(CatalogError, match=re.escape(message)):
+        registry_from_dict(data)
 
 
 # (template, value, message): each prompt template the prompt builders

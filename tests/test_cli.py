@@ -662,7 +662,7 @@ def test_import_leaves_requests_unloaded():
 def test_import_loads_no_http_client_email_or_ssl():
     """`import plantagents.cli` leaves what only `RemoteBackend` and the
     replay key use to their first call, and loads neither `dataclasses`
-    (with `inspect`) nor `importlib.resources`.  Measured against the
+    (with `inspect`), `importlib.resources` nor `queue`.  Measured against the
     modules the bare interpreter holds, since `site` may have loaded some
     already."""
     code = "import sys; bare = set(sys.modules); import plantagents.cli; print(*sorted(set(sys.modules) - bare))"
@@ -670,7 +670,7 @@ def test_import_loads_no_http_client_email_or_ssl():
     added = set(done.stdout.split())
     assert "plantagents.cli" in added
     unwanted = {"http.server", "http.client", "email", "ssl", "urllib.request", "urllib.error", "hashlib",
-                "dataclasses", "inspect", "importlib.resources"}
+                "dataclasses", "inspect", "importlib.resources", "queue"}
     assert sorted(name for name in added if name in unwanted or name.startswith("email.")) == []
     done = subprocess.run([sys.executable, "-m", "plantagents", "--version"], capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout) == (0, "plantagents 0.1.0\n")

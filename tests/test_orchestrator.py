@@ -619,13 +619,29 @@ def test_failing_call_aborts_with_one_final_record(registry, task_specs, drilled
 
 
 class CountingPlantService(PlantService):
-    """A plant service that counts the TCP connections it accepts."""
+    """A plant service that counts the TCP connections it accepts and the
+    ones it has closed, and keeps the thread that served each connection."""
 
-    accepted = 0
+    accepted = closed = 0
 
     def process_request(self, request, client_address):
         self.accepted += 1
         super().process_request(request, client_address)
+
+    def finish_request(self, request, client_address):
+        vars(self).setdefault("handlers", []).append(threading.current_thread())
+        super().finish_request(request, client_address)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed += 1
+
+
+def _wait_until(condition, message: str) -> None:
+    deadline = time.monotonic() + 5
+    while not condition():
+        assert time.monotonic() < deadline, message
+        time.sleep(0.002)
 
 
 def test_run_over_http_uses_one_connection_without_stalls(registry, task_specs, drilled_spec):
@@ -648,20 +664,53 @@ def test_run_over_url_closes_its_connection_and_stop_is_prompt(registry, task_sp
     # Only threads this test starts are counted: a handler thread an earlier
     # test left stalling may end at any moment.
     threads_before = set(threading.enumerate())
-    srv = serve_plant(PlantSim.standard_start(registry))
+    srv = CountingPlantService(PlantSim.standard_start(registry), port=0).start()
     reg = registry.rebased(srv.base_url)
     trace = run_task(drilled_spec.instruction, OracleBackend(reg, task_specs), reg, srv.base_url)
     assert trace.outcome == "completed"
-    # The run closed its connection, so the handler thread ends by itself;
-    # only the serving thread is left.
-    deadline = time.monotonic() + 5
-    while len(set(threading.enumerate()) - threads_before) > 1:
-        assert time.monotonic() < deadline, "the run left its connection open"
-        time.sleep(0.01)
+    # The run closed its connection, so the service reads its end and
+    # closes it too, well before the handler's 10 s timeout.
+    _wait_until(lambda: srv.closed == 1, "the run left its connection open")
+    assert srv.accepted == 1
     started = time.perf_counter()
     srv.stop()
     assert time.perf_counter() - started < 0.1
     assert set(threading.enumerate()) - threads_before == set()
+
+
+def test_sequential_runs_over_url_share_one_handler_thread(registry, task_specs, drilled_spec):
+    """A handler thread whose connection ended serves the next one: twenty
+    runs, each on its own connection, start one thread between them."""
+    with CountingPlantService(PlantSim.standard_start(registry), port=0) as srv:
+        reg = registry.rebased(srv.base_url)
+        for _ in range(20):
+            srv.sim = PlantSim.standard_start(registry)
+            trace = run_task(drilled_spec.instruction, OracleBackend(reg, task_specs), reg, srv.base_url)
+            assert trace.outcome == "completed"
+            # The run's handler thread closes the connection, then idles.
+            _wait_until(lambda: srv._idle, "no handler thread idles")
+    assert srv.accepted == 20
+    assert len(srv.handlers) == 20
+    assert len(set(srv.handlers)) == 1
+
+
+def test_an_idle_kept_alive_connection_does_not_delay_a_run(registry, task_specs, drilled_spec):
+    """A connection left open after its reply holds its own handler thread,
+    not the one a next run needs: the run is not kept waiting for the idle
+    connection's 10 s timeout."""
+    with CountingPlantService(PlantSim.standard_start(registry), port=0) as srv:
+        reg = registry.rebased(srv.base_url)
+        assert run_task(drilled_spec.instruction, OracleBackend(reg, task_specs), reg, srv.base_url).outcome == "completed"
+        with socket.create_connection(srv.server_address[:2], timeout=5) as idle:
+            idle.sendall(b"GET /plant/state HTTP/1.1\r\nHost: plant\r\n\r\n")
+            assert idle.recv(65536).startswith(b"HTTP/1.1 200 ")
+            srv.sim = PlantSim.standard_start(registry)
+            started = time.perf_counter()
+            trace = run_task(drilled_spec.instruction, OracleBackend(reg, task_specs), reg, srv.base_url)
+            assert trace.outcome == "completed"
+            assert time.perf_counter() - started < 1
+    assert srv.accepted == 3
+    assert srv.handlers[2] is not srv.handlers[1]  # the idle connection's thread
 
 
 def test_http_plant_reconnects_after_the_service_drops_an_idle_connection(registry, monkeypatch):

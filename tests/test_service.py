@@ -7,6 +7,8 @@ import io
 import json
 import re
 import socket
+import struct
+import sys
 import threading
 import time
 import types
@@ -264,21 +266,79 @@ def test_held_open_short_body_gets_400_json_after_timeout(service, monkeypatch):
     assert r.json() == {"status": "ok", "state_version": 1}
 
 
-def test_client_gone_before_reply_prints_nothing(service, capfd):
-    """Replying to a client that has closed its connection is not an error
-    worth a traceback on stderr."""
-    threads_before = set(threading.enumerate())
+def test_client_gone_before_reply_prints_nothing(service, capfd, monkeypatch):
+    """A client that resets its connection before the reply, so that the
+    handler's read fails, is not an error worth a traceback on stderr."""
+    closed = threading.Event()
+    shutdown_request = service.shutdown_request
+
+    def closing(request):
+        shutdown_request(request)
+        closed.set()
+
+    monkeypatch.setattr(service, "shutdown_request", closing)
     with socket.create_connection(service.server_address[:2], timeout=5) as sock:
         sock.sendall(SHORT_BODY_REQUEST)
-    # The server accepts connections in order, so once this is answered the
-    # closed one has its handler thread; then wait for every handler this
-    # test started to end (a stalled handler of another test is not counted).
-    assert requests.get(f"{service.base_url}/plant/state", timeout=5).status_code == 200
-    deadline = time.monotonic() + 5
-    while any(t.name.endswith("(process_request_thread)") for t in set(threading.enumerate()) - threads_before):
-        assert time.monotonic() < deadline, "a handler thread is still running"
-        time.sleep(0.01)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))  # close with a reset
+    # The handler has replied, or failed to, and reported any error once it
+    # closes its end of the connection.
+    assert closed.wait(5), "the handler is still serving the closed connection"
     assert capfd.readouterr().err == ""
+
+
+def test_a_burst_of_connections_leaves_at_most_the_cap_of_idle_handlers(service):
+    """Ten connections open at once get a handler thread each; once they
+    close, `max_idle_handlers` of those threads wait for a next connection
+    and the rest end, and `stop()` ends the idle ones too."""
+    threads_before = set(threading.enumerate())
+    request = b"GET /plant/state HTTP/1.1\r\nHost: plant\r\n\r\n"
+    with contextlib.ExitStack() as stack:
+        socks = [stack.enter_context(socket.create_connection(service.server_address[:2], timeout=5)) for _ in range(10)]
+        for sock in socks:
+            sock.sendall(request)
+        for sock in socks:
+            assert sock.recv(65536).startswith(b"HTTP/1.1 200 ")
+        assert len(set(threading.enumerate()) - threads_before) == 10  # all ten held open
+    _wait_for_the_idle_cap(service, threads_before)
+    assert len(set(threading.enumerate()) - threads_before) == service.max_idle_handlers == 4
+    # The idle threads serve the next connections.
+    assert requests.get(f"{service.base_url}/plant/state", timeout=5).status_code == 200
+    assert len(set(threading.enumerate()) - threads_before) == 4
+    service.stop()
+    assert set(threading.enumerate()) - threads_before == set()
+
+
+def test_handoffs_under_contention_lose_no_connection(service):
+    """Eight clients open twenty connections each, one after another, while
+    the interpreter switches threads every 10 µs: an idle handler thread or
+    a new one answers every connection, and afterwards no more threads idle
+    than the cap, and `stop()` ends them."""
+    threads_before = set(threading.enumerate())
+
+    def client(_):
+        for _ in range(20):
+            with socket.create_connection(service.server_address[:2], timeout=5) as sock:
+                sock.sendall(b"GET /plant/state HTTP/1.1\r\nHost: plant\r\nConnection: close\r\n\r\n")
+                assert _read_to_eof(sock).startswith(b"HTTP/1.1 200 ")
+        return True
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            assert all(pool.map(client, range(8)))
+    finally:
+        sys.setswitchinterval(interval)
+    _wait_for_the_idle_cap(service, threads_before)
+    service.stop()
+    assert set(threading.enumerate()) - threads_before == set()
+
+
+def _wait_for_the_idle_cap(service, threads_before):
+    deadline = time.monotonic() + 5
+    while len(set(threading.enumerate()) - threads_before) > service.max_idle_handlers:
+        assert time.monotonic() < deadline, "more handler threads idle than the cap"
+        time.sleep(0.01)
 
 
 # A complete, valid request: if any byte of it ran, the plant's version would move.
