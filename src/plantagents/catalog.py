@@ -16,7 +16,7 @@ from collections.abc import Mapping
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
-from urllib.parse import urlsplit, urlunsplit
+from urllib.parse import urlsplit
 
 from .parsing import ParseError, parse_function_steps
 
@@ -136,20 +136,29 @@ class Registry:
 
     Construction checks every registry invariant and builds every index, so
     any instance (loaded, built directly, or derived by :meth:`rebased`) is
-    valid and every lookup is a dict read.  Treat instances as read-only;
-    derive changed copies via :meth:`rebased`.
+    valid and every lookup is a dict read.  It holds each service URL as a
+    path under `base_url`: the one origin of the absolute URLs in `modules`,
+    or the given one, under which a bare path is taken.  Treat instances as
+    read-only.
     """
 
-    def __init__(self, modules: tuple[Module, ...], prompts: PromptAssets) -> None:
-        self.modules, self.prompts = modules, prompts
-        if not self.modules:
+    def __init__(self, modules: tuple[Module, ...], prompts: PromptAssets, base_url: str | None = None) -> None:
+        self.prompts, self.base_url = prompts, None if base_url is None else _checked_base(base_url)
+        if not modules:
             raise CatalogError("catalog describes no modules")
+        self._endpoint_paths: set[str] = set()
+        self.modules = tuple(m._replace(
+            skills=tuple(Skill(s.code, s.description, self._path(s.endpoint, f"module {m.id} skill {s.code}"),
+                               s.feature, s.role) for s in m.skills),
+            components=tuple(Component(c.id, c.name, tuple(
+                Functionality(f.name, f.description, self._path(f.url, f"module {m.id} functionality {f.name}"),
+                              f.parameters) for f in c.functionalities)) for c in m.components),
+        ) for m in modules)
         self._modules: dict[str, Module] = {}
         self._skills: dict[str, tuple[Module, Skill]] = {}
         self._phrases: dict[str, Module] = {}
         self._features: dict[str, tuple[Module, Skill]] = {}
         self._functionalities: dict[tuple[str, str], Functionality] = {}
-        urls: list[str] = []
         for m in self.modules:
             where = f"module {m.id}"
             if m.kind not in MODULE_KINDS:
@@ -171,13 +180,11 @@ class Registry:
                     if names.count(fn.name) > 1:
                         raise CatalogError(f"{where}: duplicate functionality {fn.name!r} in {comp.id}")
                     self._functionalities.setdefault((m.id, fn.name), fn)
-                    urls.append(_checked_url(fn.url, f"{where} functionality {fn.name}"))
             for s in m.skills:
                 _check_skill(s, where)
                 if s.code in self._skills:
                     raise CatalogError(f"duplicate skill code {s.code}")
                 self._skills[s.code] = (m, s)
-                urls.append(_checked_url(s.endpoint, f"{where} skill {s.code}"))
                 if s.feature is not None:
                     if s.feature in self._features:
                         raise CatalogError(f"feature {s.feature!r} provided twice")
@@ -197,12 +204,32 @@ class Registry:
         if not found:
             raise CatalogError("transport module offers no transport skill")
         self._transport_skill = found[0]
-        self._output_urls = {f"url_{fn.name}": alias_url(fn.url) for comp in self._transport.components
-                             for fn in comp.functionalities}
-        if not self._output_urls:
+        self._output_paths = {f"url_{fn.name}": alias_url(fn.url) for comp in self._transport.components
+                              for fn in comp.functionalities}
+        if not self._output_paths:
             raise CatalogError(f"transport module {self._transport.id!r} exposes no functionalities")
+        self._join(self.base_url)
         self._check_prompts()
-        self._endpoints = frozenset(canonical_url(u) for u in urls)
+
+    def _path(self, url: str, where: str) -> str:
+        """The path of a service URL; the first absolute one sets `base_url` unless it was given."""
+        parts = urlsplit(url)
+        origin = f"{parts.scheme}://{parts.netloc}" if parts.netloc else self.base_url  # a bare path is under it
+        if not (origin and parts.path.startswith("/") and bool(parts.scheme) == bool(parts.netloc)):
+            raise CatalogError(f"{where}: not an absolute service URL: {url!r}")
+        self.base_url = self.base_url or origin
+        if origin != self.base_url:
+            raise CatalogError(f"{where}: {url!r} is not under the catalog's one base URL {self.base_url!r}")
+        if "?" in url or "#" in url:
+            raise CatalogError(f"{where}: a service URL takes no query or fragment: {url!r}")
+        self._endpoint_paths.add(canonical_url(parts.path))
+        return parts.path
+
+    def _join(self, base_url: str) -> None:
+        """Set `base_url` and the two tables that join it to paths."""
+        self.base_url = base_url
+        self._output_urls = {key: base_url + path for key, path in self._output_paths.items()}
+        self._endpoints = frozenset(base_url + path for path in self._endpoint_paths)
 
     def _check_prompts(self) -> None:
         """Refuse prompt text a prompt builder could not use, so that every
@@ -339,31 +366,12 @@ class Registry:
     # -- derivation ------------------------------------------------------
 
     def rebased(self, base_url: str) -> "Registry":
-        """Copy of the registry with every service URL moved under base_url.
-
-        Only scheme and network location are rewritten; paths are kept, so
-        the identifiers baked into the catalog survive the move to a live
-        service instance.
-        """
-        base = urlsplit(base_url)
-        if not base.scheme or not base.netloc:
-            raise CatalogError(f"base url must be absolute: {base_url!r}")
-
-        def swap(url: str) -> str:
-            parts = urlsplit(url)
-            return urlunsplit((base.scheme, base.netloc, parts.path, "", ""))
-
-        modules = tuple(
-            m._replace(
-                skills=tuple(s._replace(endpoint=swap(s.endpoint)) for s in m.skills),
-                components=tuple(
-                    c._replace(functionalities=tuple(f._replace(url=swap(f.url)) for f in c.functionalities))
-                    for c in m.components
-                ),
-            )
-            for m in self.modules
-        )
-        return type(self)(modules, self.prompts)
+        """Copy with each service path under the scheme and network location
+        of base_url; it shares every checked index, and checks only base_url."""
+        copy = object.__new__(type(self))
+        vars(copy).update(vars(self))
+        copy._join(_checked_base(base_url))
+        return copy
 
 
 def _check_skill(s: Skill, where: str) -> None:
@@ -398,11 +406,14 @@ def _check_template(template: object, names: set[str], where: str) -> None:
         raise CatalogError(f"{where}: {exc}") from None
 
 
-def _checked_url(url: str, where: str) -> str:
-    parts = urlsplit(url)
-    if not parts.scheme or not parts.netloc or not parts.path:
-        raise CatalogError(f"{where}: not an absolute service URL: {url!r}")
-    return url
+def _checked_base(base_url: str) -> str:
+    """`scheme://netloc` of `base_url`; a prompt's URL ends at a space or a `"`."""
+    parts = urlsplit(base_url)
+    if not parts.scheme or not parts.netloc:
+        raise CatalogError(f"base url must be absolute: {base_url!r}")
+    if '"' in base_url or any(c.isspace() for c in base_url):
+        raise CatalogError(f"base url {base_url!r} has a space or a '\"', where a URL in a prompt would end")
+    return f"{parts.scheme}://{parts.netloc}"
 
 
 _MOVE_DOCK_TARGET_RE = re.compile(r"to (?:the )?(.+?) module")
@@ -581,8 +592,6 @@ def render_operator_context(registry: Registry, module_id: str) -> str:
         raise CatalogError(f"module {module_id!r} exposes no functionalities")
     lines = list(mod.operator_preamble)
     for i, fn in enumerate(fns, start=1):
-        lines.append(
-            f'({i}) Functionality "{fn.name}" {fn.description}. '
-            f'This functionality can be called using the URL "{fn.url}".'
-        )
+        lines.append(f'({i}) Functionality "{fn.name}" {fn.description}. This functionality can be called '
+                     f'using the URL "{registry.base_url}{fn.url}".')
     return "\n".join(lines)

@@ -218,7 +218,7 @@ def _run_task_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_run_task(args) -> int:
-    base_registry = _registry(args)
+    registry = _registry(args)
     specs = load_task_specs(args.task_spec) if args.task_spec else []
     known_specs = specs + bundled_task_specs()
     spec = specs[0] if specs else find_task_spec(known_specs, args.task)
@@ -230,15 +230,12 @@ def _cmd_run_task(args) -> int:
         else:
             material = spec.material if spec else "steel"
             location = spec.initial_location if spec else None
-            sim = PlantSim.standard_start(base_registry, material=material, location=location)
+            sim = PlantSim.standard_start(registry, material=material, location=location)
             service = serve_plant(sim)
             plant_url = service.base_url
         # Prompts and dispatch must name URLs the live plant answers at.
-        registry = base_registry.rebased(plant_url)
-        backend = _make_backend(args, registry, known_specs)
-        trace = run_task(
-            args.task, backend, registry, plant_url, task_spec=spec
-        )
+        registry = registry.rebased(plant_url)
+        trace = run_task(args.task, _make_backend(args, registry, known_specs), registry, plant_url, task_spec=spec)
     finally:
         if service is not None:
             service.stop()

@@ -101,34 +101,39 @@ class PlantPort(Protocol):
     def call(self, url: str, body: dict) -> dict: ...
 
 
+@functools.lru_cache(maxsize=128)
 def _http_origin(url: str) -> tuple[str, int] | None:
     """(host, port) of an http:// URL with an ASCII host; None for any
-    other URL."""
+    other URL.  Cached: a plant's base URL is split once, not per call."""
     parts = urlsplit(url)
     try:
-        port = parts.port or 80
+        port, host = parts.port or 80, parts.hostname
     except ValueError:  # a port that is not a number from 0 to 65535
         return None
-    if parts.scheme != "http" or not parts.hostname or not parts.netloc.isascii():
+    if parts.scheme != "http" or not host or not parts.netloc.isascii():
         return None
-    return parts.hostname, port
+    return host, port
 
 
 @functools.lru_cache(maxsize=128)
 def _request_head(base_url: str, method: str, url: str) -> bytes:
     """The request line and `Host` of a request for `url` to the plant at
-    `base_url`, sending only the URL's path; raises FramingError (never
-    cached) for a base URL that is not http://, a URL on another scheme,
-    host or port, or a path a request line cannot carry."""
+    `base_url`, sending only the URL's path, which is read straight off a
+    URL on the plant's own origin when no split could change it; raises
+    FramingError (never cached) for a base URL that is not http://, a URL
+    on another scheme, host or port, or a path a request line cannot carry."""
     origin = _http_origin(base_url)
     if origin is None:
         raise FramingError(f"not an http:// plant URL: {base_url!r}")
-    if _http_origin(url) != origin:
-        raise FramingError(f"{url} is not on the plant at {base_url}")
-    path = urlsplit(url).path
+    netloc = urlsplit(base_url).netloc
+    path = url.removeprefix(f"http://{netloc}")
+    if path == url or path[:1] != "/" or "?" in path or "#" in path or not path.isprintable():
+        if _http_origin(url) != origin:
+            raise FramingError(f"{url} is not on the plant at {base_url}")
+        path = urlsplit(url).path
     if not (path.isascii() and path.isprintable()) or " " in path:
         raise FramingError(f"{url} has a character a request path cannot carry")
-    host = urlsplit(base_url).netloc.rpartition("@")[2]
+    host = netloc.rpartition("@")[2]
     return f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n".encode("ascii")
 
 
@@ -161,7 +166,6 @@ class HttpPlant:
 
     def __init__(self, base_url: str) -> None:
         self.base_url = base_url.rstrip("/")
-        self._origin = _http_origin(self.base_url)
         self._sock: socket.socket | None = None
         self._reader = None
 
@@ -231,7 +235,7 @@ class HttpPlant:
         return status, reply
 
     def _connect(self) -> None:
-        self._sock = socket.create_connection(self._origin, timeout=PLANT_TIMEOUT_SECONDS)
+        self._sock = socket.create_connection(_http_origin(self.base_url), timeout=PLANT_TIMEOUT_SECONDS)
         self._reader = io.BufferedReader(_SocketStream(self._sock))
         self._idle = select.poll()
         self._idle.register(self._sock, select.POLLIN)
@@ -406,7 +410,8 @@ def _run_on_port(
                 record.transport_index = transport_index
         else:
             body = {"workpiece_id": wp_id, "detail": details.get(step.code)}
-            records = [_plant_call(plant, "skill", step.code, registry.skill(step.code).endpoint, body, None)]
+            url = registry.base_url + registry.skill(step.code).endpoint
+            records = [_plant_call(plant, "skill", step.code, url, body, None)]
         trace.records += records
         if records[-1].status != "ok":
             trace.abort_reason = records[-1].reason

@@ -115,14 +115,27 @@ def test_url_alias_roundtrip():
 
 
 def test_rebased_rewrites_host_only(registry):
+    """Service URLs are paths under the registry's one base URL, and a
+    rebased copy moves only that base."""
     moved = registry.rebased("http://127.0.0.1:9999")
-    fn = moved.functionality("robotino_7", "load")
-    assert fn.url == "http://127.0.0.1:9999/robotino_7/functionalities/load"
-    ep = moved.skill("M1").endpoint
-    assert ep.startswith("http://127.0.0.1:9999/")
-    assert ep.endswith("/cnc_module/skills/M1")
+    assert moved.base_url == "http://127.0.0.1:9999"
+    assert moved.functionality("robotino_7", "load").url == "/robotino_7/functionalities/load"
+    assert moved.skill("M1").endpoint == "/cnc_module/skills/M1"
+    assert "http://127.0.0.1:9999/robotino_7/functionalities/load" in moved.known_endpoints()
+    assert 'using the URL "http://127.0.0.1:9999/robotino_7/functionalities/load"' in render_operator_context(
+        moved, "robotino_7")
     # original untouched
-    assert "129.69.102.129" in registry.skill("M1").endpoint
+    assert registry.base_url == "http://129.69.102.129:5010"
+    assert "http://129.69.102.129:5010/cnc_module/skills/M1" in registry.known_endpoints()
+
+
+@pytest.mark.parametrize("base", ['http://a"b:1', "http://a b:1", "http://h:1/a path", "http://h:1\t"])
+def test_rebased_refuses_a_base_url_a_prompt_cannot_carry(registry, base):
+    """A prompt's URL ends at a space or a '"', so an operator's steps
+    could not name a URL under such a base."""
+    with pytest.raises(CatalogError) as refused:
+        registry.rebased(base)
+    assert str(refused.value).startswith(f"base url {base!r} has a space or a '\"'")
 
 
 def test_rebased_preserves_prompt_template_urls(registry):
@@ -289,6 +302,18 @@ def _functionality_url_without_path(data):
     _module(data, "robotino_7")["components"][0]["functionalities"][1]["url"] = "http://129.69.102.129:5010"
 
 
+def _second_origin(data):
+    _skill(data, "M2")["endpoint"] = "http://10.0.0.1:5010/cnc_module/skills/M2"
+
+
+def _url_with_query(data):
+    _module(data, "robotino_7")["components"][0]["functionalities"][1]["url"] += "?fast=1"
+
+
+def _url_with_fragment(data):
+    _skill(data, "L1")["endpoint"] += "#top"
+
+
 def _unknown_role(data):
     _skill(data, "S1")["role"] = "fetch"
 
@@ -384,6 +409,13 @@ BROKEN_RULES = [
     # A run could not read the dock targets back from the operator's steps.
     (_move_dock_step_reworded, "operator example 1: the output_template's move_dock steps do not dock at "
                                "laser_module and then cnc_module"),
+    # Every service URL is a path under the catalog's one base URL.
+    (_second_origin, "module cnc_module skill M2: 'http://10.0.0.1:5010/cnc_module/skills/M2' is not under the "
+                     "catalog's one base URL 'http://129.69.102.129:5010'"),
+    (_url_with_query, "module robotino_7 functionality load: a service URL takes no query or fragment: "
+                      "'http://129.69.102.129:5010/robotino_7/functionalities/load"),  # up to the '?': a regex
+    (_url_with_fragment, "module laser_module skill L1: a service URL takes no query or fragment: "
+                         "'http://129.69.102.129:5010/laser_module/skills/L1#top'"),
 ]
 
 # The same for the rules on a module's own entries.
@@ -413,8 +445,9 @@ def test_registry_rejects_broken_rule(mutate, match):
 )
 def test_direct_and_rebased_registries_keep_every_rule(mutate, match):
     """The loaders only map keys to fields, so the registry alone refuses a
-    broken rule, with the same message when built directly and when a
-    copy is rebased."""
+    broken rule, with the same message when built directly.  A rebased copy
+    shares the checked indexes of a registry that was built, so it cannot
+    break a rule either."""
     data = _raw_catalog()
     mutate(data)
     with pytest.raises(CatalogError) as loaded:
@@ -425,12 +458,6 @@ def test_direct_and_rebased_registries_keep_every_rule(mutate, match):
         Registry(modules=modules, prompts=prompts)
     assert str(direct.value) == str(loaded.value)
     assert match in str(loaded.value)
-    # rebased() checks its copy anew: start it from a registry that skipped its checks.
-    unchecked = object.__new__(Registry)
-    unchecked.modules, unchecked.prompts = modules, prompts
-    with pytest.raises(CatalogError) as rebased:
-        unchecked.rebased("http://127.0.0.1:9")
-    assert str(rebased.value) == str(loaded.value).replace("129.69.102.129:5010", "127.0.0.1:9")
 
 
 def _set_rules(data, value):
@@ -495,8 +522,8 @@ TEMPLATE_RULES = [
 
 @pytest.mark.parametrize("which, template, match", TEMPLATE_RULES)
 def test_registry_refuses_a_template_it_could_not_fill(which, template, match):
-    """Loaded, built directly or rebased, a registry refuses the template
-    with the same message, so no run can meet it half way."""
+    """Loaded or built directly, a registry refuses the template with the
+    same message, so no run can meet it half way."""
     data = _raw_catalog()
     data["prompts"]["operator"][f"{which}_template"] = template
     with pytest.raises(CatalogError) as loaded:
@@ -505,12 +532,8 @@ def test_registry_refuses_a_template_it_could_not_fill(which, template, match):
     bundled = bundled_catalog()
     prompts = bundled.prompts._replace(**{f"transport_{which}_template": template})
     with pytest.raises(CatalogError) as direct:
-        Registry(modules=bundled.modules, prompts=prompts)
-    unchecked = object.__new__(Registry)
-    unchecked.modules, unchecked.prompts = bundled.modules, prompts
-    with pytest.raises(CatalogError) as rebased:
-        unchecked.rebased("http://127.0.0.1:9")
-    assert str(loaded.value) == str(direct.value) == str(rebased.value)
+        Registry(modules=bundled.modules, prompts=prompts, base_url=bundled.base_url)
+    assert str(loaded.value) == str(direct.value)
 
 
 def test_registry_accepts_a_template_that_names_fewer_placeholders():
@@ -537,9 +560,25 @@ def test_registry_accepts_a_template_that_names_fewer_placeholders():
 def test_registry_built_directly_is_checked(registry):
     storage = registry.storage_module()
     with pytest.raises(CatalogError, match="duplicate module id 'storage_module'"):
-        Registry(modules=registry.modules + (storage,), prompts=registry.prompts)
+        Registry(modules=registry.modules + (storage,), prompts=registry.prompts, base_url=registry.base_url)
     with pytest.raises(CatalogError, match="no modules"):
         Registry(modules=(), prompts=registry.prompts)
+
+
+def test_a_registry_takes_bare_paths_only_under_a_given_base_url(registry):
+    """A registry's modules hold paths, so a registry built from them
+    needs their base URL; absolute URLs must then be under it."""
+    with pytest.raises(CatalogError, match="^module inspection_module skill I1: not an absolute service URL: "
+                                           "'/inspection_module/skills/I1'$"):
+        Registry(registry.modules, registry.prompts)
+    rebuilt = Registry(registry.modules, registry.prompts, "http://h:1/ignored")
+    assert (rebuilt.base_url, rebuilt.modules) == ("http://h:1", registry.modules)
+    assert rebuilt.known_endpoints() == registry.rebased("http://h:1").known_endpoints()
+    absolute = tuple(_load_module(m) for m in _raw_catalog()["modules"])
+    assert Registry(absolute, registry.prompts, registry.base_url).modules == registry.modules
+    with pytest.raises(CatalogError, match="skill I1: 'http://129.69.102.129:5010/inspection_module/skills/I1' "
+                                           "is not under the catalog's one base URL 'http://h:1'"):
+        Registry(absolute, registry.prompts, "http://h:1")
 
 
 def test_skill_rank_is_catalog_order(registry):

@@ -2,6 +2,7 @@
 
 import argparse
 import errno
+import http.client
 import io
 import json
 import os
@@ -14,9 +15,9 @@ import time
 from importlib import resources
 
 import pytest
-import requests
 
 from plantagents import (
+    PlantSim,
     TaskError,
     bundled_corpus_path,
     bundled_task_specs,
@@ -26,8 +27,10 @@ from plantagents import (
     load_task_specs,
     oracle_plan_skills,
     parse_function_steps,
+    serve_plant,
     steps_to_json,
 )
+from plantagents.catalog import Registry
 from plantagents.cli import _COMMANDS, _build_parser, main
 from plantagents.parsing import FunctionStep
 
@@ -509,6 +512,30 @@ def test_run_task_oracle_end_to_end(tmp_path, capsys):
     assert all(r["status"] == "ok" for r in trace["records"])
 
 
+@pytest.mark.parametrize("plant_url", [False, True], ids=["fresh-plant", "plant-url"])
+def test_run_task_builds_one_registry(monkeypatch, tmp_path, capsys, registry, drilled_spec, plant_url):
+    """A run checks its catalog once: moving it onto the plant's URL
+    builds no second registry."""
+    built = []
+    init = Registry.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Registry, "__init__", counted)
+    argv = ["run-task", "--backend", "oracle", "--task", drilled_spec.instruction,
+            "--trace-out", str(tmp_path / "trace.json")]
+    service = serve_plant(PlantSim.standard_start(registry, material=drilled_spec.material)) if plant_url else None
+    try:
+        rc = main(argv + ["--plant-url", service.base_url] if service else argv)
+    finally:
+        if service is not None:
+            service.stop()
+    assert (rc, len(built)) == (0, 1)
+    assert "outcome: completed" in capsys.readouterr().err
+
+
 def test_run_task_traces_are_stable_across_hash_seeds(tmp_path):
     """The trace of each bundled task, with the plant's port normalised,
     does not depend on the interpreter's hash randomization."""
@@ -687,12 +714,18 @@ def test_serve_process_smoke():
             line = proc.stdout.readline().strip()
             assert line.startswith("plant service listening on http://127.0.0.1:")
             base = line.rsplit(" ", 1)[-1]
-            state = requests.get(f"{base}/plant/state", timeout=5).json()
-            assert state["version"] == 0
-            r = requests.post(
-                f"{base}/storage_module/skills/S1", json={"workpiece_id": "wp1"}, timeout=5
-            )
-            assert r.status_code == 200
+            conn = http.client.HTTPConnection(base.removeprefix("http://"), timeout=5)
+            try:
+                conn.request("GET", "/plant/state")
+                state = json.loads(conn.getresponse().read())
+                assert state["version"] == 0
+                conn.request("POST", "/storage_module/skills/S1", json.dumps({"workpiece_id": "wp1"}).encode(),
+                             {"Content-Type": "application/json"})
+                r = conn.getresponse()
+                r.read()
+                assert r.status == 200
+            finally:
+                conn.close()
         finally:
             proc.send_signal(signal.SIGINT)
             try:

@@ -12,9 +12,9 @@ import socket
 import threading
 import time
 from importlib import resources
+from urllib.parse import urlsplit
 
 import pytest
-import requests
 
 from plantagents import (
     ExecutionTrace,
@@ -34,7 +34,7 @@ from plantagents.backends import BackendError, CompletionBackend, CompletionResu
 from plantagents.catalog import registry_from_dict
 from plantagents.plant import Feature
 from plantagents.prompts import fill_transport_output, render_transport_demand
-from plantagents.service import BackgroundServer, JsonHandler
+from plantagents.service import BackgroundServer, FramingError, JsonHandler
 from plantagents.validation import check_satisfaction
 
 TRANSPORT_ACTIONS = ["move_dock", "load", "undock", "move_dock", "unload"]
@@ -914,6 +914,47 @@ def test_http_plant_refuses_a_path_it_cannot_send(path):
     assert result["status"] == "error"
     assert result["reason"].endswith("has a character a request path cannot carry")
     assert stub.connections == 0
+
+
+def _head_by_splitting(base_url, method, url):
+    """The request head, or the refusal's message, from splitting both
+    URLs: `_request_head`'s reference."""
+    def origin(u):
+        parts = urlsplit(u)
+        try:
+            port = parts.port or 80
+        except ValueError:
+            return None
+        return (parts.hostname, port) if parts.scheme == "http" and parts.hostname and parts.netloc.isascii() else None
+
+    if origin(base_url) is None:
+        return f"not an http:// plant URL: {base_url!r}"
+    if origin(url) != origin(base_url):
+        return f"{url} is not on the plant at {base_url}"
+    path = urlsplit(url).path
+    if not (path.isascii() and path.isprintable()) or " " in path:
+        return f"{url} has a character a request path cannot carry"
+    return f"{method} {path} HTTP/1.1\r\nHost: {urlsplit(base_url).netloc.rpartition('@')[2]}\r\n".encode()
+
+
+@pytest.mark.parametrize("base_url", [
+    "http://127.0.0.1:8765", "http://user@h:1", "HTTP://Example.COM", "http://h:1/prefix", "http://[::1]:8080",
+    "https://h:1", "http://h:99999",
+])
+def test_request_head_is_what_splitting_the_urls_gives(base_url):
+    """A request head reads the path straight off a URL on the plant's own
+    origin, and splits any other URL; either way it is the head, or the
+    refusal, that splitting both URLs gives."""
+    own = f"http://{urlsplit(base_url).netloc}"
+    urls = [prefix + rest for prefix in (base_url, own, own.upper(), "http://other:1", "")
+            for rest in ("/a/b", "/a?x=1", "/a#f", "/a\tb", "/a\nb", "/a b", "/\u00e9", "", "?x", "#f", ":80/a", "//x/a")]
+    for url in urls:
+        for method in ("GET", "POST"):
+            try:
+                got = orchestrator._request_head.__wrapped__(base_url, method, url)
+            except FramingError as exc:
+                got = str(exc)
+            assert got == _head_by_splitting(base_url, method, url), url
 
 
 # -- runs against a plant that lies ----------------------------------------------------

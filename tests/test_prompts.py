@@ -111,7 +111,8 @@ def test_parse_demand_rejects_unknown_phrase(registry):
 def test_demand_roundtrip_through_a_reworded_template(registry, template):
     """A demand is read back through the catalog's own template, its
     literal text matched as written."""
-    reworded = Registry(registry.modules, registry.prompts._replace(transport_demand_template=template))
+    reworded = Registry(registry.modules, registry.prompts._replace(transport_demand_template=template),
+                        registry.base_url)
     for start, target in [("storage_module", "painting_module"), ("laser_module", "cnc_module")]:
         text = render_transport_demand(reworded, start, target)
         assert parse_transport_demand(reworded, text) == (start, target)
@@ -123,7 +124,8 @@ def test_demand_roundtrip_through_a_reworded_template(registry, template):
 
 def test_a_repeated_demand_placeholder_must_repeat_its_phrase(registry):
     template = "Move it: {start} -> {target} (from {start})"
-    reworded = Registry(registry.modules, registry.prompts._replace(transport_demand_template=template))
+    reworded = Registry(registry.modules, registry.prompts._replace(transport_demand_template=template),
+                        registry.base_url)
     text = "Move it: storage -> CNC (from storage)"
     assert parse_transport_demand(reworded, text) == ("storage_module", "cnc_module")
     with pytest.raises(PromptError, match="not a transport demand"):

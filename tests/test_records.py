@@ -15,6 +15,7 @@ from plantagents.evaluation import EvalMetrics, EvalSample
 from plantagents.orchestrator import TraceRecord
 from plantagents.parsing import FunctionStep, SkillPlan
 from plantagents.plant import Feature
+from plantagents.prompts import build_manager_prompt, build_operator_prompt, render_transport_demand
 from plantagents.tasks import TaskError, TaskSpec
 from plantagents.validation import GrammarViolation
 
@@ -118,8 +119,11 @@ def _raw_catalog():
     return json.loads((Path(catalog.__file__).parent / "data" / "catalog.json").read_text("utf-8"))
 
 
-def test_rebased_equals_a_fresh_load_at_that_base(registry):
-    base = urlsplit("http://127.0.0.1:8765")
+@pytest.mark.parametrize("base_url", [
+    "http://127.0.0.1:8765", "http://[::1]:8080", "HTTP://Example.COM", "http://h:1/ignored/path",
+])
+def test_rebased_equals_a_fresh_load_at_that_base(registry, base_url):
+    base = urlsplit(base_url)
 
     def moved(url):
         return urlunsplit((base.scheme, base.netloc, urlsplit(url).path, "", ""))
@@ -131,12 +135,17 @@ def test_rebased_equals_a_fresh_load_at_that_base(registry):
         for comp in raw.get("components", []):
             for fn in comp.get("functionalities", []):
                 fn["url"] = moved(fn["url"])
-    fresh, rebased = registry_from_dict(data), registry.rebased("http://127.0.0.1:8765")
+    fresh, rebased = registry_from_dict(data), registry.rebased(base_url)
+    assert rebased.base_url == fresh.base_url
     assert len(rebased.modules) == len(fresh.modules)
     for got, want in zip(rebased.modules, fresh.modules):
         assert got == want
     assert rebased.prompts == fresh.prompts
     assert rebased.known_endpoints() == fresh.known_endpoints()
+    assert rebased.output_urls() == fresh.output_urls()
+    task, demand = "Drill the sheet.", render_transport_demand(registry, "storage_module", "cnc_module")
+    assert build_manager_prompt(rebased, task) == build_manager_prompt(fresh, task)
+    assert build_operator_prompt(rebased, "robotino_7", demand) == build_operator_prompt(fresh, "robotino_7", demand)
 
 
 def test_trace_record_keys_keep_their_order():
