@@ -137,16 +137,13 @@ class Registry:
     Construction checks every registry invariant and builds every index, so
     any instance (loaded, built directly, or derived by :meth:`rebased`) is
     valid and every lookup is a dict read.  It holds each service URL as a
-    path under `base_url`: the one origin of the absolute URLs in `modules`,
-    or the given one, under which a bare path is taken.  Treat instances as
-    read-only.
+    path under `base_url`, the catalog's one origin.  Treat as read-only.
     """
 
-    def __init__(self, modules: tuple[Module, ...], prompts: PromptAssets, base_url: str | None = None) -> None:
-        self.prompts, self.base_url = prompts, None if base_url is None else _checked_base(base_url)
+    def __init__(self, modules: tuple[Module, ...], prompts: PromptAssets) -> None:
+        self.prompts, self.base_url, self._endpoint_paths = prompts, None, set()
         if not modules:
             raise CatalogError("catalog describes no modules")
-        self._endpoint_paths: set[str] = set()
         self.modules = tuple(m._replace(
             skills=tuple(Skill(s.code, s.description, self._path(s.endpoint, f"module {m.id} skill {s.code}"),
                                s.feature, s.role) for s in m.skills),
@@ -212,16 +209,16 @@ class Registry:
         self._check_prompts()
 
     def _path(self, url: str, where: str) -> str:
-        """The path of a service URL; the first absolute one sets `base_url` unless it was given."""
+        """The path of a service URL; the first one sets `base_url`."""
         parts = urlsplit(url)
-        origin = f"{parts.scheme}://{parts.netloc}" if parts.netloc else self.base_url  # a bare path is under it
-        if not (origin and parts.path.startswith("/") and bool(parts.scheme) == bool(parts.netloc)):
+        if not (parts.scheme and parts.netloc and parts.path):
             raise CatalogError(f"{where}: not an absolute service URL: {url!r}")
+        if re.search(r'["\s?#]', url):  # a URL in a prompt ends at whitespace or a '"'
+            raise CatalogError(f"{where}: a service URL takes no query, fragment, space or '\"': {url!r}")
+        origin = f"{parts.scheme}://{parts.netloc}"
         self.base_url = self.base_url or origin
         if origin != self.base_url:
             raise CatalogError(f"{where}: {url!r} is not under the catalog's one base URL {self.base_url!r}")
-        if "?" in url or "#" in url:
-            raise CatalogError(f"{where}: a service URL takes no query or fragment: {url!r}")
         self._endpoint_paths.add(canonical_url(parts.path))
         return parts.path
 
@@ -366,11 +363,15 @@ class Registry:
     # -- derivation ------------------------------------------------------
 
     def rebased(self, base_url: str) -> "Registry":
-        """Copy with each service path under the scheme and network location
-        of base_url; it shares every checked index, and checks only base_url."""
+        """Copy under base_url's origin sharing every index; checks only that a prompt can carry base_url."""
+        parts = urlsplit(base_url)
+        if not parts.scheme or not parts.netloc:
+            raise CatalogError(f"base url must be absolute: {base_url!r}")
+        if re.search(r'["\s]', base_url):
+            raise CatalogError(f"base url {base_url!r} has a space or a '\"', where a URL in a prompt would end")
         copy = object.__new__(type(self))
         vars(copy).update(vars(self))
-        copy._join(_checked_base(base_url))
+        copy._join(f"{parts.scheme}://{parts.netloc}")
         return copy
 
 
@@ -404,16 +405,6 @@ def _check_template(template: object, names: set[str], where: str) -> None:
         template.format_map(dict.fromkeys(names, ""))
     except ValueError as exc:
         raise CatalogError(f"{where}: {exc}") from None
-
-
-def _checked_base(base_url: str) -> str:
-    """`scheme://netloc` of `base_url`; a prompt's URL ends at a space or a `"`."""
-    parts = urlsplit(base_url)
-    if not parts.scheme or not parts.netloc:
-        raise CatalogError(f"base url must be absolute: {base_url!r}")
-    if '"' in base_url or any(c.isspace() for c in base_url):
-        raise CatalogError(f"base url {base_url!r} has a space or a '\"', where a URL in a prompt would end")
-    return f"{parts.scheme}://{parts.netloc}"
 
 
 _MOVE_DOCK_TARGET_RE = re.compile(r"to (?:the )?(.+?) module")

@@ -230,8 +230,7 @@ def _cmd_run_task(args) -> int:
         else:
             material = spec.material if spec else "steel"
             location = spec.initial_location if spec else None
-            sim = PlantSim.standard_start(registry, material=material, location=location)
-            service = serve_plant(sim)
+            service = serve_plant(PlantSim.standard_start(registry, material=material, location=location))
             plant_url = service.base_url
         # Prompts and dispatch must name URLs the live plant answers at.
         registry = registry.rebased(plant_url)

@@ -101,27 +101,25 @@ class PlantPort(Protocol):
     def call(self, url: str, body: dict) -> dict: ...
 
 
-@functools.lru_cache(maxsize=128)
 def _http_origin(url: str) -> tuple[str, int] | None:
     """(host, port) of an http:// URL with an ASCII host; None for any
-    other URL.  Cached: a plant's base URL is split once, not per call."""
+    other URL."""
     parts = urlsplit(url)
     try:
-        port, host = parts.port or 80, parts.hostname
+        port = parts.port or 80
     except ValueError:  # a port that is not a number from 0 to 65535
         return None
-    if parts.scheme != "http" or not host or not parts.netloc.isascii():
+    if parts.scheme != "http" or not parts.hostname or not parts.netloc.isascii():
         return None
-    return host, port
+    return parts.hostname, port
 
 
 @functools.lru_cache(maxsize=128)
 def _request_head(base_url: str, method: str, url: str) -> bytes:
     """The request line and `Host` of a request for `url` to the plant at
-    `base_url`, sending only the URL's path, which is read straight off a
-    URL on the plant's own origin when no split could change it; raises
-    FramingError (never cached) for a base URL that is not http://, a URL
-    on another scheme, host or port, or a path a request line cannot carry."""
+    `base_url`, sending only the URL's path, sliced off unsplit when `url`
+    starts with the plant's `http://<netloc>/`; raises FramingError (never cached) for a
+    base URL that is not http://, a URL on another scheme, host or port, or a path a request line cannot carry."""
     origin = _http_origin(base_url)
     if origin is None:
         raise FramingError(f"not an http:// plant URL: {base_url!r}")
@@ -166,6 +164,7 @@ class HttpPlant:
 
     def __init__(self, base_url: str) -> None:
         self.base_url = base_url.rstrip("/")
+        self._origin = _http_origin(self.base_url)
         self._sock: socket.socket | None = None
         self._reader = None
 
@@ -235,7 +234,7 @@ class HttpPlant:
         return status, reply
 
     def _connect(self) -> None:
-        self._sock = socket.create_connection(_http_origin(self.base_url), timeout=PLANT_TIMEOUT_SECONDS)
+        self._sock = socket.create_connection(self._origin, timeout=PLANT_TIMEOUT_SECONDS)
         self._reader = io.BufferedReader(_SocketStream(self._sock))
         self._idle = select.poll()
         self._idle.register(self._sock, select.POLLIN)

@@ -314,6 +314,23 @@ def _url_with_fragment(data):
     _skill(data, "L1")["endpoint"] += "#top"
 
 
+def _quote_in_the_origin(data):
+    for m in data["modules"]:
+        for s in m["skills"]:
+            s["endpoint"] = s["endpoint"].replace("129.69.102.129:5010", 'a"b:1')
+        for c in m.get("components", []):
+            for f in c["functionalities"]:
+                f["url"] = f["url"].replace("129.69.102.129:5010", 'a"b:1')
+
+
+def _space_in_a_path(data):
+    _skill(data, "M2")["endpoint"] = "http://129.69.102.129:5010/cnc module/skills/M2"
+
+
+def _quote_in_a_path(data):
+    _module(data, "robotino_7")["components"][0]["functionalities"][1]["url"] += '"'
+
+
 def _unknown_role(data):
     _skill(data, "S1")["role"] = "fetch"
 
@@ -412,10 +429,17 @@ BROKEN_RULES = [
     # Every service URL is a path under the catalog's one base URL.
     (_second_origin, "module cnc_module skill M2: 'http://10.0.0.1:5010/cnc_module/skills/M2' is not under the "
                      "catalog's one base URL 'http://129.69.102.129:5010'"),
-    (_url_with_query, "module robotino_7 functionality load: a service URL takes no query or fragment: "
-                      "'http://129.69.102.129:5010/robotino_7/functionalities/load"),  # up to the '?': a regex
-    (_url_with_fragment, "module laser_module skill L1: a service URL takes no query or fragment: "
+    (_url_with_query, "module robotino_7 functionality load: a service URL takes no query, fragment, space or "
+                      "'\"': 'http://129.69.102.129:5010/robotino_7/functionalities/load"),  # up to the '?': a regex
+    (_url_with_fragment, "module laser_module skill L1: a service URL takes no query, fragment, space or '\"': "
                          "'http://129.69.102.129:5010/laser_module/skills/L1#top'"),
+    # A URL in a prompt ends at a space or a '"', so the operator could not name one that has either.
+    (_quote_in_the_origin, "module inspection_module skill I1: a service URL takes no query, fragment, space or "
+                           "'\"': 'http://a\"b:1/inspection_module/skills/I1'"),
+    (_space_in_a_path, "module cnc_module skill M2: a service URL takes no query, fragment, space or '\"': "
+                       "'http://129.69.102.129:5010/cnc module/skills/M2'"),
+    (_quote_in_a_path, "module robotino_7 functionality load: a service URL takes no query, fragment, space or "
+                       "'\"': 'http://129.69.102.129:5010/robotino_7/functionalities/load\"'"),
 ]
 
 # The same for the rules on a module's own entries.
@@ -529,10 +553,9 @@ def test_registry_refuses_a_template_it_could_not_fill(which, template, match):
     with pytest.raises(CatalogError) as loaded:
         registry_from_dict(data)
     assert match in str(loaded.value)
-    bundled = bundled_catalog()
-    prompts = bundled.prompts._replace(**{f"transport_{which}_template": template})
+    prompts = bundled_catalog().prompts._replace(**{f"transport_{which}_template": template})
     with pytest.raises(CatalogError) as direct:
-        Registry(modules=bundled.modules, prompts=prompts, base_url=bundled.base_url)
+        Registry(modules=_absolute_modules(), prompts=prompts)
     assert str(loaded.value) == str(direct.value)
 
 
@@ -557,28 +580,19 @@ def test_registry_accepts_a_template_that_names_fewer_placeholders():
         registry_from_dict(data)
 
 
+def _absolute_modules():
+    """The bundled modules with the absolute URLs of the catalog file; a
+    registry's own `modules` hold paths."""
+    return tuple(_load_module(m) for m in _raw_catalog()["modules"])
+
+
 def test_registry_built_directly_is_checked(registry):
-    storage = registry.storage_module()
+    modules = _absolute_modules()
+    assert Registry(modules=modules, prompts=registry.prompts).modules == registry.modules
     with pytest.raises(CatalogError, match="duplicate module id 'storage_module'"):
-        Registry(modules=registry.modules + (storage,), prompts=registry.prompts, base_url=registry.base_url)
+        Registry(modules=modules + (modules[1],), prompts=registry.prompts)
     with pytest.raises(CatalogError, match="no modules"):
         Registry(modules=(), prompts=registry.prompts)
-
-
-def test_a_registry_takes_bare_paths_only_under_a_given_base_url(registry):
-    """A registry's modules hold paths, so a registry built from them
-    needs their base URL; absolute URLs must then be under it."""
-    with pytest.raises(CatalogError, match="^module inspection_module skill I1: not an absolute service URL: "
-                                           "'/inspection_module/skills/I1'$"):
-        Registry(registry.modules, registry.prompts)
-    rebuilt = Registry(registry.modules, registry.prompts, "http://h:1/ignored")
-    assert (rebuilt.base_url, rebuilt.modules) == ("http://h:1", registry.modules)
-    assert rebuilt.known_endpoints() == registry.rebased("http://h:1").known_endpoints()
-    absolute = tuple(_load_module(m) for m in _raw_catalog()["modules"])
-    assert Registry(absolute, registry.prompts, registry.base_url).modules == registry.modules
-    with pytest.raises(CatalogError, match="skill I1: 'http://129.69.102.129:5010/inspection_module/skills/I1' "
-                                           "is not under the catalog's one base URL 'http://h:1'"):
-        Registry(absolute, registry.prompts, "http://h:1")
 
 
 def test_skill_rank_is_catalog_order(registry):

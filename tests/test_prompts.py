@@ -1,6 +1,9 @@
+import json
+from importlib import resources
+
 import pytest
 
-from plantagents.catalog import CatalogError, Registry
+from plantagents.catalog import CatalogError, registry_from_dict
 from plantagents.prompts import (
     PromptError,
     build_manager_prompt,
@@ -103,6 +106,13 @@ def test_parse_demand_rejects_unknown_phrase(registry):
         parse_transport_demand(registry, text)
 
 
+def _reworded(template):
+    """The bundled catalog with another transport demand template."""
+    data = json.loads(resources.files("plantagents.data").joinpath("catalog.json").read_text("utf-8"))
+    data["prompts"]["operator"]["demand_template"] = template
+    return registry_from_dict(data)
+
+
 @pytest.mark.parametrize("template", [
     "(T1) Carry the workpiece from {start} over to {target}.",
     "Move it: {start} -> {target}? (from {start}, [not] to {{start}}*)",
@@ -111,8 +121,7 @@ def test_parse_demand_rejects_unknown_phrase(registry):
 def test_demand_roundtrip_through_a_reworded_template(registry, template):
     """A demand is read back through the catalog's own template, its
     literal text matched as written."""
-    reworded = Registry(registry.modules, registry.prompts._replace(transport_demand_template=template),
-                        registry.base_url)
+    reworded = _reworded(template)
     for start, target in [("storage_module", "painting_module"), ("laser_module", "cnc_module")]:
         text = render_transport_demand(reworded, start, target)
         assert parse_transport_demand(reworded, text) == (start, target)
@@ -124,8 +133,7 @@ def test_demand_roundtrip_through_a_reworded_template(registry, template):
 
 def test_a_repeated_demand_placeholder_must_repeat_its_phrase(registry):
     template = "Move it: {start} -> {target} (from {start})"
-    reworded = Registry(registry.modules, registry.prompts._replace(transport_demand_template=template),
-                        registry.base_url)
+    reworded = _reworded(template)
     text = "Move it: storage -> CNC (from storage)"
     assert parse_transport_demand(reworded, text) == ("storage_module", "cnc_module")
     with pytest.raises(PromptError, match="not a transport demand"):
