@@ -28,11 +28,10 @@ from .prompts import (
     build_operator_prompt,
     render_transport_demand,
 )
-from .service import FramingError, call_result, decode_json, encode_json, read_reply
+from . import service
+from .service import FramingError, SocketStream, call_result, decode_json, encode_json, read_reply
 from .tasks import TaskSpec, bundled_task_specs, find_task_spec
 from .validation import function_step_params, goal_details, plan_route, validate_grammar
-
-PLANT_TIMEOUT_SECONDS = 10.0
 
 
 class OrchestrationError(Exception):
@@ -135,23 +134,6 @@ def _request_head(base_url: str, method: str, url: str) -> bytes:
     return f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n".encode("ascii")
 
 
-class _SocketStream(io.RawIOBase):
-    """A socket as the raw stream under `HttpPlant`'s reply reader.  While
-    `nowait` is set a read returns at once with nothing, so the reader's
-    `peek` shows only the bytes it already holds."""
-
-    nowait = False
-
-    def __init__(self, sock: socket.socket) -> None:
-        self._sock = sock
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int | None:
-        return None if self.nowait else self._sock.recv_into(buffer)
-
-
 class HttpPlant:
     """The plant port for a plant service reached over HTTP.
 
@@ -219,28 +201,27 @@ class HttpPlant:
         try:
             if self._sock is None:
                 self._connect()
-            self._sock.sendall(request)
+            stream = self._reader.raw
+            stream.sendall(request)
+            stream.start_deadline()
             status, reply, close = read_reply(self._reader)
         except BaseException:
             self.close()  # a half-done exchange must not be reused
             raise
         # Bytes read past the reply were never asked for, and the next reply
         # would be read from them.
-        self._reader.raw.nowait = True
+        stream.nowait = True
         stray = self._reader.peek(1)
-        self._reader.raw.nowait = False
+        stream.nowait = False
         if close or stray:
             self.close()
         return status, reply
 
     def _connect(self) -> None:
-        self._sock = socket.create_connection(self._origin, timeout=PLANT_TIMEOUT_SECONDS)
-        self._reader = io.BufferedReader(_SocketStream(self._sock))
+        self._sock = socket.create_connection(self._origin, timeout=service.PLANT_TIMEOUT_SECONDS)
+        self._reader = io.BufferedReader(SocketStream(self._sock))
         self._idle = select.poll()
         self._idle.register(self._sock, select.POLLIN)
-        # A request is one write, so Nagle's algorithm has nothing to
-        # coalesce; off, it never holds one back for a delayed ACK.
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
 def perform_skill_via_operator(

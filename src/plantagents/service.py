@@ -19,6 +19,7 @@ so an in-process run and a run over HTTP see the same answers.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 import selectors
@@ -29,7 +30,7 @@ import threading
 import time
 from functools import lru_cache
 from http import HTTPStatus
-from time import gmtime
+from time import gmtime, monotonic
 from urllib.parse import urlsplit
 
 from .catalog import CatalogError
@@ -41,6 +42,8 @@ DEFAULT_PORT = 5010
 # unread.  A plant snapshot is about a kilobyte.
 MAX_BODY_BYTES = 1 << 20
 _MAXLINE, _MAXHEADERS = 65536, 100  # header line bytes and lines allowed, as in `http.client`
+
+PLANT_TIMEOUT_SECONDS = 10.0  # to read a message once it has begun, to write, and to wait for a request
 
 _POST_ROUTE_RE = re.compile(r"^/([^/]+)/(functionalit(?:ies|y)|skills)/([^/]+)$")
 _MODULE_STATE_RE = re.compile(r"^/([^/]+)/state$")
@@ -151,6 +154,44 @@ class LocalPlant:
 # HTTP plumbing: the plant link's framing, read by both of its ends, and
 # the server, shared with the stub completions server
 
+class SocketStream(io.RawIOBase):
+    """A plant-link socket as the raw stream under its reader, with the
+    link's timeout and Nagle's algorithm off (with it on, a message sent in
+    one write can wait 40 ms for a delayed ACK, RFC 1122 4.2.3.2).  While
+    `deadline` (a `monotonic()` time) is set, a read waits only for what is
+    left of it; while `nowait` is set, it returns nothing without waiting."""
+
+    nowait = False
+    deadline: float | None = None
+
+    def __init__(self, sock: socket.socket) -> None:
+        sock.settimeout(PLANT_TIMEOUT_SECONDS)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock = sock
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int | None:
+        if self.nowait:
+            return None
+        if self.deadline is not None:
+            left = self.deadline - monotonic()
+            if left <= 0:
+                raise TimeoutError("timed out")
+            self._sock.settimeout(left)
+        return self._sock.recv_into(buffer)
+
+    def start_deadline(self) -> None:
+        """Give the message about to be read `PLANT_TIMEOUT_SECONDS` in all."""
+        self.deadline = monotonic() + PLANT_TIMEOUT_SECONDS
+
+    def sendall(self, data: bytes) -> None:
+        if self._sock.gettimeout() != PLANT_TIMEOUT_SECONDS:  # a read under the deadline shrank it
+            self._sock.settimeout(PLANT_TIMEOUT_SECONDS)
+        self._sock.sendall(data)
+
+
 class FramingError(Exception):
     """A message the plant link cannot send or read: a request for a URL
     not on the plant, or a head or body its framing refuses.  `status` is
@@ -251,41 +292,39 @@ def _http_date() -> bytes:
     return cached[1]
 
 
-class JsonHandler(socketserver.StreamRequestHandler):
+class JsonHandler(socketserver.BaseRequestHandler):
     """Request handler base: HTTP/1.1 keep-alive, its own request loop and
     header parse, JSON replies in one write, a bounded body read, no
     logging.  A subclass answers a method in `do_<METHOD>`, from `path`
     and `headers`, with `_read_body` and `_reply`."""
 
-    # One connection carries many requests.  Nagle's algorithm is off: with
-    # it, a reply written in two segments waits for the client's delayed
-    # ACK, about 40 ms a call (RFC 896, RFC 1122 4.2.3.2).
-    protocol_version = "HTTP/1.1"
-    disable_nagle_algorithm = True
-
-    # Seconds a socket read or write may wait, so a client that stops
-    # sending, or leaves its connection idle, cannot hold a handler thread.
-    timeout = 10.0
-
+    protocol_version = "HTTP/1.1"  # one connection carries many requests
     server_version = "BaseHTTP/0.6"  # with sys_version, the `Server` that `http.server` sends
     sys_version = "Python/" + sys.version.split()[0]
 
+    def setup(self) -> None:
+        self.rfile = io.BufferedReader(SocketStream(self.request))
+
     def handle(self) -> None:
-        self.close_connection = True
         self.handle_one_request()
         while not self.close_connection:
             self.handle_one_request()
 
     def handle_one_request(self) -> None:
         """One request, by the stdlib's rules for HTTP/1.1: a 414 for a
-        request line over 65536 bytes, a 400 for one that is not `METHOD
-        PATH HTTP/x.y`, a 505 from HTTP/2 on, a head's status from
+        request line over `_MAXLINE` bytes, a 400 for one that is not
+        `METHOD PATH HTTP/x.y`, a 505 from HTTP/2 on, a head's status from
         `read_fields` (which gives `self.headers`), a 501 for a method with
-        no `do_<METHOD>`.  End of input or a timeout ends the connection."""
+        no `do_<METHOD>`.  End of input or a timeout ends the connection;
+        a request's deadline starts with its first byte."""
         self.command, self.close_connection = "", True
+        stream = self.rfile.raw
         try:
-            line = self.rfile.readline(65537)
-            if len(line) > 65536:
+            stream.deadline = None  # a wait for the next request has the plain timeout
+            self.rfile.peek(1)
+            stream.start_deadline()
+            line = self.rfile.readline(_MAXLINE + 1)
+            if len(line) > _MAXLINE:
                 return self.send_error(HTTPStatus.REQUEST_URI_TOO_LONG)
             requestline = str(line, "iso-8859-1").rstrip("\r\n")
             words = requestline.split()
@@ -306,7 +345,7 @@ class JsonHandler(socketserver.StreamRequestHandler):
             if connection in (b"close", b"keep-alive"):
                 self.close_connection = connection == b"close"
             if headers.get(b"expect", b"").lower() == b"100-continue" and version >= "HTTP/1.1":
-                self.connection.sendall(self.protocol_version.encode("ascii") + b" 100 Continue\r\n\r\n")
+                stream.sendall(self.protocol_version.encode("ascii") + b" 100 Continue\r\n\r\n")
             method = getattr(self, "do_" + self.command, None)
             if method is None:
                 return self.send_error(HTTPStatus.NOT_IMPLEMENTED, f"Unsupported method ({self.command!r})")
@@ -327,7 +366,7 @@ class JsonHandler(socketserver.StreamRequestHandler):
                 f"Server: {self.server_version} {self.sys_version}\r\n"
             ).encode("latin-1")
         close = b"Connection: close\r\n" if self.close_connection else b""
-        self.connection.sendall(
+        self.rfile.raw.sendall(
             b"%sDate: %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n%s\r\n%s"
             % (start, _http_date(), len(body), close, b"" if self.command == "HEAD" else body)
         )
@@ -340,9 +379,9 @@ class JsonHandler(socketserver.StreamRequestHandler):
 
     def _read_body(self) -> bytes:
         """The request body (see `read_body`); ValueError when it cannot be
-        read, or does not arrive within `timeout`.  Unless the body is read
-        in full the connection closes after the reply, so no leftover byte
-        is taken for a next request."""
+        read, or does not arrive by the request's deadline.  Unless the body
+        is read in full the connection closes after the reply, so no
+        leftover byte is taken for a next request."""
         close_after = self.close_connection  # as the request's head set it
         self.close_connection = True
         try:
@@ -350,7 +389,7 @@ class JsonHandler(socketserver.StreamRequestHandler):
         except FramingError as exc:
             raise ValueError(str(exc)) from None
         except TimeoutError:
-            raise ValueError(f"body did not arrive within {self.timeout}s") from None
+            raise ValueError(f"body did not arrive within {PLANT_TIMEOUT_SECONDS}s") from None
         self.close_connection = close_after
         return raw
 

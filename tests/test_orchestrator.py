@@ -29,7 +29,7 @@ from plantagents import (
     run_task,
     serve_plant,
 )
-from plantagents import orchestrator
+from plantagents import orchestrator, service
 from plantagents.backends import BackendError, CompletionBackend, CompletionResult
 from plantagents.catalog import registry_from_dict
 from plantagents.plant import Feature
@@ -660,6 +660,20 @@ def test_run_over_http_uses_one_connection_without_stalls(registry, task_specs, 
     assert elapsed < 0.5
 
 
+def test_both_ends_of_the_plant_link_turn_nagle_off(registry):
+    """The client's socket and the handler's have TCP_NODELAY set, so no
+    message waits for a delayed ACK."""
+    class SocketKeepingService(PlantService):
+        def finish_request(self, request, client_address):
+            self.handler_socket = request
+            super().finish_request(request, client_address)
+
+    with SocketKeepingService(PlantSim.standard_start(registry), port=0) as srv, HttpPlant(srv.base_url) as plant:
+        assert plant.state()["version"] == 0
+        for sock in (plant._sock, srv.handler_socket):
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
 def test_run_over_url_closes_its_connection_and_stop_is_prompt(registry, task_specs, drilled_spec):
     # Only threads this test starts are counted: a handler thread an earlier
     # test left stalling may end at any moment.
@@ -716,7 +730,7 @@ def test_an_idle_kept_alive_connection_does_not_delay_a_run(registry, task_specs
 def test_http_plant_reconnects_after_the_service_drops_an_idle_connection(registry, monkeypatch):
     """The service closes a connection left idle past its handler timeout;
     the next call sees that and connects afresh instead of failing."""
-    monkeypatch.setattr(JsonHandler, "timeout", 0.2)
+    monkeypatch.setattr(service, "PLANT_TIMEOUT_SECONDS", 0.2)
     sim = PlantSim.standard_start(registry)
     with PlantService(sim, port=0) as srv, HttpPlant(srv.base_url) as plant:
         for version in (1, 2, 3):
@@ -763,7 +777,7 @@ def test_http_plant_reconnects_after_unasked_bytes_on_an_idle_connection(registr
             self._reply(200, PlantSim.standard_start(registry).snapshot())
             if not sent.is_set():
                 answered.wait(5)
-                self.wfile.write(b"x")
+                self.request.sendall(b"x")
                 sent.set()
 
     with BackgroundServer(("127.0.0.1", 0), StrayByteHandler) as srv, HttpPlant(srv.base_url) as plant:
@@ -787,6 +801,10 @@ def test_http_plant_reconnects_after_unasked_bytes_in_the_reply_segment():
 
 
 # -- the HTTP port's framing ---------------------------------------------------------
+
+
+class Trickle(bytes):
+    """A reply `RawPlant` sends one byte per 50 ms."""
 
 
 class RawPlant:
@@ -829,7 +847,13 @@ class RawPlant:
                             break  # the client closed the connection
                         self.requests.append(request)
                         reply, close = self.replies.pop(0)
-                        connection.sendall(reply)
+                        if isinstance(reply, Trickle):
+                            for byte in reply:
+                                connection.sendall(bytes([byte]))
+                                if select.select([connection], [], [], 0.05)[0]:
+                                    break  # the client hung up
+                        else:
+                            connection.sendall(reply)
                     except OSError:
                         break  # the client hung up on an unread reply
                     if close:
@@ -877,6 +901,22 @@ def test_http_plant_refuses_a_reply_it_cannot_frame(reply, close):
             plant.state()
         assert plant.state() == SNAPSHOT
     assert stub.connections == 3
+
+
+def test_http_plant_gives_a_reply_one_deadline(monkeypatch):
+    """A reply that trickles in a byte every 50 ms, each byte well inside
+    the timeout, fails `state()` once `PLANT_TIMEOUT_SECONDS` have passed
+    since the request went out (with a timeout on each read only, a
+    116-byte reply held `state()` for 5.8 s)."""
+    timeout = 0.2
+    monkeypatch.setattr(service, "PLANT_TIMEOUT_SECONDS", timeout)
+    with RawPlant([(_reply(SNAPSHOT), False), (Trickle(_reply(SNAPSHOT)), False)]) as stub, \
+            HttpPlant(stub.base_url) as plant:
+        assert plant.state() == SNAPSHOT
+        started = time.monotonic()
+        with pytest.raises(OrchestrationError, match="connection error: timed out"):
+            plant.state()
+        assert timeout <= time.monotonic() - started < 2 * timeout
 
 
 def test_http_plant_reads_a_closing_reply_then_reconnects():
@@ -1023,8 +1063,22 @@ def test_a_reply_to_no_request_is_never_read(registry, task_specs, drilled_spec,
 def test_a_reply_that_stalls_mid_body_aborts_the_run(registry, task_specs, drilled_spec, monkeypatch, k):
     """A reply that stops three bytes before its body ends, on a connection
     the plant keeps open, fails its call after `PLANT_TIMEOUT_SECONDS`."""
-    monkeypatch.setattr(orchestrator, "PLANT_TIMEOUT_SECONDS", 0.1)
+    monkeypatch.setattr(service, "PLANT_TIMEOUT_SECONDS", 0.1)
     trace, _ = _run_on_a_liar(registry, task_specs, drilled_spec, lambda p: (_reply(p)[:-3], False), k)
+    assert trace.outcome == "aborted"
+    assert trace.abort_reason.endswith("connection error: timed out")
+    assert len(trace.records) == max(k, 1)
+
+
+@pytest.mark.parametrize("k", LIE_AT[:3])
+def test_a_reply_that_trickles_aborts_the_run(registry, task_specs, drilled_spec, monkeypatch, k):
+    """A reply sent a byte every 50 ms fails its call once
+    `PLANT_TIMEOUT_SECONDS` have passed since the request went out."""
+    timeout = 0.2
+    monkeypatch.setattr(service, "PLANT_TIMEOUT_SECONDS", timeout)
+    started = time.monotonic()
+    trace, _ = _run_on_a_liar(registry, task_specs, drilled_spec, lambda p: (Trickle(_reply(p)), False), k)
+    assert time.monotonic() - started < 2 * timeout
     assert trace.outcome == "aborted"
     assert trace.abort_reason.endswith("connection error: timed out")
     assert len(trace.records) == max(k, 1)

@@ -6,6 +6,7 @@ import http.client
 import io
 import json
 import re
+import select
 import socket
 import struct
 import sys
@@ -15,15 +16,34 @@ import types
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler
 from unittest import mock
+from urllib.parse import urlsplit
 
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plantagents.service as plant_service
 from plantagents import PlantService, PlantSim, serve_plant
 from plantagents.service import DEFAULT_PORT, FramingError, JsonHandler, read_fields
+
+
+def _http(method: str, url: str, body: dict | None = None, data: bytes | None = None):
+    """One request on its own `http.client` connection, `body` sent as JSON
+    with its Content-Type; the reply's `status_code`, `headers`, `text` and
+    `json()`."""
+    headers = {}
+    if body is not None:
+        data, headers = json.dumps(body).encode(), {"Content-Type": "application/json"}
+    parts = urlsplit(url)
+    conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=5)
+    try:
+        conn.request(method, parts.path, data, headers)
+        reply = conn.getresponse()
+        text = reply.read().decode()
+    finally:
+        conn.close()
+    return types.SimpleNamespace(status_code=reply.status, headers=reply.headers, text=text,
+                                 json=lambda: json.loads(text))
 
 
 @pytest.fixture
@@ -39,7 +59,7 @@ def test_default_port_constant():
 
 
 def test_plant_state(service):
-    r = requests.get(f"{service.base_url}/plant/state", timeout=5)
+    r = _http("GET", f"{service.base_url}/plant/state")
     assert r.status_code == 200
     state = r.json()
     assert state["version"] == 0
@@ -48,7 +68,7 @@ def test_plant_state(service):
 
 
 def test_module_state(service):
-    r = requests.get(f"{service.base_url}/storage_module/state", timeout=5)
+    r = _http("GET", f"{service.base_url}/storage_module/state")
     assert r.status_code == 200
     body = r.json()
     assert body["module"] == "storage_module"
@@ -57,35 +77,35 @@ def test_module_state(service):
 
 
 def test_module_state_unknown_module(service):
-    r = requests.get(f"{service.base_url}/drill_module/state", timeout=5)
+    r = _http("GET", f"{service.base_url}/drill_module/state")
     assert r.status_code == 404
     assert r.json()["status"] == "error"
 
 
 def test_unknown_route(service):
-    r = requests.get(f"{service.base_url}/plant/everything", timeout=5)
+    r = _http("GET", f"{service.base_url}/plant/everything")
     assert r.status_code == 404
-    r = requests.post(f"{service.base_url}/some/odd/route", json={}, timeout=5)
+    r = _http("POST", f"{service.base_url}/some/odd/route", {})
     assert r.status_code == 404
 
 
 def test_functionality_ok(service):
     url = f"{service.base_url}/robotino_7/functionalities/move_dock"
-    r = requests.post(url, json={"params": {"target_module": "storage_module"}}, timeout=5)
+    r = _http("POST", url, {"params": {"target_module": "storage_module"}})
     assert r.status_code == 200
     assert r.json() == {"status": "ok", "state_version": 1}
 
 
 def test_functionality_singular_alias(service):
     url = f"{service.base_url}/robotino_7/functionality/move_dock"
-    r = requests.post(url, json={"params": {"target_module": "storage_module"}}, timeout=5)
+    r = _http("POST", url, {"params": {"target_module": "storage_module"}})
     assert r.status_code == 200
     assert r.json()["status"] == "ok"
 
 
 def test_functionality_fault_is_409(service):
     url = f"{service.base_url}/robotino_7/functionalities/undock"
-    r = requests.post(url, json={}, timeout=5)
+    r = _http("POST", url, {})
     assert r.status_code == 409
     body = r.json()
     assert body["status"] == "fault"
@@ -94,36 +114,36 @@ def test_functionality_fault_is_409(service):
 
 def test_functionality_unknown_module_404(service):
     url = f"{service.base_url}/robotino_9/functionalities/load"
-    r = requests.post(url, json={}, timeout=5)
+    r = _http("POST", url, {})
     assert r.status_code == 404
 
 
 def test_functionality_unknown_name_409(service):
     url = f"{service.base_url}/robotino_7/functionalities/levitate"
-    r = requests.post(url, json={}, timeout=5)
+    r = _http("POST", url, {})
     assert r.status_code == 409
     assert "levitate" in r.json()["reason"]
 
 
 def test_functionality_on_module_without_component(service):
     url = f"{service.base_url}/cnc_module/functionalities/move_dock"
-    r = requests.post(url, json={}, timeout=5)
+    r = _http("POST", url, {})
     assert r.status_code == 409
 
 
 def test_malformed_body_400(service):
     url = f"{service.base_url}/robotino_7/functionalities/undock"
-    r = requests.post(url, data=b"not json{", timeout=5)
+    r = _http("POST", url, data=b"not json{")
     assert r.status_code == 400
     assert r.json()["status"] == "error"
 
 
 def test_skill_ok_and_workpiece_defaults(service):
     url = f"{service.base_url}/storage_module/skills/S1"
-    r = requests.post(url, json={}, timeout=5)
+    r = _http("POST", url, {})
     assert r.status_code == 200
     assert r.json()["status"] == "ok"
-    state = requests.get(f"{service.base_url}/plant/state", timeout=5).json()
+    state = _http("GET", f"{service.base_url}/plant/state").json()
     assert state["workpieces"]["wp1"]["in_inventory"] is False
 
 
@@ -135,42 +155,38 @@ def test_skill_carries_detail(service):
         ("move_dock", {"target_module": "painting_module"}),
         ("unload", {}),
     ]:
-        r = requests.post(
-            f"{service.base_url}/robotino_7/functionalities/{name}",
-            json={"params": params},
-            timeout=5,
-        )
+        r = _http("POST", f"{service.base_url}/robotino_7/functionalities/{name}", {"params": params})
         assert r.status_code == 200, r.text
-    r = requests.post(
+    r = _http(
+        "POST",
         f"{service.base_url}/painting_module/skills/P2",
-        json={"workpiece_id": "wp1", "detail": "backside customer logo"},
-        timeout=5,
+        {"workpiece_id": "wp1", "detail": "backside customer logo"},
     )
     assert r.status_code == 200
-    state = requests.get(f"{service.base_url}/plant/state", timeout=5).json()
+    state = _http("GET", f"{service.base_url}/plant/state").json()
     (feature,) = state["workpieces"]["wp1"]["features"]
     assert feature == {"kind": "paint_pattern", "detail": "backside customer logo"}
 
 
 def test_skill_wrong_module_409(service):
     url = f"{service.base_url}/cnc_module/skills/S1"
-    r = requests.post(url, json={}, timeout=5)
+    r = _http("POST", url, {})
     assert r.status_code == 409
     assert "offers no skill" in r.json()["reason"]
 
 
 def test_skill_fault_propagates_reason(service):
     url = f"{service.base_url}/cnc_module/skills/M1"
-    r = requests.post(url, json={"workpiece_id": "wp1"}, timeout=5)
+    r = _http("POST", url, {"workpiece_id": "wp1"})
     assert r.status_code == 409
     assert "workpiece not at" in r.json()["reason"]
 
 
 def test_state_version_tracks_mutations(service):
-    v0 = requests.get(f"{service.base_url}/plant/state", timeout=5).json()["version"]
-    requests.post(f"{service.base_url}/storage_module/skills/S1", json={}, timeout=5)
-    requests.post(f"{service.base_url}/storage_module/skills/S2", json={}, timeout=5)
-    v2 = requests.get(f"{service.base_url}/plant/state", timeout=5).json()["version"]
+    v0 = _http("GET", f"{service.base_url}/plant/state").json()["version"]
+    _http("POST", f"{service.base_url}/storage_module/skills/S1", {})
+    _http("POST", f"{service.base_url}/storage_module/skills/S2", {})
+    v2 = _http("GET", f"{service.base_url}/plant/state").json()["version"]
     assert v2 == v0 + 2
 
 
@@ -178,23 +194,23 @@ def test_concurrent_moves_keep_state_consistent(service):
     """Racing conflicting calls: exactly one dock succeeds, state stays sane."""
 
     def dock(target):
-        return requests.post(
+        return _http(
+            "POST",
             f"{service.base_url}/robotino_7/functionalities/move_dock",
-            json={"params": {"target_module": target}},
-            timeout=5,
+            {"params": {"target_module": target}},
         ).status_code
 
     targets = ["cnc_module", "laser_module", "painting_module", "inspection_module"] * 2
     with ThreadPoolExecutor(max_workers=8) as pool:
         statuses = list(pool.map(dock, targets))
     assert statuses.count(200) >= 1
-    state = requests.get(f"{service.base_url}/plant/state", timeout=5).json()
+    state = _http("GET", f"{service.base_url}/plant/state").json()
     assert state["version"] == statuses.count(200)
     assert state["robot"]["docked"] is True
 
 
 def test_get_content_type_json(service):
-    r = requests.get(f"{service.base_url}/plant/state", timeout=5)
+    r = _http("GET", f"{service.base_url}/plant/state")
     assert r.headers["Content-Type"] == "application/json"
     json.loads(r.text)
 
@@ -235,8 +251,8 @@ def test_malformed_request_gets_400_json(service, path, body, length, ends_early
     assert b"Content-Type: application/json" in head
     assert json.loads(payload)["status"] == "error"
 
-    assert requests.get(f"{service.base_url}/plant/state", timeout=5).json()["version"] == 0
-    r = requests.post(f"{service.base_url}/storage_module/skills/S1", json={}, timeout=5)
+    assert _http("GET", f"{service.base_url}/plant/state").json()["version"] == 0
+    r = _http("POST", f"{service.base_url}/storage_module/skills/S1", {})
     assert r.json() == {"status": "ok", "state_version": 1}
 
 
@@ -250,7 +266,7 @@ SHORT_BODY_REQUEST = (
 def test_held_open_short_body_gets_400_json_after_timeout(service, monkeypatch):
     """A client that keeps the connection open without sending the rest of
     its body gets a 400 JSON reply once the handler's timeout passes."""
-    monkeypatch.setattr(JsonHandler, "timeout", 0.5)
+    monkeypatch.setattr(plant_service, "PLANT_TIMEOUT_SECONDS", 0.5)
     with socket.create_connection(service.server_address[:2], timeout=5) as sock:
         sock.sendall(SHORT_BODY_REQUEST)
         reply = b""
@@ -261,9 +277,35 @@ def test_held_open_short_body_gets_400_json_after_timeout(service, monkeypatch):
     assert b"Content-Type: application/json" in head
     assert json.loads(payload)["status"] == "error"
 
-    assert requests.get(f"{service.base_url}/plant/state", timeout=5).json()["version"] == 0
-    r = requests.post(f"{service.base_url}/storage_module/skills/S1", json={}, timeout=5)
+    assert _http("GET", f"{service.base_url}/plant/state").json()["version"] == 0
+    r = _http("POST", f"{service.base_url}/storage_module/skills/S1", {})
     assert r.json() == {"status": "ok", "state_version": 1}
+
+
+def test_a_request_head_sent_a_byte_at_a_time_is_cut_off_at_its_deadline(service, monkeypatch):
+    """A request's deadline starts with its first byte, after any idle time
+    on a kept-alive connection.  A client that sends its head a byte every
+    50 ms, each byte well inside the timeout, loses the connection without
+    a reply once `PLANT_TIMEOUT_SECONDS` have passed (with a timeout on each
+    read only, a 78-byte head held the handler thread for 3.9 s)."""
+    timeout = 0.2
+    monkeypatch.setattr(plant_service, "PLANT_TIMEOUT_SECONDS", timeout)
+    head = b"GET /plant/state HTTP/1.1\r\nHost: plant\r\n\r\n"
+    with socket.create_connection(service.server_address[:2], timeout=5) as sock:
+        sock.sendall(head)
+        assert sock.recv(65536).startswith(b"HTTP/1.1 200 ")
+        time.sleep(timeout / 2)  # idle, for less than a timeout
+        started = time.monotonic()
+        for byte in head:
+            sock.sendall(bytes([byte]))
+            if select.select([sock], [], [], 0.05)[0]:
+                break
+        reply = b""
+        with contextlib.suppress(ConnectionResetError):  # a byte the handler never read
+            reply = _read_to_eof(sock)
+        elapsed = time.monotonic() - started
+    assert reply == b""
+    assert timeout <= elapsed < 2 * timeout
 
 
 def test_client_gone_before_reply_prints_nothing(service, capfd, monkeypatch):
@@ -302,7 +344,7 @@ def test_a_burst_of_connections_leaves_at_most_the_cap_of_idle_handlers(service)
     _wait_for_the_idle_cap(service, threads_before)
     assert len(set(threading.enumerate()) - threads_before) == service.max_idle_handlers == 4
     # The idle threads serve the next connections.
-    assert requests.get(f"{service.base_url}/plant/state", timeout=5).status_code == 200
+    assert _http("GET", f"{service.base_url}/plant/state").status_code == 200
     assert len(set(threading.enumerate()) - threads_before) == 4
     service.stop()
     assert set(threading.enumerate()) - threads_before == set()
@@ -377,7 +419,7 @@ def test_unread_body_is_never_parsed_as_a_next_request(service, head, status):
     assert b"Content-Type: application/json" in reply_head
     assert b"Connection: close" in reply_head
     json.loads(payload)
-    assert requests.get(f"{service.base_url}/plant/state", timeout=5).json()["version"] == 0
+    assert _http("GET", f"{service.base_url}/plant/state").json()["version"] == 0
 
 
 def test_pipelined_requests_on_one_connection_are_both_answered(service):
@@ -435,7 +477,7 @@ def test_stop_ends_an_idle_kept_alive_connection(registry):
         assert conn.getresponse().read()
         started = time.monotonic()
         srv.stop()
-        assert time.monotonic() - started < JsonHandler.timeout / 5
+        assert time.monotonic() - started < plant_service.PLANT_TIMEOUT_SECONDS / 5
         assert conn.sock.recv(4096) == b""
     finally:
         conn.close()
@@ -499,7 +541,7 @@ def test_header_parse_refuses_what_it_cannot_read(service, request_bytes, status
     payload = json.loads(body)
     assert payload["status"] == "error"
     assert isinstance(payload["reason"], str) and payload["reason"]
-    assert requests.get(f"{service.base_url}/plant/state", timeout=5).json()["version"] == 0
+    assert _http("GET", f"{service.base_url}/plant/state").json()["version"] == 0
 
 
 def test_head_cut_off_before_its_blank_line_is_refused(service):
