@@ -290,20 +290,14 @@ class Registry:
         return module_id in self._modules
 
     def skill(self, code: str) -> Skill:
-        return self._skill_entry(code)[1]
-
-    def skill_host(self, code: str) -> Module:
-        return self._skill_entry(code)[0]
+        try:
+            return self._skills[code][1]
+        except KeyError:
+            raise CatalogError(f"unknown skill code: {code!r}") from None
 
     def skill_entry(self, code: str) -> tuple[Module, Skill] | None:
         """(host module, skill) of a catalog skill code, or None."""
         return self._skills.get(code)
-
-    def _skill_entry(self, code: str) -> tuple[Module, Skill]:
-        try:
-            return self._skills[code]
-        except KeyError:
-            raise CatalogError(f"unknown skill code: {code!r}") from None
 
     def module_by_phrase(self, phrase: str) -> Module:
         try:

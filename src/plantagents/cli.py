@@ -157,14 +157,9 @@ def _parse_flags(p: argparse.ArgumentParser) -> None:
 def _cmd_parse(args) -> int:
     text = sys.stdin.read()
     if args.kind == "skills":
-        plan = parse_skill_sequence(text)
-        print(json.dumps(
-            {"steps": list(plan.steps), "explanation_lines": list(plan.explanation_lines)},
-            indent=2,
-        ))
+        print(json.dumps(parse_skill_sequence(text)._asdict(), indent=2))
     else:
-        steps = parse_function_steps(text)
-        print(steps_to_json(steps))
+        print(steps_to_json(parse_function_steps(text)))
     return 0
 
 
@@ -280,7 +275,7 @@ def _cmd_evaluate(args) -> int:
     registry = _registry(args)
     samples = load_corpus(args.corpus)
     metrics, reports = evaluate_corpus_detailed(registry, samples)
-    print(json.dumps(metrics.to_dict(), indent=2))
+    print(json.dumps(metrics._asdict(), indent=2))
     if args.report:
         payload = [r.to_dict() for r in reports]
         with open(args.report, "w", encoding="utf-8") as fh:

@@ -51,14 +51,6 @@ class EvalMetrics(CheckedRecord, _EvalMetricsFields):
         if not (chain[0] <= chain[1] <= chain[2]):
             raise ValueError(f"fractions must nest (minimal <= correct <= executable): {chain}")
 
-    def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "executable_fraction": self.executable_fraction,
-            "correct_fraction": self.correct_fraction,
-            "minimal_fraction": self.minimal_fraction,
-        }
-
 
 def evaluate_sample(
     registry: Registry,

@@ -39,6 +39,8 @@ class OrchestrationError(Exception):
 
 
 class TraceRecord:
+    """One plant call or failed agent stage; every instance attribute is a field of its JSON object."""
+
     def __init__(self, kind: str, name: str, endpoint: str, request: dict, status: str, reason: str | None = None,
                  state_version: int | None = None, transport_index: int | None = None) -> None:
         self.kind = kind  # "skill" | "functionality" | "agent"
@@ -47,10 +49,12 @@ class TraceRecord:
         self.reason, self.state_version, self.transport_index = reason, state_version, transport_index
 
     def to_dict(self) -> dict:
-        return dict(vars(self))  # the fields in the order `__init__` sets them
+        return self.__dict__.copy()  # the fields in the order `__init__` sets them
 
 
 class ExecutionTrace:
+    """What one run leaves behind; every instance attribute is a field of its JSON object."""
+
     def __init__(self, task_text: str, backend_id: str) -> None:
         self.task_text, self.backend_id = task_text, backend_id
         self.outcome = "aborted"
@@ -70,20 +74,13 @@ class ExecutionTrace:
         return [groups[i] for i in sorted(groups)]
 
     def to_dict(self) -> dict:
-        return {
-            "task_text": self.task_text,
-            "backend_id": self.backend_id,
-            "outcome": self.outcome,
-            "abort_reason": self.abort_reason,
-            "skill_plan": self.skill_plan,
-            "records": [r.to_dict() for r in self.records],
-            "exchanges": self.exchanges,
-            "start_state": self.start_state,
-            "final_state": self.final_state,
-        }
+        d = self.__dict__.copy()
+        d["records"] = [r.to_dict() for r in self.records]
+        return d
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2), "utf-8")
+        """Write the trace as `run-task --trace-out` does: indented JSON and a final newline."""
+        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", "utf-8")
 
 
 class PlantPort(Protocol):

@@ -99,12 +99,8 @@ def parse_function_steps(text: str) -> list[FunctionStep]:
 
 def steps_to_json(steps: list[FunctionStep]) -> str:
     """Serialize steps as the JSON array used for control service calls."""
-    # dicts preserve insertion order, which fixes the key order contract.
-    payload = [
-        {"step": s.step, "description": s.description, "action": s.action, "url": s.url}
-        for s in steps
-    ]
-    return json.dumps(payload)
+    # `_asdict` keys come in field order, which fixes the key order contract.
+    return json.dumps([s._asdict() for s in steps])
 
 
 def steps_from_json(text: str) -> list[FunctionStep]:

@@ -36,15 +36,14 @@ class Feature(NamedTuple):
     kind: str
     detail: str | None = None
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "detail": self.detail}
-
     @classmethod
     def from_dict(cls, raw: dict) -> "Feature":
         return cls(kind=raw["kind"], detail=raw.get("detail"))
 
 
 class Workpiece:
+    """A workpiece in the plant; every instance attribute is a field of its JSON object."""
+
     def __init__(self, id: str, material: str, features: list[Feature] | None = None, location: str = ON_ROBOT,
                  in_inventory: bool = False) -> None:
         self.id, self.material = id, material
@@ -56,37 +55,32 @@ class Workpiece:
         return [f.kind for f in self.features]
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "material": self.material,
-            "features": [f.to_dict() for f in self.features],
-            "location": self.location,
-            "in_inventory": self.in_inventory,
-        }
+        d = self.__dict__.copy()  # the fields in the order `__init__` sets them
+        d["features"] = [f._asdict() for f in self.features]
+        return d
 
 
 class RobotState:
+    """The transport robot; every instance attribute is a field of its JSON object."""
+
     def __init__(self, position: str | None = None, docked: bool = False, carrying: str | None = None) -> None:
         self.position, self.docked, self.carrying = position, docked, carrying
 
     def to_dict(self) -> dict:
-        return {
-            "position": self.position,
-            "docked": self.docked,
-            "carrying": self.carrying,
-        }
+        return self.__dict__.copy()
 
 
 class PlantState:
+    """The plant snapshot; every instance attribute is a field of its JSON object."""
+
     def __init__(self, workpieces: dict[str, Workpiece], robot: RobotState, version: int = 0) -> None:
-        self.workpieces, self.robot, self.version = workpieces, robot, version
+        self.version, self.robot, self.workpieces = version, robot, workpieces  # the snapshot's key order
 
     def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "robot": self.robot.to_dict(),
-            "workpieces": {wid: wp.to_dict() for wid, wp in self.workpieces.items()},
-        }
+        d = self.__dict__.copy()
+        d["robot"] = self.robot.to_dict()
+        d["workpieces"] = {wid: wp.to_dict() for wid, wp in self.workpieces.items()}
+        return d
 
 
 class PlantSim:

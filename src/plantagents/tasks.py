@@ -45,7 +45,7 @@ class TaskSpec(CheckedRecord, _TaskSpecFields):
             raise TaskError(f"task initial_location must name a module, got {self.initial_location!r}")
         for feat in self.goal_features + self.required_checks:
             if not isinstance(feat.kind, str) or not isinstance(feat.detail, (str, type(None))):
-                raise TaskError(f"a feature needs a string kind and a string or null detail: {feat.to_dict()}")
+                raise TaskError(f"a feature needs a string kind and a string or null detail: {feat._asdict()}")
         if not self.instruction.strip():
             raise TaskError("task instruction must not be empty")
         if self.material not in MATERIALS:
@@ -69,8 +69,8 @@ class TaskSpec(CheckedRecord, _TaskSpecFields):
             "instruction": self.instruction,
             "material": self.material,
             "initial_location": self.initial_location,
-            "goal_features": [f.to_dict() for f in self.goal_features],
-            "required_checks": [f.to_dict() for f in self.required_checks],
+            "goal_features": [f._asdict() for f in self.goal_features],
+            "required_checks": [f._asdict() for f in self.required_checks],
         }
 
     @classmethod

@@ -27,11 +27,10 @@ class GrammarViolation(NamedTuple):
     rule: int
     message: str
 
-    def to_dict(self) -> dict:
-        return {"rule": self.rule, "message": self.message}
-
 
 class ValidationReport:
+    """One plan's judgments; every instance attribute is a field of its JSON object."""
+
     def __init__(self) -> None:
         self.parsed = False
         self.parse_error: str | None = None
@@ -49,22 +48,9 @@ class ValidationReport:
         self.start_state = STANDARD_START
 
     def to_dict(self) -> dict:
-        return {
-            "parsed": self.parsed,
-            "parse_error": self.parse_error,
-            "plan": list(self.plan),
-            "grammar_ok": self.grammar_ok,
-            "violations": [v.to_dict() for v in self.violations],
-            "nonstandard_skills": list(self.nonstandard_skills),
-            "executable": self.executable,
-            "fault": self.fault,
-            "satisfies_task": self.satisfies_task,
-            "missing": list(self.missing),
-            "minimal": self.minimal,
-            "plan_length": self.plan_length,
-            "oracle_length": self.oracle_length,
-            "start_state": self.start_state,
-        }
+        d = self.__dict__.copy()  # the fields in the order `__init__` sets them
+        d["violations"] = [v._asdict() for v in self.violations]
+        return d
 
 
 def validate_grammar(steps: Sequence[str], registry: Registry) -> list[GrammarViolation]:

@@ -95,7 +95,7 @@ def test_criterion_2_grammar_golden_set(registry):
         transported = True
         prev_host = None
         for code in plan:
-            host = registry.skill_host(code)
+            host = registry.skill_entry(code)[0]
             if host.kind == "transport":
                 transported = True
                 continue

@@ -47,10 +47,9 @@ def test_module_lookup(registry):
 def test_skill_lookup(registry):
     skill = registry.skill("M1")
     assert skill.feature == "drilled"
-    assert registry.skill_host("M1").id == "cnc_module"
     with pytest.raises(CatalogError, match="unknown skill"):
         registry.skill("M9")
-    assert registry.skill_entry("M1") == (registry.skill_host("M1"), skill)
+    assert registry.skill_entry("M1") == (registry.module("cnc_module"), skill)
     assert registry.skill_entry("M9") is None
 
 
@@ -138,6 +137,11 @@ def test_rebased_refuses_a_base_url_a_prompt_cannot_carry(registry, base):
     assert str(refused.value).startswith(f"base url {base!r} has a space or a '\"'")
 
 
+def test_rebased_refuses_a_relative_base_url(registry):
+    with pytest.raises(CatalogError, match="^base url must be absolute: '/plant'$"):
+        registry.rebased("/plant")
+
+
 def test_rebased_preserves_prompt_template_urls(registry):
     moved = registry.rebased("http://127.0.0.1:7")
     assert "{url_move_dock}" in moved.prompts.transport_output_template
@@ -158,6 +162,20 @@ def test_load_catalog_rejects_duplicate_skill(tmp_path):
     p.write_text(json.dumps(data))
     with pytest.raises(CatalogError, match="duplicate skill code"):
         load_catalog(p)
+
+
+@pytest.mark.parametrize("drop, message", [
+    (lambda data: data.pop("prompts"), "catalog: missing required key 'prompts'"),
+    (lambda data: _module(data, "cnc_module").pop("id"), "module: missing required key 'id'"),
+    (lambda data: _module(data, "cnc_module").pop("name"), "module cnc_module: missing required key 'name'"),
+    (lambda data: _skill(data, "M1").pop("endpoint"), "module cnc_module: missing required key 'endpoint'"),
+    (lambda data: data["prompts"]["manager"].pop("rules"), "manager prompts: missing required key 'rules'"),
+], ids=["prompts", "module-id", "module-name", "skill-endpoint", "manager-rules"])
+def test_load_catalog_names_a_missing_required_key(drop, message):
+    data = _raw_catalog()
+    drop(data)
+    with pytest.raises(CatalogError, match=f"^{re.escape(message)}$"):
+        registry_from_dict(data)
 
 
 def test_read_json_names_the_file(tmp_path):
@@ -268,6 +286,10 @@ def _no_store_skill(data):
 def _no_transport_skill(data):
     _skill(data, "T1")["feature"] = "carried"
     _skill(data, "T2")["feature"] = "docked"
+
+
+def _feature_twice(data):
+    _skill(data, "M2")["feature"] = _skill(data, "M1")["feature"]
 
 
 def _numeric_feature(data):
@@ -404,6 +426,7 @@ BROKEN_RULES = [
     (_feature_and_role, "skill S1 has both a feature and a role"),
     (_no_store_skill, "storage module has no 'store' skill"),
     (_no_transport_skill, "transport module offers no transport skill"),
+    (_feature_twice, "feature 'drilled' provided twice"),
     (_numeric_feature, "skill T1 has a feature that is not a string: 5"),
     (_numeric_role, "skill S1 has a role that is not a string: 5"),
     # The prompt text: every prompt a run builds can be built once the registry is.

@@ -27,9 +27,11 @@ from plantagents import (
     load_task_specs,
     oracle_plan_skills,
     parse_function_steps,
+    run_task,
     serve_plant,
     steps_to_json,
 )
+from plantagents import cli
 from plantagents.catalog import Registry
 from plantagents.cli import _COMMANDS, _build_parser, main
 from plantagents.parsing import FunctionStep
@@ -158,9 +160,14 @@ def test_parse_skills(monkeypatch, capsys):
     feed(monkeypatch, "{(S1) – (T1) – (S2)} Explanation: retrieve, carry, return.")
     rc = main(["parse", "--kind", "skills"])
     assert rc == 0
-    body = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    body = json.loads(out)
     assert body["steps"] == ["S1", "T1", "S2"]
     assert body["explanation_lines"] == ["retrieve, carry, return."]
+    assert out == (
+        '{\n  "steps": [\n    "S1",\n    "T1",\n    "S2"\n  ],\n'
+        '  "explanation_lines": [\n    "retrieve, carry, return."\n  ]\n}\n'
+    )
 
 
 def test_parse_steps(registry, monkeypatch, capsys):
@@ -170,7 +177,7 @@ def test_parse_steps(registry, monkeypatch, capsys):
     assert rc == 0
     steps = json.loads(capsys.readouterr().out)
     assert [s["action"] for s in steps] == ["move_dock", "load", "undock", "move_dock", "unload"]
-    assert all(set(s) == {"step", "description", "action", "url"} for s in steps)
+    assert all(list(s) == ["step", "description", "action", "url"] for s in steps)
 
 
 def test_parse_failure_goes_to_stderr(monkeypatch, capsys):
@@ -512,6 +519,24 @@ def test_run_task_oracle_end_to_end(tmp_path, capsys):
     assert all(r["status"] == "ok" for r in trace["records"])
 
 
+def test_trace_out_writes_the_bytes_trace_save_writes(monkeypatch, tmp_path, capsys):
+    """One trace has one file form, whichever writer writes it."""
+    traces = []
+
+    def run_and_keep(*args, **kwargs):
+        traces.append(run_task(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(cli, "run_task", run_and_keep)
+    out, saved = tmp_path / "out.json", tmp_path / "saved.json"
+    assert main(["run-task", "--backend", "oracle", "--task", bundled_task_specs()[0].instruction,
+                 "--trace-out", str(out)]) == 0
+    (trace,) = traces
+    trace.save(saved)
+    assert saved.read_bytes() == out.read_bytes()
+    assert out.read_bytes().endswith(b"}\n")
+
+
 @pytest.mark.parametrize("plant_url", [False, True], ids=["fresh-plant", "plant-url"])
 def test_run_task_builds_one_registry(monkeypatch, tmp_path, capsys, registry, drilled_spec, plant_url):
     """A run checks its catalog once: moving it onto the plant's URL
@@ -668,6 +693,10 @@ def test_evaluate_bundled_corpus(capsys, tmp_path):
         "correct_fraction": 0.88,
         "minimal_fraction": 0.06,
     }
+    assert captured.out == (
+        '{\n  "samples": 50,\n  "executable_fraction": 0.96,\n'
+        '  "correct_fraction": 0.88,\n  "minimal_fraction": 0.06\n}\n'
+    )
     reports = json.loads(report_path.read_text("utf-8"))
     assert len(reports) == 50
     assert "per-sample reports written" in captured.err

@@ -27,7 +27,7 @@ SPELLINGS = st.sampled_from(["functionalities", "functionality"])
 # Calls of registered services with well-typed bodies, so random sequences
 # move the plant as well as fault it.
 SKILL_CALL = st.builds(
-    lambda code, detail: (f"/{REGISTRY.skill_host(code).id}/skills/{code}", {"workpiece_id": "wp1", **detail}),
+    lambda code, detail: (f"/{REGISTRY.skill_entry(code)[0].id}/skills/{code}", {"workpiece_id": "wp1", **detail}),
     st.sampled_from(SKILLS[:-1]),
     st.sampled_from([{}, {"detail": None}, {"detail": "red"}, {"detail": "hole"}]),
 )

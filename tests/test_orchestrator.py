@@ -270,6 +270,29 @@ def test_abort_on_a_reply_without_a_reason(registry, task_specs, drilled_spec, s
     assert trace.abort_reason == expected
 
 
+def test_abort_plant_state_unavailable_after_completion(registry, task_specs, drilled_spec):
+    """A plant that cannot give its state once the plan has run leaves the
+    plan's ok records and one final plant record, not a completed trace."""
+
+    class ForgetfulPlant(LocalPlant):
+        states = 0
+
+        def state(self):
+            self.states += 1
+            if self.states > 1:
+                raise OrchestrationError("connection error: timed out")
+            return super().state()
+
+    sim = PlantSim.standard_start(registry)
+    trace = run_task(drilled_spec.instruction, OracleBackend(registry, task_specs), registry, ForgetfulPlant(sim))
+    assert_single_failure(trace, "plant state unavailable after completion: connection error: timed out")
+    assert trace.records[-1].name == "plant"
+    ok = trace.records[:-1]
+    assert ok and all(r.status == "ok" for r in ok)
+    assert sim.state.version == len(ok)
+    assert trace.start_state is not None and trace.final_state is None
+
+
 def test_reworded_demand_template_runs_to_completion(task_specs, drilled_spec):
     """The oracle reads each demand back through the catalog's own demand
     template, so a catalog that rewords it still completes the task."""
@@ -901,6 +924,31 @@ def test_http_plant_refuses_a_reply_it_cannot_frame(reply, close):
             plant.state()
         assert plant.state() == SNAPSHOT
     assert stub.connections == 3
+
+
+def _status_reply(status, body):
+    return b"HTTP/1.1 %d Whatever\r\nContent-Length: %d\r\n\r\n%s" % (status, len(body), body)
+
+
+@pytest.mark.parametrize("status, body, message", [
+    (503, b'{"version": 7, "workpieces": {}}', "HTTP 503 from "),
+    (200, b"<html>", "non-JSON response from "),
+])
+def test_http_plant_state_refuses_a_reply_that_is_no_snapshot(status, body, message):
+    with RawPlant([(_status_reply(status, body), False)]) as stub, HttpPlant(stub.base_url) as plant:
+        with pytest.raises(OrchestrationError, match=f"^{re.escape(message + stub.base_url)}/plant/state$"):
+            plant.state()
+
+
+@pytest.mark.parametrize("body", [b"<html>", b"[1]"], ids=["not-json", "not-an-object"])
+@pytest.mark.parametrize("status, result", [
+    (200, {"status": "ok", "reason": None, "state_version": None}),
+    (409, {"status": "fault", "reason": "precondition violated", "state_version": None}),
+    (500, {"status": "error", "reason": "HTTP 500", "state_version": None}),
+])
+def test_http_plant_call_reads_a_body_that_is_no_json_object_as_empty(status, result, body):
+    with RawPlant([(_status_reply(status, body), False)]) as stub, HttpPlant(stub.base_url) as plant:
+        assert plant.call(f"{stub.base_url}/storage_module/skills/S1", {}) == result
 
 
 def test_http_plant_gives_a_reply_one_deadline(monkeypatch):

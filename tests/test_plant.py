@@ -248,6 +248,16 @@ def test_snapshot_shapes(sim):
     assert empty["workpieces"] == {}
 
 
+@pytest.mark.parametrize("count", [0, 2])
+def test_sole_workpiece_needs_exactly_one(sim, count):
+    if count == 0:
+        sim.state.workpieces.clear()
+    else:
+        sim.state.workpieces["wp2"] = Workpiece("wp2", "wood", location="storage_module", in_inventory=True)
+    with pytest.raises(PlantFault, match=f"^expected exactly one workpiece, found {count}$"):
+        sim.sole_workpiece()
+
+
 def test_identity_is_sole_surviving_permutation(registry):
     survivors = permutation_survey(registry, "storage_module", "painting_module")
     assert survivors == [0]

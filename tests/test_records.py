@@ -1,6 +1,6 @@
 """Behaviour callers rely on in the package's record types: equality and
 hashing, the checks every construction runs, which records refuse writes,
-and the key order a trace record is written in."""
+and the key order each record's JSON object is written in."""
 
 import json
 from pathlib import Path
@@ -12,12 +12,12 @@ from plantagents import catalog
 from plantagents.backends import CompletionRequest, CompletionResult
 from plantagents.catalog import Module, PromptExample, Skill, TransportExample, bundled_catalog, registry_from_dict
 from plantagents.evaluation import EvalMetrics, EvalSample
-from plantagents.orchestrator import TraceRecord
+from plantagents.orchestrator import ExecutionTrace, TraceRecord
 from plantagents.parsing import FunctionStep, SkillPlan
-from plantagents.plant import Feature
+from plantagents.plant import Feature, PlantSim
 from plantagents.prompts import build_manager_prompt, build_operator_prompt, render_transport_demand
 from plantagents.tasks import TaskError, TaskSpec
-from plantagents.validation import GrammarViolation
+from plantagents.validation import GrammarViolation, ValidationReport, validate_plan
 
 SPEC = {"instruction": "Produce a drilled sheet.", "initial_location": "storage_module", "material": "steel"}
 
@@ -161,3 +161,33 @@ def test_trace_record_keys_keep_their_order():
     )
     record.transport_index = 2
     assert record.to_dict()["transport_index"] == 2
+
+
+def test_execution_trace_keys_keep_their_order():
+    trace = ExecutionTrace("Drill the sheet.", "oracle")
+    trace.records.append(TraceRecord("agent", "plant", "", {}, "error", "plant unreachable: refused"))
+    assert list(trace.to_dict()) == [
+        "task_text", "backend_id", "outcome", "abort_reason", "skill_plan", "records", "exchanges",
+        "start_state", "final_state",
+    ]
+    assert trace.to_dict()["records"] == [trace.records[0].to_dict()]
+
+
+def test_validation_report_keys_keep_their_order(registry, drilled_spec):
+    assert list(ValidationReport().to_dict()) == [
+        "parsed", "parse_error", "plan", "grammar_ok", "violations", "nonstandard_skills", "executable", "fault",
+        "satisfies_task", "missing", "minimal", "plan_length", "oracle_length", "start_state",
+    ]
+    report = validate_plan(registry, ["S1", "M1", "S2"], drilled_spec)
+    assert [list(v) for v in report.to_dict()["violations"]] == [["rule", "message"]] * 2
+
+
+def test_plant_snapshot_keys_keep_their_order(registry):
+    sim = PlantSim.standard_start(registry, location="painting_module", in_inventory=False)
+    sim.apply_skill("P2", "wp1", detail="backside customer logo")
+    assert json.dumps(sim.snapshot()) == (
+        '{"version": 1, "robot": {"position": "storage_module", "docked": false, "carrying": null}, '
+        '"workpieces": {"wp1": {"id": "wp1", "material": "steel", '
+        '"features": [{"kind": "paint_pattern", "detail": "backside customer logo"}], '
+        '"location": "painting_module", "in_inventory": false}}}'
+    )

@@ -45,7 +45,7 @@ REFERENCE_PLANS = [DRILLED_PLAN, LASERED_PLAN, RETURNED_PLAN]
 STANDARD_CODES = ["I1", "I2", "I3", "S1", "S2", "T1", "M1", "M2", "M3", "P1", "P2", "L1"]
 
 _HOSTS = {
-    code: REGISTRY.skill_host(code) for code in STANDARD_CODES + ["T2"]
+    code: REGISTRY.skill_entry(code)[0] for code in STANDARD_CODES + ["T2"]
 }
 
 
