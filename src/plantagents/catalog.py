@@ -215,6 +215,8 @@ class Registry:
             raise CatalogError(f"{where}: not an absolute service URL: {url!r}")
         if re.search(r'["\s?#]', url):  # a URL in a prompt ends at whitespace or a '"'
             raise CatalogError(f"{where}: a service URL takes no query, fragment, space or '\"': {url!r}")
+        if not is_request_path(parts.path):
+            raise CatalogError(f"{where}: a service URL path takes printable ASCII only: {url!r}")
         origin = f"{parts.scheme}://{parts.netloc}"
         self.base_url = self.base_url or origin
         if origin != self.base_url:
@@ -369,6 +371,11 @@ class Registry:
         return copy
 
 
+def is_request_path(path: str) -> bool:
+    """Whether an HTTP request line can carry `path`: printable ASCII with no space."""
+    return path.isascii() and path.isprintable() and " " not in path
+
+
 def _check_skill(s: Skill, where: str) -> None:
     if len(s.code) < 2 or not s.code[0].isalpha() or not s.code[1:].isdigit():
         raise CatalogError(f"{where}: bad skill code {s.code!r}")
@@ -440,6 +447,23 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+_JSON_TYPES = {dict: "object", list: "list", str: "string", bool: "boolean", int: "number", float: "number",
+               type(None): "null"}
+
+
+def _expect(value, kind: type, path: str):
+    """`value` if it is a JSON `kind`; if not, a CatalogError that names its JSON path."""
+    if not isinstance(value, kind):
+        found = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise CatalogError(f"{path}: expected {_JSON_TYPES[kind]}, got {found}")
+    return value
+
+
+def _objects(value, path: str) -> list[tuple[str, dict]]:
+    """(JSON path, item) of each item of the JSON list at `path`, each checked to be an object."""
+    return [(f"{path}[{i}]", _expect(item, dict, f"{path}[{i}]")) for i, item in enumerate(_expect(value, list, path))]
+
+
 def _strings(value, where: str) -> tuple[str, ...]:
     if not (isinstance(value, list) and all(isinstance(item, str) for item in value)):
         raise CatalogError(f"{where} must be a list of strings, got {value!r}")
@@ -456,7 +480,7 @@ def _load_skill(raw: dict, where: str) -> Skill:
     )
 
 
-def _load_component(raw: dict, where: str) -> Component:
+def _load_component(raw: dict, where: str, path: str) -> Component:
     cid = _require(raw, "id", where)
     where = f"{where} component {cid}"
     return Component(
@@ -469,12 +493,12 @@ def _load_component(raw: dict, where: str) -> Component:
                 url=_require(f, "url", where),
                 parameters=_strings(f.get("parameters", []), f"{where} functionality {f['name']}: parameters"),
             )
-            for f in raw.get("functionalities", [])
+            for _, f in _objects(raw.get("functionalities", []), f"{path}.functionalities")
         ),
     )
 
 
-def _load_module(raw: dict) -> Module:
+def _load_module(raw: dict, path: str) -> Module:
     mid = _require(raw, "id", "module")
     where = f"module {mid}"
     return Module(
@@ -484,10 +508,11 @@ def _load_module(raw: dict) -> Module:
         display=_require(raw, "display", where),
         capability_noun=raw.get("capability_noun", "skills"),
         transport_phrase=raw.get("transport_phrase"),
-        skills=tuple(_load_skill(s, where) for s in _require(raw, "skills", where)),
-        components=tuple(_load_component(c, where) for c in raw.get("components", [])),
+        skills=tuple(_load_skill(s, where) for _, s in _objects(_require(raw, "skills", where), f"{path}.skills")),
+        components=tuple(_load_component(c, where, at) for at, c in _objects(raw.get("components", []),
+                                                                              f"{path}.components")),
         operator_preamble=_strings(raw.get("operator_preamble", []), f"{where}: operator_preamble"),
-        info=dict(raw.get("info", {})),
+        info=dict(_expect(raw.get("info", {}), dict, f"{path}.info")),
     )
 
 
@@ -521,7 +546,7 @@ def _load_prompts(raw: dict) -> PromptAssets:
 def registry_from_dict(data: dict) -> Registry:
     try:
         return Registry(
-            modules=tuple(_load_module(m) for m in data.get("modules", [])),
+            modules=tuple(_load_module(m, at) for at, m in _objects(data.get("modules", []), "modules")),
             prompts=_load_prompts(_require(data, "prompts", "catalog")),
         )
     except (AttributeError, KeyError, TypeError) as exc:

@@ -8,7 +8,6 @@ the first fault; the trace then records exactly one non-ok entry.
 
 from __future__ import annotations
 
-import functools
 import io
 import json
 import select
@@ -19,7 +18,7 @@ from typing import Protocol
 from urllib.parse import urlsplit
 
 from .backends import BackendError, CompletionBackend, CompletionRequest
-from .catalog import CatalogError, Registry, canonical_url
+from .catalog import CatalogError, Registry, canonical_url, is_request_path
 from .parsing import FunctionStep, ParseError, parse_function_steps, parse_skill_sequence
 from .plant import ON_ROBOT, PlantFault
 from .prompts import (
@@ -88,62 +87,38 @@ class PlantPort(Protocol):
     `HttpPlant` for a plant service.
 
     `state()` returns the plant snapshot and raises OrchestrationError when
-    the plant cannot give one; `call(url, body)` runs one service call and
-    returns its ok/fault/error dict (see `service.call_result`).
+    the plant cannot give one; `call(path, body)` runs one service call at
+    a catalog path and returns its ok/fault/error dict (see
+    `service.call_result`).  The port must be the plant at the registry's
+    `base_url`: `run_task` checks that for a URL, and the caller that hands
+    it a port of its own owns that match.
     """
 
     def state(self) -> dict: ...
 
-    def call(self, url: str, body: dict) -> dict: ...
-
-
-def _http_origin(url: str) -> tuple[str, int] | None:
-    """(host, port) of an http:// URL with an ASCII host; None for any
-    other URL."""
-    parts = urlsplit(url)
-    try:
-        port = parts.port or 80
-    except ValueError:  # a port that is not a number from 0 to 65535
-        return None
-    if parts.scheme != "http" or not parts.hostname or not parts.netloc.isascii():
-        return None
-    return parts.hostname, port
-
-
-@functools.lru_cache(maxsize=128)
-def _request_head(base_url: str, method: str, url: str) -> bytes:
-    """The request line and `Host` of a request for `url` to the plant at
-    `base_url`, sending only the URL's path, sliced off unsplit when `url`
-    starts with the plant's `http://<netloc>/`; raises FramingError (never cached) for a
-    base URL that is not http://, a URL on another scheme, host or port, or a path a request line cannot carry."""
-    origin = _http_origin(base_url)
-    if origin is None:
-        raise FramingError(f"not an http:// plant URL: {base_url!r}")
-    netloc = urlsplit(base_url).netloc
-    path = url.removeprefix(f"http://{netloc}")
-    if path == url or path[:1] != "/" or "?" in path or "#" in path or not path.isprintable():
-        if _http_origin(url) != origin:
-            raise FramingError(f"{url} is not on the plant at {base_url}")
-        path = urlsplit(url).path
-    if not (path.isascii() and path.isprintable()) or " " in path:
-        raise FramingError(f"{url} has a character a request path cannot carry")
-    host = netloc.rpartition("@")[2]
-    return f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n".encode("ascii")
+    def call(self, path: str, body: dict) -> dict: ...
 
 
 class HttpPlant:
     """The plant port for a plant service reached over HTTP.
 
-    One TCP connection to `base_url` stays open across calls, with no proxy
-    lookup: the plant is always an explicit URL.  A call sends only its
-    URL's path; a URL on another scheme, host or port gets an `error`
-    result and nothing is sent.  Each request is one write; each reply is
-    read by Content-Length only (see `service.read_reply`).
+    `base_url` must be `http://` with an ASCII host; only its scheme, host
+    and port are used, and every request names a path under them.  One TCP
+    connection stays open across calls, with no proxy lookup: the plant is
+    always an explicit URL.  A path a request line cannot carry gets an
+    `error` result and nothing is sent.  Each request is one write; each
+    reply is read by Content-Length only (see `service.read_reply`).
     """
 
     def __init__(self, base_url: str) -> None:
-        self.base_url = base_url.rstrip("/")
-        self._origin = _http_origin(self.base_url)
+        parts = urlsplit(base_url)
+        try:  # `port` raises ValueError for a port that is not a number from 0 to 65535
+            self._origin = parts.hostname, parts.port or 80
+            if parts.scheme != "http" or not parts.hostname or not parts.netloc.isascii():
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"not an http:// plant URL: {base_url!r}") from None
+        self.base_url, self._host = f"http://{parts.netloc}", parts.netloc.rpartition("@")[2]
         self._sock: socket.socket | None = None
         self._reader = None
 
@@ -163,7 +138,7 @@ class HttpPlant:
     def state(self) -> dict:
         url = f"{self.base_url}/plant/state"
         try:
-            status, raw = self._round_trip("GET", url)
+            status, raw = self._round_trip("GET", "/plant/state")
         except (OSError, FramingError) as exc:
             raise OrchestrationError(f"connection error: {exc}") from exc
         if status != 200:
@@ -173,9 +148,9 @@ class HttpPlant:
         except ValueError as exc:
             raise OrchestrationError(f"non-JSON response from {url}") from exc
 
-    def call(self, url: str, body: dict) -> dict:
+    def call(self, path: str, body: dict) -> dict:
         try:
-            status, raw = self._round_trip("POST", url, encode_json(body).encode("utf-8"))
+            status, raw = self._round_trip("POST", path, encode_json(body).encode("utf-8"))
         except (OSError, FramingError) as exc:
             return {"status": "error", "reason": f"connection error: {exc}", "state_version": None}
         try:
@@ -184,11 +159,13 @@ class HttpPlant:
             payload = {}
         return call_result(status, payload if isinstance(payload, dict) else {})
 
-    def _round_trip(self, method: str, url: str, body: bytes | None = None) -> tuple[int, bytes]:
+    def _round_trip(self, method: str, path: str, body: bytes | None = None) -> tuple[int, bytes]:
         """One request on the kept-alive connection: (HTTP status, reply
         body).  Raises OSError or FramingError when it fails, FramingError
-        also when `url` is not on the plant."""
-        head = _request_head(self.base_url, method, url)
+        also when a request line cannot carry `path`."""
+        if not is_request_path(path):
+            raise FramingError(f"{path!r} has a character a request path cannot carry")
+        head = f"{method} {path} HTTP/1.1\r\nHost: {self._host}\r\n".encode("ascii")
         request = head + b"\r\n" if body is None else (
             b"%sContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s" % (head, len(body), body))
         # An idle socket that polls readable was closed by the service (after
@@ -264,9 +241,10 @@ def dispatch_function_steps(
     Returns a trace record per call, in call order, with no transport index.
     Dispatch stops after the first non-ok call, so only the last record can
     be non-ok.  Parsed URLs are canonicalized and must be registered in the
-    catalog; unregistered endpoints are refused, not called.
+    catalog; unregistered endpoints are refused, not called.  The plant is
+    called at the registered URL's path under `registry.base_url`.
     """
-    allowed = registry.known_endpoints()
+    allowed, base = registry.known_endpoints(), len(registry.base_url)
     records: list[TraceRecord] = []
     for step in steps:
         url = canonical_url(step.url)
@@ -276,17 +254,19 @@ def dispatch_function_steps(
             body, refusal = {"params": {}}, exc.reason
         if url not in allowed:
             refusal = f"unregistered endpoint: {step.url}"
-        records.append(_plant_call(plant, "functionality", step.action, url, body, refusal))
+        records.append(_plant_call(plant, "functionality", step.action, url, url[base:], body, refusal))
         if records[-1].status != "ok":
             break
     return records
 
 
-def _plant_call(plant: PlantPort, kind: str, name: str, url: str, body: dict, refusal: str | None) -> TraceRecord:
-    """One plant call as its trace record, at the canonical endpoint.  With a
-    `refusal` nothing is called, and the record is an error for that reason."""
-    response = plant.call(url, body) if refusal is None else {"status": "error", "reason": refusal}
-    return TraceRecord(kind, name, canonical_url(url), body, response["status"], response.get("reason"),
+def _plant_call(plant: PlantPort, kind: str, name: str, endpoint: str, path: str, body: dict,
+                refusal: str | None) -> TraceRecord:
+    """One plant call at `path` as its trace record, at the canonical
+    `endpoint`.  With a `refusal` nothing is called, and the record is an
+    error for that reason."""
+    response = plant.call(path, body) if refusal is None else {"status": "error", "reason": refusal}
+    return TraceRecord(kind, name, endpoint, body, response["status"], response.get("reason"),
                        response.get("state_version"))
 
 
@@ -302,14 +282,21 @@ def run_task(
     `plant` is a plant port or the base URL of a plant service; for a URL
     the run opens an `HttpPlant` and closes it before returning.  The
     registry must describe the plant being called (rebase it onto the
-    service URL first).  Failures of any stage produce an aborted trace
-    whose last record carries the reason; this function does not raise for
-    them.
+    service URL first): a URL on another origin than `registry.base_url`
+    aborts the run before anything is sent.  Failures of any stage produce
+    an aborted trace whose last record carries the reason; this function
+    does not raise for them.
     """
-    if isinstance(plant, str):
-        with HttpPlant(plant) as port:
-            return _run_on_port(task_text, backend, registry, port, task_spec)
-    return _run_on_port(task_text, backend, registry, plant, task_spec)
+    if not isinstance(plant, str):
+        return _run_on_port(task_text, backend, registry, plant, task_spec)
+    try:
+        port = HttpPlant(plant)
+        if port.base_url != registry.base_url:
+            raise ValueError(f"{plant} is not on the catalog's base URL {registry.base_url}")
+    except ValueError as exc:
+        return _abort(ExecutionTrace(task_text, backend.backend_id), "plant", f"plant unreachable: {exc}")
+    with port:
+        return _run_on_port(task_text, backend, registry, port, task_spec)
 
 
 def _run_on_port(
@@ -387,8 +374,9 @@ def _run_on_port(
                 record.transport_index = transport_index
         else:
             body = {"workpiece_id": wp_id, "detail": details.get(step.code)}
-            url = registry.base_url + registry.skill(step.code).endpoint
-            records = [_plant_call(plant, "skill", step.code, url, body, None)]
+            path = registry.skill(step.code).endpoint
+            url = canonical_url(registry.base_url + path)
+            records = [_plant_call(plant, "skill", step.code, url, path, body, None)]
         trace.records += records
         if records[-1].status != "ok":
             trace.abort_reason = records[-1].reason

@@ -31,7 +31,6 @@ import time
 from functools import lru_cache
 from http import HTTPStatus
 from time import gmtime, monotonic
-from urllib.parse import urlsplit
 
 from .catalog import CatalogError
 from .plant import PlantFault, PlantSim
@@ -86,7 +85,7 @@ class LocalPlant:
     body in, (HTTP status, payload) out.
 
     It is also a plant port for `orchestrator.run_task`: `state()` and
-    `call(url, body)`, where only the URL's path is routed.
+    `call(path, body)`, which routes the path as given.
     """
 
     def __init__(self, sim: PlantSim) -> None:
@@ -95,8 +94,8 @@ class LocalPlant:
     def state(self) -> dict:
         return self.sim.snapshot()
 
-    def call(self, url: str, body: dict) -> dict:
-        return call_result(*self.post(urlsplit(url).path, body))
+    def call(self, path: str, body: dict) -> dict:
+        return call_result(*self.post(path, body))
 
     def get(self, path: str) -> tuple[int, dict]:
         if path == "/plant/state":
@@ -193,8 +192,8 @@ class SocketStream(io.RawIOBase):
 
 
 class FramingError(Exception):
-    """A message the plant link cannot send or read: a request for a URL
-    not on the plant, or a head or body its framing refuses.  `status` is
+    """A message the plant link cannot send or read: a request for a path
+    a request line cannot carry, or a head or body its framing refuses.  `status` is
     the HTTP status a server refuses a request with."""
 
     def __init__(self, message: str, status: int = 400) -> None:

@@ -178,6 +178,29 @@ def test_load_catalog_names_a_missing_required_key(drop, message):
         registry_from_dict(data)
 
 
+@pytest.mark.parametrize("put, message", [
+    (lambda data: data.update(modules={"a": 1}), "modules: expected list, got object"),
+    (lambda data: data.update(modules=[1]), "modules[0]: expected object, got number"),
+    (lambda data: data["modules"][2].update(skills={"a": 1}), "modules[2].skills: expected list, got object"),
+    (lambda data: data["modules"][2]["skills"].append("T3"), "modules[2].skills[2]: expected object, got string"),
+    (lambda data: data["modules"][0].update(components=5), "modules[0].components: expected list, got number"),
+    (lambda data: data["modules"][2].update(components=[None]), "modules[2].components[0]: expected object, got null"),
+    (lambda data: data["modules"][2]["components"][0].update(functionalities=True),
+     "modules[2].components[0].functionalities: expected list, got boolean"),
+    (lambda data: data["modules"][2]["components"][0]["functionalities"].append([]),
+     "modules[2].components[0].functionalities[4]: expected object, got list"),
+    (lambda data: data["modules"][1].update(info="x"), "modules[1].info: expected object, got string"),
+], ids=["modules", "module", "skills", "skill", "components", "component", "functionalities", "functionality",
+        "info"])
+def test_load_catalog_names_the_json_path_of_a_container_of_the_wrong_type(put, message):
+    """Each container is checked before it is read, so a skill list that is
+    an object is not read as its keys, and no TypeError escapes."""
+    data = _raw_catalog()
+    put(data)
+    with pytest.raises(CatalogError, match=f"^{re.escape(message)}$"):
+        registry_from_dict(data)
+
+
 def test_read_json_names_the_file(tmp_path):
     with pytest.raises(FileNotFoundError, match="^catalog file not found: "):
         read_json(tmp_path / "gone.json", "catalog file")
@@ -353,6 +376,14 @@ def _quote_in_a_path(data):
     _module(data, "robotino_7")["components"][0]["functionalities"][1]["url"] += '"'
 
 
+def _non_ascii_path(data):
+    _skill(data, "I1")["endpoint"] = "http://129.69.102.129:5010/inspection_module/skills\u00e9/I1"
+
+
+def _control_character_in_a_path(data):
+    _module(data, "robotino_7")["components"][0]["functionalities"][1]["url"] += "\x7f"
+
+
 def _unknown_role(data):
     _skill(data, "S1")["role"] = "fetch"
 
@@ -463,6 +494,11 @@ BROKEN_RULES = [
                        "'http://129.69.102.129:5010/cnc module/skills/M2'"),
     (_quote_in_a_path, "module robotino_7 functionality load: a service URL takes no query, fragment, space or "
                        "'\"': 'http://129.69.102.129:5010/robotino_7/functionalities/load\"'"),
+    # An HTTP request line carries a path of printable ASCII only.
+    (_non_ascii_path, "module inspection_module skill I1: a service URL path takes printable ASCII only: "
+                      "'http://129.69.102.129:5010/inspection_module/skills\u00e9/I1'"),
+    (_control_character_in_a_path, "module robotino_7 functionality load: a service URL path takes printable "
+                                   "ASCII only: 'http://129.69.102.129:5010/robotino_7/functionalities/load"),  # a regex
 ]
 
 # The same for the rules on a module's own entries.
@@ -499,7 +535,7 @@ def test_direct_and_rebased_registries_keep_every_rule(mutate, match):
     mutate(data)
     with pytest.raises(CatalogError) as loaded:
         registry_from_dict(data)
-    modules = tuple(_load_module(m) for m in data["modules"])
+    modules = tuple(_load_module(m, f"modules[{i}]") for i, m in enumerate(data["modules"]))
     prompts = _load_prompts(data["prompts"])
     with pytest.raises(CatalogError) as direct:
         Registry(modules=modules, prompts=prompts)
@@ -606,7 +642,7 @@ def test_registry_accepts_a_template_that_names_fewer_placeholders():
 def _absolute_modules():
     """The bundled modules with the absolute URLs of the catalog file; a
     registry's own `modules` hold paths."""
-    return tuple(_load_module(m) for m in _raw_catalog()["modules"])
+    return tuple(_load_module(m, f"modules[{i}]") for i, m in enumerate(_raw_catalog()["modules"]))
 
 
 def test_registry_built_directly_is_checked(registry):

@@ -277,16 +277,20 @@ def _skills_as_number():
 
 
 @pytest.mark.parametrize(
-    "catalog",
-    [{"modules": 1}, _bundled_catalog_with(modules=[1]), _skills_as_number()],
+    "catalog, message",
+    [
+        ({"modules": 1}, "modules: expected list, got number"),
+        (_bundled_catalog_with(modules=[1]), "modules[0]: expected object, got number"),
+        (_skills_as_number(), "modules[0].skills: expected list, got number"),
+    ],
     ids=["modules-number", "module-number", "skills-number"],
 )
-def test_catalog_of_wrong_json_types_is_an_error(tmp_path, capsys, catalog):
+def test_catalog_of_wrong_json_types_is_an_error(tmp_path, capsys, catalog, message):
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(catalog), "utf-8")
     rc = main(["render-prompt", "--agent", "manager", "--task", "x", "--catalog", str(path)])
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error: catalog entry of the wrong shape: TypeError")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _prompts_with(agent, key, value):

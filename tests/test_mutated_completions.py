@@ -105,15 +105,17 @@ class MutatingBackend(CompletionBackend):
 
 
 class RecordingPlant(LocalPlant):
-    """An in-process plant that records the URL of each call it gets."""
+    """An in-process plant that records the path of each call it gets; each
+    is a catalog endpoint's path under the registry's base URL."""
 
     def __init__(self, sim) -> None:
         super().__init__(sim)
         self.calls: list[str] = []
 
-    def call(self, url, body):
-        self.calls.append(url)
-        return super().call(url, body)
+    def call(self, path, body):
+        assert REGISTRY.base_url + path in KNOWN
+        self.calls.append(path)
+        return super().call(path, body)
 
 
 @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -131,7 +133,7 @@ def test_mutated_completions_keep_the_trace_invariants(spec, data):
         assert trace.outcome == "aborted"
         assert trace.records[:-1] == ok and trace.records[-1].status in ("fault", "error")
         assert trace.abort_reason == trace.records[-1].reason
-    assert set(plant.calls) <= KNOWN
+    assert {REGISTRY.base_url + path for path in plant.calls} <= KNOWN
     assert {record.endpoint for record in ok} <= KNOWN
     # Every ok record is one change of the plant, and no other call changed it.
     assert sim.state.version == len(ok)

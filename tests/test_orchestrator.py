@@ -12,7 +12,6 @@ import socket
 import threading
 import time
 from importlib import resources
-from urllib.parse import urlsplit
 
 import pytest
 
@@ -29,12 +28,12 @@ from plantagents import (
     run_task,
     serve_plant,
 )
-from plantagents import orchestrator, service
+from plantagents import service
 from plantagents.backends import BackendError, CompletionBackend, CompletionResult
 from plantagents.catalog import registry_from_dict
 from plantagents.plant import Feature
 from plantagents.prompts import fill_transport_output, render_transport_demand
-from plantagents.service import BackgroundServer, FramingError, JsonHandler
+from plantagents.service import BackgroundServer, JsonHandler
 from plantagents.validation import check_satisfaction
 
 TRANSPORT_ACTIONS = ["move_dock", "load", "undock", "move_dock", "unload"]
@@ -184,7 +183,7 @@ def assert_single_failure(trace, prefix, kind="agent"):
 
 def test_abort_plant_unreachable(registry, task_specs):
     backend = ScriptedBackend([])
-    trace = run_task("produce anything", backend, registry, "http://127.0.0.1:9")
+    trace = run_task("produce anything", backend, registry.rebased("http://127.0.0.1:9"), "http://127.0.0.1:9")
     assert_single_failure(trace, "plant unreachable: ")
     assert trace.records[-1].name == "plant"
     assert trace.exchanges == []
@@ -242,7 +241,7 @@ def test_abort_plant_state_of_the_wrong_shape(registry, reply):
             self._reply(200, reply)
 
     with BackgroundServer(("127.0.0.1", 0), StateHandler) as srv:
-        trace = run_task("produce anything", ScriptedBackend([]), registry, srv.base_url)
+        trace = run_task("produce anything", ScriptedBackend([]), registry.rebased(srv.base_url), srv.base_url)
     assert_single_failure(trace, "plant state")
     assert trace.records[-1].name == "plant"
     assert trace.exchanges == []
@@ -612,11 +611,11 @@ class FailingPlant:
     def state(self):
         return self.plant.state()
 
-    def call(self, url, body):
+    def call(self, path, body):
         self.calls += 1
         if self.calls == self.k:
             return {"status": self.status, "reason": f"injected {self.status} at call {self.k}"}
-        return self.plant.call(url, body)
+        return self.plant.call(path, body)
 
 
 @pytest.mark.parametrize("status", ["error", "fault"])
@@ -757,36 +756,31 @@ def test_http_plant_reconnects_after_the_service_drops_an_idle_connection(regist
     sim = PlantSim.standard_start(registry)
     with PlantService(sim, port=0) as srv, HttpPlant(srv.base_url) as plant:
         for version in (1, 2, 3):
-            result = plant.call(f"{srv.base_url}/storage_module/skills/S1", {"workpiece_id": "wp1"})
+            result = plant.call("/storage_module/skills/S1", {"workpiece_id": "wp1"})
             assert result == {"status": "ok", "reason": None, "state_version": version}
             time.sleep(0.5)
         assert plant.state()["version"] == 3
 
 
-@pytest.mark.parametrize("where", ["other port", "other host", "other scheme"])
-def test_http_plant_sends_nothing_off_its_plant(registry, where):
-    """A call URL on another scheme, host or port gets an error result and
-    reaches no plant, on its first and second call and after a call that
-    succeeded: a refused URL is never kept as an accepted one."""
-    with PlantService(PlantSim.standard_start(registry), port=0) as own, \
-            PlantService(PlantSim.standard_start(registry), port=0) as other, \
-            HttpPlant(own.base_url) as plant:
-        host, port = own.server_address[:2]
-        base = {
-            "other port": other.base_url,
+@pytest.mark.parametrize("where", ["other port", "other host", "other scheme", "not rebased"])
+def test_a_run_sends_nothing_to_a_plant_off_its_catalog(registry, task_specs, drilled_spec, where):
+    """A plant URL on another scheme, host or port than the registry's base
+    URL aborts the run with one plant record before anything is sent, also
+    when the registry was never rebased off the catalog's own origin."""
+    with PlantService(PlantSim.standard_start(registry), port=0) as srv:
+        host, port = srv.server_address[:2]
+        reg = registry.rebased({
+            "other port": f"http://{host}:{port + 1 if port < 65535 else 1}",
             "other host": f"http://localhost:{port}",
             "other scheme": f"https://{host}:{port}",
-        }[where]
-
-        def refused() -> bool:
-            result = plant.call(f"{base}/storage_module/skills/S1", {"workpiece_id": "wp1"})
-            return result["status"] == "error" and result["reason"].endswith(f"is not on the plant at {own.base_url}")
-
-        assert refused() and refused()
-        assert own.sim.state.version == other.sim.state.version == 0
-        assert plant.call(f"{own.base_url}/storage_module/skills/S1", {"workpiece_id": "wp1"})["status"] == "ok"
-        assert refused()
-        assert (own.sim.state.version, other.sim.state.version) == (1, 0)
+            "not rebased": registry.base_url,
+        }[where])
+        trace = run_task(drilled_spec.instruction, OracleBackend(reg, task_specs), reg, srv.base_url)
+        assert_single_failure(trace, "plant unreachable: ")
+        assert trace.abort_reason == f"plant unreachable: {srv.base_url} is not on the catalog's base URL {reg.base_url}"
+        assert trace.records[-1].name == "plant"
+        assert trace.exchanges == [] and trace.start_state is None
+        assert srv.sim.state.version == 0
 
 
 def test_http_plant_reconnects_after_unasked_bytes_on_an_idle_connection(registry):
@@ -915,11 +909,11 @@ def test_http_plant_refuses_a_reply_it_cannot_frame(reply, close):
     afresh and succeeds."""
     replies = [(reply, close), (OK_CALL, False), (reply, close), (_reply(SNAPSHOT), False)]
     with RawPlant(replies) as stub, HttpPlant(stub.base_url) as plant:
-        url = f"{stub.base_url}/storage_module/skills/S1"
-        result = plant.call(url, {"workpiece_id": "wp1"})
+        path = "/storage_module/skills/S1"
+        result = plant.call(path, {"workpiece_id": "wp1"})
         assert result["status"] == "error"
         assert result["reason"].startswith("connection error: ") and len(result["reason"]) > 18
-        assert plant.call(url, {"workpiece_id": "wp1"}) == {"status": "ok", "reason": None, "state_version": 7}
+        assert plant.call(path, {"workpiece_id": "wp1"}) == {"status": "ok", "reason": None, "state_version": 7}
         with pytest.raises(OrchestrationError, match="connection error: "):
             plant.state()
         assert plant.state() == SNAPSHOT
@@ -948,7 +942,7 @@ def test_http_plant_state_refuses_a_reply_that_is_no_snapshot(status, body, mess
 ])
 def test_http_plant_call_reads_a_body_that_is_no_json_object_as_empty(status, result, body):
     with RawPlant([(_status_reply(status, body), False)]) as stub, HttpPlant(stub.base_url) as plant:
-        assert plant.call(f"{stub.base_url}/storage_module/skills/S1", {}) == result
+        assert plant.call("/storage_module/skills/S1", {}) == result
 
 
 def test_http_plant_gives_a_reply_one_deadline(monkeypatch):
@@ -971,8 +965,7 @@ def test_http_plant_reads_a_closing_reply_then_reconnects():
     replies = [(_reply(SNAPSHOT, "Connection: close"), False), (OK_CALL, False)]
     with RawPlant(replies) as stub, HttpPlant(stub.base_url) as plant:
         assert plant.state() == SNAPSHOT
-        url = f"{stub.base_url}/storage_module/skills/S1"
-        assert plant.call(url, {}) == {"status": "ok", "reason": None, "state_version": 7}
+        assert plant.call("/storage_module/skills/S1", {}) == {"status": "ok", "reason": None, "state_version": 7}
     assert stub.connections == 2
 
 
@@ -981,7 +974,7 @@ def test_http_plant_sends_each_request_in_one_segment():
     request holds all of it."""
     with RawPlant([(OK_CALL, False), (_reply(SNAPSHOT), False)]) as stub, HttpPlant(stub.base_url) as plant:
         body = {"params": {"target_module": "cnc_module"}}
-        plant.call(f"{stub.base_url}/robotino_7/functionalities/move_dock", body)
+        plant.call("/robotino_7/functionalities/move_dock", body)
         plant.state()
     post, get = stub.requests
     raw = json.dumps(body).encode()
@@ -993,56 +986,33 @@ def test_http_plant_sends_each_request_in_one_segment():
     assert get == f"GET /plant/state HTTP/1.1\r\nHost: {host}\r\n\r\n".encode()
 
 
+@pytest.mark.parametrize("form", ["http://{}", "HTTP://{}", "http://user:pw@{}", "http://{}/prefix?q=1#f"])
+def test_http_plant_sends_each_path_under_the_origin_of_its_base_url(form):
+    """The port's paths are catalog paths, which name the whole request
+    path: a path, query or fragment on the base URL is in no request, and
+    `Host` is the base URL's host and port without its user info."""
+    with RawPlant([(_reply(SNAPSHOT), False)]) as stub:
+        netloc = stub.base_url.removeprefix("http://")
+        with HttpPlant(form.format(netloc)) as plant:
+            assert plant.state() == SNAPSHOT
+    assert stub.requests == [f"GET /plant/state HTTP/1.1\r\nHost: {netloc}\r\n\r\n".encode()]
+
+
+@pytest.mark.parametrize("base_url", ["foo", "https://h:1", "ftp://h:1", "http://h:99999", "http://:9", "http://pl\u00e4nt:9"])
+def test_http_plant_refuses_a_base_url_that_is_not_http(base_url):
+    with pytest.raises(ValueError, match=f"^not an http:// plant URL: {re.escape(repr(base_url))}$"):
+        HttpPlant(base_url)
+
+
 @pytest.mark.parametrize("path", ["/storage module/skills/S1", "/storage_module/skills/S\u00e91", "/a\x7f/skills/S1"])
 def test_http_plant_refuses_a_path_it_cannot_send(path):
-    """A call URL whose path a request line cannot carry gets an error
-    result, and nothing is sent."""
+    """A call path a request line cannot carry gets an error result, and
+    nothing is sent."""
     with RawPlant([(OK_CALL, False)]) as stub, HttpPlant(stub.base_url) as plant:
-        result = plant.call(stub.base_url + path, {})
+        result = plant.call(path, {})
     assert result["status"] == "error"
     assert result["reason"].endswith("has a character a request path cannot carry")
     assert stub.connections == 0
-
-
-def _head_by_splitting(base_url, method, url):
-    """The request head, or the refusal's message, from splitting both
-    URLs: `_request_head`'s reference."""
-    def origin(u):
-        parts = urlsplit(u)
-        try:
-            port = parts.port or 80
-        except ValueError:
-            return None
-        return (parts.hostname, port) if parts.scheme == "http" and parts.hostname and parts.netloc.isascii() else None
-
-    if origin(base_url) is None:
-        return f"not an http:// plant URL: {base_url!r}"
-    if origin(url) != origin(base_url):
-        return f"{url} is not on the plant at {base_url}"
-    path = urlsplit(url).path
-    if not (path.isascii() and path.isprintable()) or " " in path:
-        return f"{url} has a character a request path cannot carry"
-    return f"{method} {path} HTTP/1.1\r\nHost: {urlsplit(base_url).netloc.rpartition('@')[2]}\r\n".encode()
-
-
-@pytest.mark.parametrize("base_url", [
-    "http://127.0.0.1:8765", "http://user@h:1", "HTTP://Example.COM", "http://h:1/prefix", "http://[::1]:8080",
-    "https://h:1", "http://h:99999",
-])
-def test_request_head_is_what_splitting_the_urls_gives(base_url):
-    """A request head reads the path straight off a URL on the plant's own
-    origin, and splits any other URL; either way it is the head, or the
-    refusal, that splitting both URLs gives."""
-    own = f"http://{urlsplit(base_url).netloc}"
-    urls = [prefix + rest for prefix in (base_url, own, own.upper(), "http://other:1", "")
-            for rest in ("/a/b", "/a?x=1", "/a#f", "/a\tb", "/a\nb", "/a b", "/\u00e9", "", "?x", "#f", ":80/a", "//x/a")]
-    for url in urls:
-        for method in ("GET", "POST"):
-            try:
-                got = orchestrator._request_head.__wrapped__(base_url, method, url)
-            except FramingError as exc:
-                got = str(exc)
-            assert got == _head_by_splitting(base_url, method, url), url
 
 
 # -- runs against a plant that lies ----------------------------------------------------
