@@ -18,7 +18,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 from urllib.parse import urlsplit
 
-from .parsing import ParseError, parse_function_steps
+from .parsing import ParseError, is_skill_code, parse_function_steps
 
 # Module kinds with semantics the plant understands.
 MODULE_KINDS = ("storage", "inspection", "machining", "painting", "laser", "transport")
@@ -210,7 +210,10 @@ class Registry:
 
     def _path(self, url: str, where: str) -> str:
         """The path of a service URL; the first one sets `base_url`."""
-        parts = urlsplit(url)
+        try:
+            parts = urlsplit(url)
+        except ValueError:  # a host with an unclosed '[', say: refused below as not absolute
+            parts = urlsplit("")
         if not (parts.scheme and parts.netloc and parts.path):
             raise CatalogError(f"{where}: not an absolute service URL: {url!r}")
         if re.search(r'["\s?#]', url):  # a URL in a prompt ends at whitespace or a '"'
@@ -239,12 +242,10 @@ class Registry:
             ("operator", p.operator_role_goal, p.operator_instructions, p.operator_examples),
         ):
             for key, text in (("role_goal", role_goal), ("instructions", instructions)):
-                if not (isinstance(text, str) and text.strip()):
+                if not text.strip():
                     raise CatalogError(f"{agent} {key} must be a string with non-space text, got {text!r}")
             if not examples:
                 raise CatalogError(f"{agent} prompts need at least one worked example")
-        if not isinstance(p.manager_modules_intro, str):
-            raise CatalogError(f"manager modules_intro must be a string, got {p.manager_modules_intro!r}")
         phrased = [m.id for m in self._phrases.values()]
         for i, example in enumerate(p.operator_examples, start=1):
             for key, module_id in (("start_module", example.start_module), ("target_module", example.target_module)):
@@ -377,26 +378,21 @@ def is_request_path(path: str) -> bool:
 
 
 def _check_skill(s: Skill, where: str) -> None:
-    if len(s.code) < 2 or not s.code[0].isalpha() or not s.code[1:].isdigit():
+    if not is_skill_code(s.code):  # the manager's parser could not read it in a plan
         raise CatalogError(f"{where}: bad skill code {s.code!r}")
     if not s.description.strip():
         raise CatalogError(f"{where}: skill {s.code} has an empty description")
-    for key, value in (("feature", s.feature), ("role", s.role)):
-        if value is not None and not isinstance(value, str):
-            raise CatalogError(f"{where}: skill {s.code} has a {key} that is not a string: {value!r}")
     if s.role is not None and s.role not in STORAGE_ROLES:
         raise CatalogError(f"{where}: skill {s.code} has unknown role {s.role!r}")
     if s.feature is not None and s.role is not None:
         raise CatalogError(f"{where}: skill {s.code} has both a feature and a role")
 
 
-def _check_template(template: object, names: set[str], where: str) -> None:
+def _check_template(template: str, names: set[str], where: str) -> None:
     """Refuse a prompt template that `str.format` could not fill from
     `names`: a placeholder outside them (positional, indexed or nested in
     a format spec too), an unbalanced brace, or a conversion or format
     spec a string does not take."""
-    if not isinstance(template, str):
-        raise CatalogError(f"{where} is not a string: {template!r}")
     try:
         for _, name, spec, _ in string.Formatter().parse(template):
             if name is not None and name not in names:
@@ -441,14 +437,9 @@ def alias_url(url: str) -> str:
 # ---------------------------------------------------------------------------
 # Loading
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise CatalogError(f"{where}: missing required key {key!r}")
-    return mapping[key]
-
-
 _JSON_TYPES = {dict: "object", list: "list", str: "string", bool: "boolean", int: "number", float: "number",
                type(None): "null"}
+_REQUIRED = object()
 
 
 def _expect(value, kind: type, path: str):
@@ -459,98 +450,103 @@ def _expect(value, kind: type, path: str):
     return value
 
 
-def _objects(value, path: str) -> list[tuple[str, dict]]:
-    """(JSON path, item) of each item of the JSON list at `path`, each checked to be an object."""
-    return [(f"{path}[{i}]", _expect(item, dict, f"{path}[{i}]")) for i, item in enumerate(_expect(value, list, path))]
+def _get(raw: dict, key: str, path: str, kind: type = str, default=_REQUIRED):
+    """`raw[key]` checked to be a JSON `kind` (or null, where `default` is None), or `default` if `key` is
+    absent.  `path` is the JSON path of `raw`, "" at the top; only a message builds the value's."""
+    if key not in raw:
+        if default is _REQUIRED:
+            raise CatalogError(f"{path or 'catalog'}: missing required key {key!r}")
+        return default
+    value = raw[key]
+    if isinstance(value, kind) or (value is None and default is None):
+        return value
+    return _expect(value, kind, f"{path}.{key}" if path else key)
 
 
-def _strings(value, where: str) -> tuple[str, ...]:
-    if not (isinstance(value, list) and all(isinstance(item, str) for item in value)):
-        raise CatalogError(f"{where} must be a list of strings, got {value!r}")
-    return tuple(value)
+def _objects(raw: dict, key: str, path: str, default=_REQUIRED) -> list[tuple[str, dict]]:
+    """(JSON path, item) of each item of the list `raw[key]`, each checked to be an object."""
+    at = f"{path}.{key}" if path else key
+    items = [(f"{at}[{i}]", item) for i, item in enumerate(_get(raw, key, path, list, default))]
+    return [(item_path, _expect(item, dict, item_path)) for item_path, item in items]
 
 
-def _load_skill(raw: dict, where: str) -> Skill:
-    return Skill(
-        code=_require(raw, "code", where),
-        description=_require(raw, "description", where),
-        endpoint=_require(raw, "endpoint", where),
-        feature=raw.get("feature"),
-        role=raw.get("role"),
-    )
+def _strings(raw: dict, key: str, path: str, default=_REQUIRED) -> tuple[str, ...]:
+    """The list `raw[key]`, each item checked to be a string."""
+    return tuple(item if isinstance(item, str) else _expect(item, str, f"{path}.{key}[{i}]")
+                 for i, item in enumerate(_get(raw, key, path, list, default)))
 
 
-def _load_component(raw: dict, where: str, path: str) -> Component:
-    cid = _require(raw, "id", where)
-    where = f"{where} component {cid}"
+def _load_skill(raw: dict, path: str) -> Skill:
+    return Skill(_get(raw, "code", path), _get(raw, "description", path), _get(raw, "endpoint", path),
+                 _get(raw, "feature", path, default=None), _get(raw, "role", path, default=None))
+
+
+def _load_component(raw: dict, path: str) -> Component:
+    cid = _get(raw, "id", path)
     return Component(
         id=cid,
-        name=raw.get("name", cid),
+        name=_get(raw, "name", path, default=cid),
         functionalities=tuple(
             Functionality(
-                name=_require(f, "name", where),
-                description=_require(f, "description", where),
-                url=_require(f, "url", where),
-                parameters=_strings(f.get("parameters", []), f"{where} functionality {f['name']}: parameters"),
+                name=_get(f, "name", at),
+                description=_get(f, "description", at),
+                url=_get(f, "url", at),
+                parameters=_strings(f, "parameters", at, ()),
             )
-            for _, f in _objects(raw.get("functionalities", []), f"{path}.functionalities")
+            for at, f in _objects(raw, "functionalities", path, ())
         ),
     )
 
 
 def _load_module(raw: dict, path: str) -> Module:
-    mid = _require(raw, "id", "module")
-    where = f"module {mid}"
     return Module(
-        id=mid,
-        name=_require(raw, "name", where),
-        kind=_require(raw, "kind", where),
-        display=_require(raw, "display", where),
-        capability_noun=raw.get("capability_noun", "skills"),
-        transport_phrase=raw.get("transport_phrase"),
-        skills=tuple(_load_skill(s, where) for _, s in _objects(_require(raw, "skills", where), f"{path}.skills")),
-        components=tuple(_load_component(c, where, at) for at, c in _objects(raw.get("components", []),
-                                                                              f"{path}.components")),
-        operator_preamble=_strings(raw.get("operator_preamble", []), f"{where}: operator_preamble"),
-        info=dict(_expect(raw.get("info", {}), dict, f"{path}.info")),
+        id=_get(raw, "id", path),
+        name=_get(raw, "name", path),
+        kind=_get(raw, "kind", path),
+        display=_get(raw, "display", path),
+        capability_noun=_get(raw, "capability_noun", path, default="skills"),
+        transport_phrase=_get(raw, "transport_phrase", path, default=None),
+        skills=tuple(_load_skill(s, at) for at, s in _objects(raw, "skills", path)),
+        components=tuple(_load_component(c, at) for at, c in _objects(raw, "components", path, ())),
+        operator_preamble=_strings(raw, "operator_preamble", path, ()),
+        info=dict(_get(raw, "info", path, dict, {})),
     )
 
 
 def _load_prompts(raw: dict) -> PromptAssets:
-    man = _require(raw, "manager", "prompts")
-    op = _require(raw, "operator", "prompts")
+    man, op = _get(raw, "manager", "prompts", dict), _get(raw, "operator", "prompts", dict)
     return PromptAssets(
-        manager_role_goal=_require(man, "role_goal", "manager prompts"),
-        manager_rules=_strings(_require(man, "rules", "manager prompts"), "manager prompts: rules"),
-        manager_modules_intro=_require(man, "modules_intro", "manager prompts"),
-        manager_instructions=_require(man, "instructions", "manager prompts"),
+        manager_role_goal=_get(man, "role_goal", "prompts.manager"),
+        manager_rules=_strings(man, "rules", "prompts.manager"),
+        manager_modules_intro=_get(man, "modules_intro", "prompts.manager"),
+        manager_instructions=_get(man, "instructions", "prompts.manager"),
         manager_examples=tuple(
-            PromptExample(input=e["input"], output=e["output"])
-            for e in _require(man, "examples", "manager prompts")
+            PromptExample(input=_get(e, "input", at), output=_get(e, "output", at))
+            for at, e in _objects(man, "examples", "prompts.manager")
         ),
-        operator_role_goal=_require(op, "role_goal", "operator prompts"),
-        operator_instructions=_require(op, "instructions", "operator prompts"),
+        operator_role_goal=_get(op, "role_goal", "prompts.operator"),
+        operator_instructions=_get(op, "instructions", "prompts.operator"),
         operator_examples=tuple(
             TransportExample(
-                input=e["input"],
-                start_module=e["start_module"],
-                target_module=e["target_module"],
+                input=_get(e, "input", at),
+                start_module=_get(e, "start_module", at),
+                target_module=_get(e, "target_module", at),
             )
-            for e in _require(op, "examples", "operator prompts")
+            for at, e in _objects(op, "examples", "prompts.operator")
         ),
-        transport_output_template=_require(op, "output_template", "operator prompts"),
-        transport_demand_template=_require(op, "demand_template", "operator prompts"),
+        transport_output_template=_get(op, "output_template", "prompts.operator"),
+        transport_demand_template=_get(op, "demand_template", "prompts.operator"),
     )
 
 
 def registry_from_dict(data: dict) -> Registry:
-    try:
-        return Registry(
-            modules=tuple(_load_module(m, at) for at, m in _objects(data.get("modules", []), "modules")),
-            prompts=_load_prompts(_require(data, "prompts", "catalog")),
-        )
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise CatalogError(f"catalog entry of the wrong shape: {type(exc).__name__}: {exc}") from exc
+    """The registry a catalog's JSON value describes.  Each value's JSON type is checked here, and a
+    message names its JSON path; `Registry` checks what the values mean."""
+    _expect(data, dict, "catalog")
+    return Registry(
+        modules=tuple(_load_module(m, at) for at, m in _objects(data, "modules", "", ())),
+        prompts=_load_prompts(_get(data, "prompts", "", dict)),
+    )
 
 
 def load_catalog(path: str | Path) -> Registry:

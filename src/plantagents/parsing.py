@@ -36,7 +36,7 @@ _BRACE_RE = re.compile(r"\{(.*?)\}", re.DOTALL)
 # Sequences separate codes with a dash; accept hyphen-minus, en and em dash.
 _DASH_SPLIT_RE = re.compile(r"[-–—]")
 
-_CODE_RE = re.compile(r"^[A-Za-z]+\d+$")
+_CODE_RE = re.compile(r"[A-Za-z]+\d+")
 
 # One numbered functionality step: "(n) <sentence>. Call the functionality
 # "<name>" using the URL "<url>"".  The trailing rationale clause is ignored.
@@ -45,6 +45,11 @@ _STEP_RE = re.compile(
 )
 
 _EXPLANATION_RE = re.compile(r"Explanation:\s*(.*)", re.DOTALL)
+
+
+def is_skill_code(token: str) -> bool:
+    """Whether a plan can name `token` as a skill: ASCII letters, then decimal digits (`M1`)."""
+    return _CODE_RE.fullmatch(token) is not None
 
 
 def parse_skill_sequence(text: str) -> SkillPlan:
@@ -67,7 +72,7 @@ def parse_skill_sequence(text: str) -> SkillPlan:
         token = raw.strip().strip("()").strip()
         if not token:
             raise ParseError("empty token in skill sequence")
-        if not _CODE_RE.match(token):
+        if not is_skill_code(token):
             raise ParseError(f"not a skill code: {token!r}")
         steps.append(token)
     explanation = ()

@@ -166,10 +166,10 @@ def test_load_catalog_rejects_duplicate_skill(tmp_path):
 
 @pytest.mark.parametrize("drop, message", [
     (lambda data: data.pop("prompts"), "catalog: missing required key 'prompts'"),
-    (lambda data: _module(data, "cnc_module").pop("id"), "module: missing required key 'id'"),
-    (lambda data: _module(data, "cnc_module").pop("name"), "module cnc_module: missing required key 'name'"),
-    (lambda data: _skill(data, "M1").pop("endpoint"), "module cnc_module: missing required key 'endpoint'"),
-    (lambda data: data["prompts"]["manager"].pop("rules"), "manager prompts: missing required key 'rules'"),
+    (lambda data: _module(data, "cnc_module").pop("id"), "modules[3]: missing required key 'id'"),
+    (lambda data: _module(data, "cnc_module").pop("name"), "modules[3]: missing required key 'name'"),
+    (lambda data: _skill(data, "M1").pop("endpoint"), "modules[3].skills[0]: missing required key 'endpoint'"),
+    (lambda data: data["prompts"]["manager"].pop("rules"), "prompts.manager: missing required key 'rules'"),
 ], ids=["prompts", "module-id", "module-name", "skill-endpoint", "manager-rules"])
 def test_load_catalog_names_a_missing_required_key(drop, message):
     data = _raw_catalog()
@@ -315,14 +315,6 @@ def _feature_twice(data):
     _skill(data, "M2")["feature"] = _skill(data, "M1")["feature"]
 
 
-def _numeric_feature(data):
-    _skill(data, "T1")["feature"] = 5
-
-
-def _numeric_role(data):
-    _skill(data, "S1")["role"] = 5
-
-
 def _bogus_kind(data):
     _module(data, "cnc_module")["kind"] = "bogus"
 
@@ -335,12 +327,24 @@ def _bad_code(data):
     _skill(data, "M1")["code"] = "xx"
 
 
+def _superscript_digit_code(data):
+    _skill(data, "M1")["code"] = "M²"
+
+
+def _accented_letter_code(data):
+    _skill(data, "I1")["code"] = "é1"
+
+
 def _empty_description(data):
     _skill(data, "M1")["description"] = " "
 
 
 def _endpoint_without_path(data):
     _skill(data, "M1")["endpoint"] = "http://129.69.102.129:5010"
+
+
+def _endpoint_with_an_unclosed_bracket(data):
+    _skill(data, "M1")["endpoint"] = "http://[129.69.102.129:5010/cnc_module/skills/M1"
 
 
 def _functionality_url_without_path(data):
@@ -401,18 +405,6 @@ def _blank_operator_role_goal(data):
     data["prompts"]["operator"]["role_goal"] = "  "
 
 
-def _numeric_manager_instructions(data):
-    data["prompts"]["manager"]["instructions"] = 5
-
-
-def _numeric_operator_instructions(data):
-    data["prompts"]["operator"]["instructions"] = 5
-
-
-def _numeric_modules_intro(data):
-    data["prompts"]["manager"]["modules_intro"] = 5
-
-
 def _no_manager_examples(data):
     data["prompts"]["manager"]["examples"] = []
 
@@ -458,14 +450,9 @@ BROKEN_RULES = [
     (_no_store_skill, "storage module has no 'store' skill"),
     (_no_transport_skill, "transport module offers no transport skill"),
     (_feature_twice, "feature 'drilled' provided twice"),
-    (_numeric_feature, "skill T1 has a feature that is not a string: 5"),
-    (_numeric_role, "skill S1 has a role that is not a string: 5"),
     # The prompt text: every prompt a run builds can be built once the registry is.
     (_blank_manager_role_goal, "manager role_goal must be a string with non-space text, got ' '"),
     (_blank_operator_role_goal, "operator role_goal must be a string with non-space text, got '  '"),
-    (_numeric_manager_instructions, "manager instructions must be a string with non-space text, got 5"),
-    (_numeric_operator_instructions, "operator instructions must be a string with non-space text, got 5"),
-    (_numeric_modules_intro, "manager modules_intro must be a string, got 5"),
     (_no_manager_examples, "manager prompts need at least one worked example"),
     (_no_operator_examples, "operator prompts need at least one worked example"),
     (_example_starts_at_the_robot,
@@ -484,7 +471,7 @@ BROKEN_RULES = [
     (_second_origin, "module cnc_module skill M2: 'http://10.0.0.1:5010/cnc_module/skills/M2' is not under the "
                      "catalog's one base URL 'http://129.69.102.129:5010'"),
     (_url_with_query, "module robotino_7 functionality load: a service URL takes no query, fragment, space or "
-                      "'\"': 'http://129.69.102.129:5010/robotino_7/functionalities/load"),  # up to the '?': a regex
+                      "'\"': 'http://129.69.102.129:5010/robotino_7/functionalities/load?fast=1'"),
     (_url_with_fragment, "module laser_module skill L1: a service URL takes no query, fragment, space or '\"': "
                          "'http://129.69.102.129:5010/laser_module/skills/L1#top'"),
     # A URL in a prompt ends at a space or a '"', so the operator could not name one that has either.
@@ -498,7 +485,83 @@ BROKEN_RULES = [
     (_non_ascii_path, "module inspection_module skill I1: a service URL path takes printable ASCII only: "
                       "'http://129.69.102.129:5010/inspection_module/skills\u00e9/I1'"),
     (_control_character_in_a_path, "module robotino_7 functionality load: a service URL path takes printable "
-                                   "ASCII only: 'http://129.69.102.129:5010/robotino_7/functionalities/load"),  # a regex
+                                   "ASCII only: 'http://129.69.102.129:5010/robotino_7/functionalities/load\\x7f'"),
+]
+
+def _numeric_feature(data):
+    _skill(data, "T1")["feature"] = 5
+
+
+def _numeric_role(data):
+    _skill(data, "S1")["role"] = 5
+
+
+def _numeric_manager_instructions(data):
+    data["prompts"]["manager"]["instructions"] = 5
+
+
+def _numeric_operator_instructions(data):
+    data["prompts"]["operator"]["instructions"] = 5
+
+
+def _numeric_modules_intro(data):
+    data["prompts"]["manager"]["modules_intro"] = 5
+
+
+def _numeric_demand_template(data):
+    data["prompts"]["operator"]["demand_template"] = 5
+
+
+def _numeric_module_id(data):
+    _module(data, "inspection_module")["id"] = 5
+
+
+def _list_display(data):
+    _module(data, "inspection_module")["display"] = [1]
+
+
+def _null_capability_noun(data):
+    _module(data, "cnc_module")["capability_noun"] = None
+
+
+def _boolean_transport_phrase(data):
+    _module(data, "cnc_module")["transport_phrase"] = True
+
+
+def _numeric_skill_code(data):
+    _skill(data, "I1")["code"] = 5
+
+
+def _null_component_name(data):
+    _module(data, "robotino_7")["components"][0]["name"] = None
+
+
+def _null_example_input(data):
+    data["prompts"]["manager"]["examples"][0]["input"] = None
+
+
+def _numeric_example_start(data):
+    data["prompts"]["operator"]["examples"][0]["start_module"] = 1.5
+
+
+# A value of the wrong JSON type is refused at load, named by its JSON path:
+# null passes only for a skill's feature and role and a module's
+# transport_phrase, and an optional key's default is no licence for null.
+WRONG_TYPES = [
+    (_numeric_feature, "modules[2].skills[0].feature: expected string, got number"),
+    (_numeric_role, "modules[1].skills[0].role: expected string, got number"),
+    (_numeric_manager_instructions, "prompts.manager.instructions: expected string, got number"),
+    (_numeric_operator_instructions, "prompts.operator.instructions: expected string, got number"),
+    (_numeric_modules_intro, "prompts.manager.modules_intro: expected string, got number"),
+    (_numeric_demand_template, "prompts.operator.demand_template: expected string, got number"),
+    (_numeric_module_id, "modules[0].id: expected string, got number"),
+    (_list_display, "modules[0].display: expected string, got list"),
+    (_null_capability_noun, "modules[3].capability_noun: expected string, got null"),
+    (_boolean_transport_phrase, "modules[3].transport_phrase: expected string, got boolean"),
+    (_numeric_skill_code, "modules[0].skills[0].code: expected string, got number"),
+    (_null_component_name, "modules[2].components[0].name: expected string, got null"),
+    (_null_example_input, "prompts.manager.examples[0].input: expected string, got null"),
+    (_numeric_example_start, "prompts.operator.examples[0].start_module: expected string, got number"),
 ]
 
 # The same for the rules on a module's own entries.
@@ -506,39 +569,59 @@ ENTRY_RULES = [
     (_bogus_kind, "module cnc_module: unknown kind 'bogus'"),
     (_no_skills, "module cnc_module: a module must offer at least one skill"),
     (_bad_code, "module cnc_module: bad skill code 'xx'"),
+    # A code the manager's parser reads in no plan, so no job could name the skill.
+    (_superscript_digit_code, "module cnc_module: bad skill code 'M²'"),
+    (_accented_letter_code, "module inspection_module: bad skill code 'é1'"),
     (_empty_description, "module cnc_module: skill M1 has an empty description"),
     (_endpoint_without_path, "module cnc_module skill M1: not an absolute service URL: "),
+    (_endpoint_with_an_unclosed_bracket, "module cnc_module skill M1: not an absolute service URL: "
+                                         "'http://[129.69.102.129:5010/cnc_module/skills/M1'"),
     (_functionality_url_without_path, "module robotino_7 functionality load: not an absolute service URL: "),
     (_unknown_role, "module storage_module: skill S1 has unknown role 'fetch'"),
     (_duplicate_functionality, "module robotino_7: duplicate functionality 'load' in functionality_handler_001"),
 ]
 
 
-@pytest.mark.parametrize("mutate, match", BROKEN_RULES, ids=[m.__name__.lstrip("_") for m, _ in BROKEN_RULES])
+@pytest.mark.parametrize(
+    "mutate, match", BROKEN_RULES + WRONG_TYPES, ids=[m.__name__.lstrip("_") for m, _ in BROKEN_RULES + WRONG_TYPES]
+)
 def test_registry_rejects_broken_rule(mutate, match):
     data = _raw_catalog()
     registry_from_dict(data)
     mutate(data)
-    with pytest.raises(CatalogError, match=match):
+    with pytest.raises(CatalogError) as refused:
         registry_from_dict(data)
+    assert match in str(refused.value)
 
 
-@pytest.mark.parametrize(
-    "mutate, match", BROKEN_RULES + ENTRY_RULES, ids=[m.__name__.lstrip("_") for m, _ in BROKEN_RULES + ENTRY_RULES]
-)
-def test_direct_and_rebased_registries_keep_every_rule(mutate, match):
-    """The loaders only map keys to fields, so the registry alone refuses a
-    broken rule, with the same message when built directly.  A rebased copy
-    shares the checked indexes of a registry that was built, so it cannot
-    break a rule either."""
+# (mutate, message, which refuses it): the registry a rule of meaning, the loader a value's JSON type.
+REFUSALS = [(m, match, "registry") for m, match in BROKEN_RULES + ENTRY_RULES] + [
+    (m, match, "loader") for m, match in WRONG_TYPES]
+
+
+@pytest.mark.parametrize("mutate, match, refused_by", REFUSALS, ids=[m.__name__.lstrip("_") for m, _, _ in REFUSALS])
+def test_direct_and_rebased_registries_keep_every_rule(mutate, match, refused_by):
+    """`registry_from_dict` hands the loader's parts to `Registry` and adds
+    no rule: the loader alone refuses a value of the wrong JSON type, the
+    registry alone a broken rule of meaning, with the same message when
+    built directly.  A rebased copy shares the checked indexes of a
+    registry that was built, so it cannot break a rule either."""
     data = _raw_catalog()
     mutate(data)
     with pytest.raises(CatalogError) as loaded:
         registry_from_dict(data)
-    modules = tuple(_load_module(m, f"modules[{i}]") for i, m in enumerate(data["modules"]))
-    prompts = _load_prompts(data["prompts"])
-    with pytest.raises(CatalogError) as direct:
-        Registry(modules=modules, prompts=prompts)
+
+    def parts():
+        modules = tuple(_load_module(m, f"modules[{i}]") for i, m in enumerate(data["modules"]))
+        return modules, _load_prompts(data["prompts"])
+
+    if refused_by == "loader":
+        with pytest.raises(CatalogError) as direct:
+            parts()
+    else:
+        modules, prompts = parts()
+        with pytest.raises(CatalogError) as direct:
+            Registry(modules=modules, prompts=prompts)
     assert str(direct.value) == str(loaded.value)
     assert match in str(loaded.value)
 
@@ -557,14 +640,14 @@ def _set_parameters(data, value):
 
 # (where the list goes, a value that is no list of strings, the message).
 STRING_LIST_RULES = [
-    (_set_rules, "No skill twice.", "manager prompts: rules must be a list of strings, got 'No skill twice.'"),
-    (_set_rules, ["No skill twice.", 2], "manager prompts: rules must be a list of strings, got ['No skill twice.', 2]"),
-    (_set_preamble, "You drive the robot.",
-     "module robotino_7: operator_preamble must be a list of strings, got 'You drive the robot.'"),
-    (_set_preamble, [None], "module robotino_7: operator_preamble must be a list of strings, got [None]"),
-    (_set_parameters, "target_module", "module robotino_7 component functionality_handler_001 functionality "
-                                       "move_dock: parameters must be a list of strings, got 'target_module'"),
-    (_set_parameters, [{"name": "target_module"}], "functionality move_dock: parameters must be a list of strings"),
+    (_set_rules, "No skill twice.", "prompts.manager.rules: expected list, got string"),
+    (_set_rules, ["No skill twice.", 2], "prompts.manager.rules[1]: expected string, got number"),
+    (_set_preamble, "You drive the robot.", "modules[2].operator_preamble: expected list, got string"),
+    (_set_preamble, [None], "modules[2].operator_preamble[0]: expected string, got null"),
+    (_set_parameters, "target_module",
+     "modules[2].components[0].functionalities[0].parameters: expected list, got string"),
+    (_set_parameters, [{"name": "target_module"}],
+     "modules[2].components[0].functionalities[0].parameters[0]: expected string, got object"),
 ]
 
 
@@ -580,7 +663,7 @@ def test_a_list_of_strings_is_not_read_from_a_string_or_other_items(put, value, 
     string."""
     data = _raw_catalog()
     put(data, value)
-    with pytest.raises(CatalogError, match=re.escape(message)):
+    with pytest.raises(CatalogError, match=f"^{re.escape(message)}$"):
         registry_from_dict(data)
 
 
@@ -597,7 +680,6 @@ TEMPLATE_RULES = [
     ("demand", "from {start} to {target", "demand_template: expected '}' before end of string"),
     ("demand", "from {start!z} to {target}", "demand_template: Unknown conversion specifier z"),
     ("demand", "from {start:d} to {target}", "demand_template: Unknown format code 'd'"),
-    ("demand", 5, "demand_template is not a string: 5"),
     ("output", "call {url_fly} at the {start} module", "output_template names unknown placeholder {url_fly}"),
     ("output", "from {start} to {target}}", "output_template: Single '}' encountered"),
 ]

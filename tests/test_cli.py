@@ -310,7 +310,7 @@ def _operator_example_from_the_robot():
     [
         (_prompts_with("operator", "examples", []), "operator prompts need at least one worked example"),
         (_prompts_with("operator", "role_goal", "  "), "operator role_goal must be a string with non-space text"),
-        (_prompts_with("operator", "instructions", 5), "operator instructions must be a string with non-space text"),
+        (_prompts_with("operator", "instructions", 5), "prompts.operator.instructions: expected string, got number"),
         (_operator_example_from_the_robot(), "operator example 1: start_module 'robotino_7' is no module"),
         (_prompts_with("manager", "examples", []), "manager prompts need at least one worked example"),
     ],

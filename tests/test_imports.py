@@ -1,7 +1,9 @@
-"""No package module imports a name it never uses.
+"""No package module imports a name it never uses, or keeps a private name
+it never reads.
 
-There is no linter in the Tier-1 run, so this stands in for the one rule
-of it that a refactor most often leaves broken: an import left behind.
+There is no linter in the Tier-1 run, so this stands in for the two rules
+of it that a refactor most often leaves broken: an import left behind, and
+a private helper or constant whose last reader went.
 """
 
 import ast
@@ -44,3 +46,38 @@ def test_module_imports_no_name_it_never_uses(path):
 ])
 def test_unused_imports_finds_each_name_never_read(source, unused):
     assert unused_imports(source) == unused
+
+
+def orphaned_private_names(source: str) -> list[str]:
+    """The module-level `_name`s `source` defines (a function, a class or an
+    assigned constant) and never reads; a dunder name is not private."""
+    tree = ast.parse(source)
+    defined: list[str] = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in defined if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_keeps_no_private_name_it_never_reads(path):
+    assert orphaned_private_names(path.read_text("utf-8")) == []
+
+
+@pytest.mark.parametrize("source, orphaned", [
+    ("def _require(): pass\n", ["_require"]),
+    ("class _Stream: pass\n", ["_Stream"]),
+    ("_JSON_TYPES = {}\n", ["_JSON_TYPES"]),
+    ("_a, (_b, c) = 1, (2, 3)\n", ["_a", "_b"]),
+    ("_TIMEOUT: float = 1.0\n", ["_TIMEOUT"]),
+    ("_X = 1\ndef f():\n    return _X\n", []),
+    ("def _f(): pass\nHOOK = _f\n", []),
+    ("def f():\n    _local = 1\n", []),
+    ("__all__ = []\n", []),
+])
+def test_orphaned_private_names_finds_each_one_never_read(source, orphaned):
+    assert orphaned_private_names(source) == orphaned

@@ -7,10 +7,13 @@ manager-style completion; the parsers must keep reading them forever.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plantagents.parsing import (
     FunctionStep,
     ParseError,
+    is_skill_code,
     parse_function_steps,
     parse_skill_sequence,
     steps_from_json,
@@ -123,6 +126,18 @@ def test_skill_sequence_requires_braces():
 def test_skill_sequence_rejects_junk_tokens():
     with pytest.raises(ParseError, match="not a skill code"):
         parse_skill_sequence("{(S1) - (hole) - (S2)}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(max_size=6) | st.from_regex(r"[A-Za-z]+\d+", fullmatch=True) | st.sampled_from(
+    ["M²", "é1", "M1\n", " M1", "(M1)", "M-1", "AB12", "1M"]))
+def test_a_skill_code_is_what_a_plan_reads_back_as_itself(token):
+    """The catalog's rule for a skill code: `{<code>}` parses as that one code."""
+    try:
+        read_back = parse_skill_sequence(f"{{{token}}}").steps == (token,)
+    except ParseError:
+        read_back = False
+    assert is_skill_code(token) == read_back
 
 
 def test_skill_sequence_rejects_empty_braces():
