@@ -16,7 +16,8 @@ from pathlib import Path
 from typing import NamedTuple
 from urllib.parse import urlsplit
 
-from .catalog import CheckedRecord, Registry, read_json
+from .catalog import CheckedRecord, Registry
+from .jsonread import checked, each, get, items, read_json
 from .parsing import ParseError
 from .planner import PlanningError, oracle_plan_skills
 from .prompts import PromptError, fill_transport_output, parse_transport_demand
@@ -96,6 +97,15 @@ def prompt_hash(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
+def _read_record(raw: dict) -> tuple[str, str]:
+    return get(raw, "prompt_hash"), get(raw, "completion_text")
+
+
+def _read_records(raw: list | dict) -> dict[str, str]:
+    """{prompt hash: completion} of a replay corpus: a list of records, or an object that holds them at `records`."""
+    return dict(each(raw, _read_record) if type(raw) is list else items(raw, "records", _read_record, default=()))
+
+
 class ReplayBackend(CompletionBackend):
     """Replays recorded completions; misses are errors, never guesses."""
 
@@ -107,20 +117,7 @@ class ReplayBackend(CompletionBackend):
     @classmethod
     def from_file(cls, path: str | Path) -> "ReplayBackend":
         raw = read_json(path, "replay corpus")
-        if isinstance(raw, dict):
-            raw = raw.get("records", [])
-        if not isinstance(raw, list):
-            raise BackendError(f"replay corpus must hold a list of records, got {type(raw).__name__}")
-        records = {}
-        for item in raw:
-            if not (
-                isinstance(item, dict)
-                and isinstance(item.get("prompt_hash"), str)
-                and isinstance(item.get("completion_text"), str)
-            ):
-                raise BackendError(f"malformed replay record: {item!r}")
-            records[item["prompt_hash"]] = item["completion_text"]
-        return cls(records)
+        return cls(checked(raw, (list, dict), _read_records, BackendError, "replay corpus"))
 
     def record(self, prompt: str, completion_text: str) -> None:
         self._records[prompt_hash(prompt)] = completion_text
@@ -292,9 +289,10 @@ class RemoteBackend(CompletionBackend):
             raise RemoteError(f"completion request failed: {exc}") from exc
         try:
             body = json.loads(raw)
-            text = body["choices"][0]["text"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except ValueError as exc:
             raise RemoteError(f"malformed completion response: {exc}") from exc
-        if not isinstance(text, str) or not text:
+        texts = checked(body, dict, lambda b: items(b, "choices", lambda c: get(c, "text")), RemoteError,
+                        "completion response")
+        if not texts or not texts[0]:
             raise RemoteError("completion response carries no text")
-        return self._result(text, started)
+        return self._result(texts[0], started)

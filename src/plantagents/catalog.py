@@ -9,7 +9,6 @@ code change.
 
 from __future__ import annotations
 
-import json
 import re
 import string
 from collections.abc import Mapping
@@ -18,6 +17,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 from urllib.parse import urlsplit
 
+from .jsonread import checked, get, items, nested, read_json
 from .parsing import ParseError, is_skill_code, parse_function_steps
 
 # Module kinds with semantics the plant understands.
@@ -210,10 +210,7 @@ class Registry:
 
     def _path(self, url: str, where: str) -> str:
         """The path of a service URL; the first one sets `base_url`."""
-        try:
-            parts = urlsplit(url)
-        except ValueError:  # a host with an unclosed '[', say: refused below as not absolute
-            parts = urlsplit("")
+        parts = _split_url(url)
         if not (parts.scheme and parts.netloc and parts.path):
             raise CatalogError(f"{where}: not an absolute service URL: {url!r}")
         if re.search(r'["\s?#]', url):  # a URL in a prompt ends at whitespace or a '"'
@@ -361,7 +358,7 @@ class Registry:
 
     def rebased(self, base_url: str) -> "Registry":
         """Copy under base_url's origin sharing every index; checks only that a prompt can carry base_url."""
-        parts = urlsplit(base_url)
+        parts = _split_url(base_url)
         if not parts.scheme or not parts.netloc:
             raise CatalogError(f"base url must be absolute: {base_url!r}")
         if re.search(r'["\s]', base_url):
@@ -370,6 +367,15 @@ class Registry:
         vars(copy).update(vars(self))
         copy._join(f"{parts.scheme}://{parts.netloc}")
         return copy
+
+
+def _split_url(url: str):
+    """`urlsplit(url)`, or an empty split where it raises (a host with an unclosed '[', say), which a
+    caller refuses as not absolute."""
+    try:
+        return urlsplit(url)
+    except ValueError:
+        return urlsplit("")
 
 
 def is_request_path(path: str) -> bool:
@@ -437,132 +443,67 @@ def alias_url(url: str) -> str:
 # ---------------------------------------------------------------------------
 # Loading
 
-_JSON_TYPES = {dict: "object", list: "list", str: "string", bool: "boolean", int: "number", float: "number",
-               type(None): "null"}
-_REQUIRED = object()
+def _load_skill(raw: dict) -> Skill:
+    return Skill(get(raw, "code"), get(raw, "description"), get(raw, "endpoint"),
+                 get(raw, "feature", default=None), get(raw, "role", default=None))
 
 
-def _expect(value, kind: type, path: str):
-    """`value` if it is a JSON `kind`; if not, a CatalogError that names its JSON path."""
-    if not isinstance(value, kind):
-        found = _JSON_TYPES.get(type(value), type(value).__name__)
-        raise CatalogError(f"{path}: expected {_JSON_TYPES[kind]}, got {found}")
-    return value
+def _load_functionality(raw: dict) -> Functionality:
+    return Functionality(get(raw, "name"), get(raw, "description"), get(raw, "url"),
+                         items(raw, "parameters", kind=str, default=()))
 
 
-def _get(raw: dict, key: str, path: str, kind: type = str, default=_REQUIRED):
-    """`raw[key]` checked to be a JSON `kind` (or null, where `default` is None), or `default` if `key` is
-    absent.  `path` is the JSON path of `raw`, "" at the top; only a message builds the value's."""
-    if key not in raw:
-        if default is _REQUIRED:
-            raise CatalogError(f"{path or 'catalog'}: missing required key {key!r}")
-        return default
-    value = raw[key]
-    if isinstance(value, kind) or (value is None and default is None):
-        return value
-    return _expect(value, kind, f"{path}.{key}" if path else key)
+def _load_component(raw: dict) -> Component:
+    cid = get(raw, "id")
+    return Component(cid, get(raw, "name", default=cid), items(raw, "functionalities", _load_functionality, default=()))
 
 
-def _objects(raw: dict, key: str, path: str, default=_REQUIRED) -> list[tuple[str, dict]]:
-    """(JSON path, item) of each item of the list `raw[key]`, each checked to be an object."""
-    at = f"{path}.{key}" if path else key
-    items = [(f"{at}[{i}]", item) for i, item in enumerate(_get(raw, key, path, list, default))]
-    return [(item_path, _expect(item, dict, item_path)) for item_path, item in items]
-
-
-def _strings(raw: dict, key: str, path: str, default=_REQUIRED) -> tuple[str, ...]:
-    """The list `raw[key]`, each item checked to be a string."""
-    return tuple(item if isinstance(item, str) else _expect(item, str, f"{path}.{key}[{i}]")
-                 for i, item in enumerate(_get(raw, key, path, list, default)))
-
-
-def _load_skill(raw: dict, path: str) -> Skill:
-    return Skill(_get(raw, "code", path), _get(raw, "description", path), _get(raw, "endpoint", path),
-                 _get(raw, "feature", path, default=None), _get(raw, "role", path, default=None))
-
-
-def _load_component(raw: dict, path: str) -> Component:
-    cid = _get(raw, "id", path)
-    return Component(
-        id=cid,
-        name=_get(raw, "name", path, default=cid),
-        functionalities=tuple(
-            Functionality(
-                name=_get(f, "name", at),
-                description=_get(f, "description", at),
-                url=_get(f, "url", at),
-                parameters=_strings(f, "parameters", at, ()),
-            )
-            for at, f in _objects(raw, "functionalities", path, ())
-        ),
-    )
-
-
-def _load_module(raw: dict, path: str) -> Module:
+def _load_module(raw: dict) -> Module:
     return Module(
-        id=_get(raw, "id", path),
-        name=_get(raw, "name", path),
-        kind=_get(raw, "kind", path),
-        display=_get(raw, "display", path),
-        capability_noun=_get(raw, "capability_noun", path, default="skills"),
-        transport_phrase=_get(raw, "transport_phrase", path, default=None),
-        skills=tuple(_load_skill(s, at) for at, s in _objects(raw, "skills", path)),
-        components=tuple(_load_component(c, at) for at, c in _objects(raw, "components", path, ())),
-        operator_preamble=_strings(raw, "operator_preamble", path, ()),
-        info=dict(_get(raw, "info", path, dict, {})),
+        id=get(raw, "id"),
+        name=get(raw, "name"),
+        kind=get(raw, "kind"),
+        display=get(raw, "display"),
+        capability_noun=get(raw, "capability_noun", default="skills"),
+        transport_phrase=get(raw, "transport_phrase", default=None),
+        skills=items(raw, "skills", _load_skill),
+        components=items(raw, "components", _load_component, default=()),
+        operator_preamble=items(raw, "operator_preamble", kind=str, default=()),
+        info=dict(get(raw, "info", dict, {})),
     )
+
+
+def _load_manager(raw: dict) -> tuple:
+    """The manager's fields of `PromptAssets`, in their order."""
+    return (get(raw, "role_goal"), items(raw, "rules", kind=str), get(raw, "modules_intro"), get(raw, "instructions"),
+            items(raw, "examples", lambda e: PromptExample(get(e, "input"), get(e, "output"))))
+
+
+def _load_operator(raw: dict) -> tuple:
+    """The operator's fields of `PromptAssets`, in their order."""
+    examples = items(raw, "examples", lambda e: TransportExample(
+        get(e, "input"), get(e, "start_module"), get(e, "target_module")))
+    return (get(raw, "role_goal"), get(raw, "instructions"), examples, get(raw, "output_template"),
+            get(raw, "demand_template"))
 
 
 def _load_prompts(raw: dict) -> PromptAssets:
-    man, op = _get(raw, "manager", "prompts", dict), _get(raw, "operator", "prompts", dict)
-    return PromptAssets(
-        manager_role_goal=_get(man, "role_goal", "prompts.manager"),
-        manager_rules=_strings(man, "rules", "prompts.manager"),
-        manager_modules_intro=_get(man, "modules_intro", "prompts.manager"),
-        manager_instructions=_get(man, "instructions", "prompts.manager"),
-        manager_examples=tuple(
-            PromptExample(input=_get(e, "input", at), output=_get(e, "output", at))
-            for at, e in _objects(man, "examples", "prompts.manager")
-        ),
-        operator_role_goal=_get(op, "role_goal", "prompts.operator"),
-        operator_instructions=_get(op, "instructions", "prompts.operator"),
-        operator_examples=tuple(
-            TransportExample(
-                input=_get(e, "input", at),
-                start_module=_get(e, "start_module", at),
-                target_module=_get(e, "target_module", at),
-            )
-            for at, e in _objects(op, "examples", "prompts.operator")
-        ),
-        transport_output_template=_get(op, "output_template", "prompts.operator"),
-        transport_demand_template=_get(op, "demand_template", "prompts.operator"),
-    )
+    return PromptAssets(*nested(raw, "manager", _load_manager), *nested(raw, "operator", _load_operator))
+
+
+def _load_registry(data: dict) -> Registry:
+    return Registry(modules=items(data, "modules", _load_module, default=()),
+                    prompts=nested(data, "prompts", _load_prompts))
 
 
 def registry_from_dict(data: dict) -> Registry:
     """The registry a catalog's JSON value describes.  Each value's JSON type is checked here, and a
     message names its JSON path; `Registry` checks what the values mean."""
-    _expect(data, dict, "catalog")
-    return Registry(
-        modules=tuple(_load_module(m, at) for at, m in _objects(data, "modules", "", ())),
-        prompts=_load_prompts(_get(data, "prompts", "", dict)),
-    )
+    return checked(data, dict, _load_registry, CatalogError, "catalog")
 
 
 def load_catalog(path: str | Path) -> Registry:
     return registry_from_dict(read_json(path, "catalog file"))
-
-
-def read_json(path: str | Path, what: str):
-    """The JSON value in the file at `path`; `what` names the file in errors."""
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"{what} not found: {p}")
-    with p.open("r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
-            raise ValueError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def bundled_catalog() -> Registry:

@@ -12,30 +12,13 @@ import json
 import sys
 
 from . import __version__
-from .backends import (
-    BackendError,
-    CompletionBackend,
-    OracleBackend,
-    RemoteBackend,
-    ReplayBackend,
-)
+from .backends import BackendError, CompletionBackend, OracleBackend, RemoteBackend, ReplayBackend
 from .catalog import CatalogError, Registry, bundled_catalog, load_catalog
-from .evaluation import (
-    collect_corpus,
-    evaluate_corpus_detailed,
-    load_corpus,
-    save_corpus,
-)
+from .evaluation import collect_corpus, evaluate_corpus_detailed, load_corpus, save_corpus
 from .orchestrator import dispatch_function_steps, run_task
-from .parsing import (
-    ParseError,
-    parse_function_steps,
-    parse_skill_sequence,
-    steps_from_json,
-    steps_to_json,
-)
+from .parsing import ParseError, parse_function_steps, parse_skill_sequence, steps_from_json, steps_to_json
 from .plant import PlantSim
-from .prompts import PromptError, build_manager_prompt, build_operator_prompt
+from .prompts import build_manager_prompt, build_operator_prompt
 from .service import DEFAULT_PORT, LocalPlant, PlantService, serve_plant
 from .tasks import TaskError, TaskSpec, bundled_task_spec, bundled_task_specs, find_task_spec, load_task_specs
 from .validation import move_dock_target, validate_plan
@@ -46,15 +29,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.handler(args)
-    except (
-        CatalogError,
-        ParseError,
-        PromptError,
-        TaskError,
-        BackendError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (CatalogError, BackendError, OSError, ValueError) as exc:  # ValueError: ParseError, TaskError and more
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

@@ -14,9 +14,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .backends import CompletionBackend, CompletionRequest
-from .catalog import CheckedRecord, Registry, read_json
+from .catalog import CheckedRecord, Registry
+from .jsonread import checked, each, get, items, nested, read_json
 from .prompts import build_manager_prompt
-from .tasks import TaskSpec
+from .tasks import TaskSpec, read_task
 from .validation import ValidationReport, validate_plan
 
 
@@ -27,11 +28,9 @@ class EvalSample(NamedTuple):
     def to_dict(self) -> dict:
         return {"task_spec": self.spec.to_dict(), "completion_text": self.completion_text}
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "EvalSample":
-        if not isinstance(raw, dict) or not isinstance(raw.get("completion_text"), str):
-            raise ValueError("a corpus sample must be a JSON object with a completion_text string")
-        return cls(spec=TaskSpec.from_dict(raw.get("task_spec")), completion_text=raw["completion_text"])
+
+def _read_sample(raw: dict) -> EvalSample:
+    return EvalSample(nested(raw, "task_spec", read_task), get(raw, "completion_text"))
 
 
 class _EvalMetricsFields(NamedTuple):
@@ -90,13 +89,13 @@ def evaluate_corpus(registry: Registry, samples: list[EvalSample]) -> EvalMetric
 # ---------------------------------------------------------------------------
 # Corpus files
 
+def _read_corpus(raw: list | dict) -> list[EvalSample]:
+    return list(each(raw, _read_sample) if type(raw) is list else items(raw, "samples", _read_sample, default=()))
+
+
 def load_corpus(path: str | Path) -> list[EvalSample]:
-    raw = read_json(path, "corpus file")
-    if isinstance(raw, dict):
-        raw = raw.get("samples", [])
-    if not isinstance(raw, list):
-        raise ValueError(f"{path}: expected a list of samples")
-    return [EvalSample.from_dict(item) for item in raw]
+    """The samples of a corpus file: a list, or an object that holds them at `samples`."""
+    return checked(read_json(path, "corpus file"), (list, dict), _read_corpus, ValueError, "corpus")
 
 
 def save_corpus(path: str | Path, samples: list[EvalSample]) -> None:

@@ -1,0 +1,103 @@
+"""Typed reads of the JSON values the package loads: files, standard input
+and completion replies.  It imports no other module of the package.
+
+Each read checks a value's JSON type where it stands, as `json.load` gives
+it.  A value that is absent or of the wrong type raises `JsonTypeError`,
+which `checked` raises as the loader's own error with the value's JSON path
+first: `samples[7].task_spec.required_checks: expected list, got string`.
+No path is built for a value that passes: each container read adds its key
+or index to an error on its way out.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+_NAMES = {dict: "object", list: "list", str: "string", bool: "boolean", int: "number", float: "number",
+          type(None): "null"}
+_REQUIRED = object()
+
+
+class JsonTypeError(ValueError):
+    """A JSON value is absent or of the wrong type; `keys` lead to it from the value `checked` reads."""
+
+    def __init__(self, problem: str, *keys: str | int) -> None:
+        super().__init__(problem)
+        self.keys = list(keys)
+
+
+def _expect(value, kind: type | tuple[type, ...]):
+    """`value` if it is a JSON `kind`, or one of a tuple of kinds (a boolean is no integer)."""
+    kinds = kind if type(kind) is tuple else (kind,)
+    if type(value) in kinds:
+        return value
+    expected = " or ".join("integer" if k is int else _NAMES[k] for k in kinds)
+    raise JsonTypeError(f"expected {expected}, got {_NAMES.get(type(value), type(value).__name__)}")
+
+
+def get(raw: dict, key: str, kind: type = str, default=_REQUIRED):
+    """`raw[key]` checked to be a JSON `kind` (or null, where `default` is None), or `default` if absent."""
+    value = raw.get(key, _REQUIRED)
+    if type(value) is kind or (value is None and default is None):
+        return value
+    if value is not _REQUIRED:
+        return _within(key, _expect, value, kind)
+    if default is _REQUIRED:
+        raise JsonTypeError(f"missing required key {key!r}")
+    return default
+
+
+def nested(raw: dict, key: str, read):
+    """`read(raw[key])`, where `raw[key]` must be an object."""
+    return _within(key, read, get(raw, key, dict))
+
+
+def items(raw: dict, key: str, read=None, kind: type = dict, default=_REQUIRED) -> tuple:
+    """`each` item of the list `raw[key]`, or `default` if `key` is absent."""
+    return _within(key, each, get(raw, key, list, default), read, kind)
+
+
+def each(values: list, read=None, kind: type = dict) -> tuple:
+    """Each item of `values`, checked to be a JSON `kind`, then passed through `read` if given."""
+    out = []
+    try:
+        for value in values:
+            if type(value) is not kind:
+                _expect(value, kind)
+            out.append(value if read is None else read(value))
+    except JsonTypeError as exc:
+        exc.keys.insert(0, len(out))
+        raise
+    return tuple(out)
+
+
+def _within(key: str, read, *args):
+    """`read(*args)`, with `key` put at the head of the path of a JsonTypeError it raises."""
+    try:
+        return read(*args)
+    except JsonTypeError as exc:
+        exc.keys.insert(0, key)
+        raise
+
+
+def checked(value, kind: type | tuple[type, ...], read, error: type[Exception], root: str):
+    """`read(value)`, `value` checked to be a JSON `kind` first.  A JsonTypeError leaves as `error`, with
+    the message `<JSON path>: <problem>`; the path of `value` itself is `root`."""
+    try:
+        return read(_expect(value, kind))
+    except JsonTypeError as exc:
+        path = "".join(f"[{key}]" if type(key) is int else f".{key}" for key in exc.keys)
+        raise error(f"{path.lstrip('.') or root}: {exc}") from None
+
+
+def read_json(path: str | Path, what: str):
+    """The JSON value in the file at `path`; `what` names the file in errors."""
+    p = Path(path)
+    if not p.exists():
+        raise FileNotFoundError(f"{what} not found: {p}")
+    with p.open("r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
+            raise ValueError(f"{what} is not valid JSON: {exc}") from exc

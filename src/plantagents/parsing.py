@@ -12,6 +12,8 @@ import json
 import re
 from typing import NamedTuple
 
+from .jsonread import checked, each, get
+
 
 class ParseError(ValueError):
     """The text does not contain a recognizable plan."""
@@ -108,20 +110,13 @@ def steps_to_json(steps: list[FunctionStep]) -> str:
     return json.dumps([s._asdict() for s in steps])
 
 
+def _read_step(raw: dict) -> FunctionStep:
+    return FunctionStep(get(raw, "step", int), get(raw, "description"), get(raw, "action"), get(raw, "url"))
+
+
 def steps_from_json(text: str) -> list[FunctionStep]:
     try:
         payload = json.loads(text)
     except ValueError as exc:  # also a number with more digits than `int` converts
         raise ParseError(f"not valid JSON: {exc}") from exc
-    if not isinstance(payload, list):
-        raise ParseError("expected a JSON array of steps")
-    steps = []
-    for item in payload:
-        try:
-            step = FunctionStep(int(item["step"]), item["description"], item["action"], item["url"])
-        except (TypeError, KeyError, ValueError, OverflowError) as exc:
-            raise ParseError(f"malformed step record: {item!r}") from exc
-        if not all(isinstance(text, str) for text in (step.description, step.action, step.url)):
-            raise ParseError(f"malformed step record: {item!r}")
-        steps.append(step)
-    return steps
+    return list(checked(payload, list, lambda steps: each(steps, _read_step), ParseError, "steps"))

@@ -36,10 +36,6 @@ class Feature(NamedTuple):
     kind: str
     detail: str | None = None
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "Feature":
-        return cls(kind=raw["kind"], detail=raw.get("detail"))
-
 
 class Workpiece:
     """A workpiece in the plant; every instance attribute is a field of its JSON object."""

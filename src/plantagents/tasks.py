@@ -11,7 +11,8 @@ import random
 from pathlib import Path
 from typing import NamedTuple
 
-from .catalog import CheckedRecord, Registry, read_json
+from .catalog import CheckedRecord, Registry
+from .jsonread import checked, each, get, items, read_json
 from .plant import MATERIALS, Feature
 
 # Check features applied before any goal feature (incoming inspection)
@@ -38,14 +39,9 @@ class TaskSpec(CheckedRecord, _TaskSpecFields):
     __slots__ = ()
 
     def _check(self) -> None:
-        if not isinstance(self.id, str):
-            raise TaskError(f"task id must be a string, got {type(self.id).__name__}")
         # The simulator reads an empty location as storage; the planner does not.
-        if not (isinstance(self.initial_location, str) and self.initial_location):
+        if not self.initial_location:
             raise TaskError(f"task initial_location must name a module, got {self.initial_location!r}")
-        for feat in self.goal_features + self.required_checks:
-            if not isinstance(feat.kind, str) or not isinstance(feat.detail, (str, type(None))):
-                raise TaskError(f"a feature needs a string kind and a string or null detail: {feat._asdict()}")
         if not self.instruction.strip():
             raise TaskError("task instruction must not be empty")
         if self.material not in MATERIALS:
@@ -75,36 +71,38 @@ class TaskSpec(CheckedRecord, _TaskSpecFields):
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TaskSpec":
-        if not isinstance(raw, dict):
-            raise TaskError(f"task record must be a JSON object, got {type(raw).__name__}")
-        try:
-            return cls(
-                id=raw.get("id", ""),
-                instruction=raw["instruction"],
-                material=raw["material"],
-                initial_location=raw["initial_location"],
-                goal_features=tuple(Feature.from_dict(f) for f in raw.get("goal_features", [])),
-                required_checks=tuple(Feature.from_dict(f) for f in raw.get("required_checks", [])),
-            )
-        except KeyError as exc:
-            raise TaskError(f"task record missing key {exc}") from exc
-        except (AttributeError, TypeError) as exc:
-            raise TaskError(f"task record has a field of the wrong type: {exc}") from exc
+        return checked(raw, dict, read_task, TaskError, "task")
+
+
+def _read_feature(raw: dict) -> Feature:
+    return Feature(get(raw, "kind"), get(raw, "detail", default=None))
+
+
+def read_task(raw: dict) -> TaskSpec:
+    """The task a JSON object describes, each value's type checked as `jsonread.get` checks it."""
+    return TaskSpec(
+        id=get(raw, "id", default=""),
+        instruction=get(raw, "instruction"),
+        material=get(raw, "material"),
+        initial_location=get(raw, "initial_location"),
+        goal_features=items(raw, "goal_features", _read_feature, default=()),
+        required_checks=items(raw, "required_checks", _read_feature, default=()),
+    )
+
+
+def _read_tasks(raw: list | dict) -> list[TaskSpec]:
+    return [read_task(raw)] if type(raw) is dict else list(each(raw, read_task))
 
 
 def load_task_specs(path: str | Path) -> list[TaskSpec]:
-    raw = read_json(path, "task file")
-    if isinstance(raw, dict):
-        raw = [raw]
-    if not isinstance(raw, list):
-        raise TaskError(f"{path}: expected a task object or a list of them")
-    return [TaskSpec.from_dict(item) for item in raw]
+    """The tasks of a task file: one object, or a list of them."""
+    return checked(read_json(path, "task file"), (list, dict), _read_tasks, TaskError, "tasks")
 
 
 def bundled_task_specs() -> list[TaskSpec]:
     """The three reference tasks shipped with the package."""
     raw = read_json(Path(__file__).parent / "data" / "tasks.json", "task file")
-    return [TaskSpec.from_dict(item) for item in raw]
+    return checked(raw, list, _read_tasks, TaskError, "tasks")
 
 
 def bundled_task_spec(task_id: str) -> TaskSpec:
@@ -121,17 +119,8 @@ def find_task_spec(specs: list[TaskSpec], instruction: str) -> TaskSpec | None:
 
 def _vocabulary(registry: Registry) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The feature kinds the registry's skills provide: (production, checks)."""
-    production = []
-    checks = []
-    for module in registry.modules:
-        for skill in module.skills:
-            if skill.feature is None:
-                continue
-            if skill.feature in CHECK_KINDS:
-                checks.append(skill.feature)
-            else:
-                production.append(skill.feature)
-    return tuple(production), tuple(checks)
+    features = [skill.feature for module in registry.modules for skill in module.skills if skill.feature is not None]
+    return tuple(f for f in features if f not in CHECK_KINDS), tuple(f for f in features if f in CHECK_KINDS)
 
 
 def random_task_spec(registry: Registry, rng: random.Random, index: int = 0) -> TaskSpec:

@@ -85,7 +85,7 @@ def test_replay_from_file_accepts_bare_list(tmp_path):
 def test_replay_from_file_rejects_malformed(tmp_path):
     path = tmp_path / "corpus.json"
     path.write_text(json.dumps([{"hash": "x"}]))
-    with pytest.raises(BackendError, match="malformed replay record"):
+    with pytest.raises(BackendError, match=r"^\[0\]: missing required key 'prompt_hash'$"):
         ReplayBackend.from_file(path)
 
 
@@ -173,6 +173,18 @@ def test_remote_error_makes_one_request():
         with pytest.raises(RemoteError):
             backend.complete(CompletionRequest(prompt="p"))
         assert len(stub.requests) == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    (5, "choices[0].text: expected string, got number"),
+    (None, "choices[0].text: expected string, got null"),
+])
+def test_remote_names_the_json_path_of_a_reply_value_of_the_wrong_type(text, message):
+    with StubCompletionsServer(completion_text=text) as stub:
+        backend = RemoteBackend(endpoint_url=stub.url, model="m")
+        with pytest.raises(RemoteError) as refused:
+            backend.complete(CompletionRequest(prompt="p"))
+        assert str(refused.value) == message
 
 
 def test_remote_rejects_empty_completion():

@@ -17,6 +17,7 @@ from plantagents.catalog import (
     render_manager_context,
     render_operator_context,
 )
+from plantagents.jsonread import checked, items, nested
 
 MODULE_IDS = [
     "inspection_module",
@@ -612,8 +613,8 @@ def test_direct_and_rebased_registries_keep_every_rule(mutate, match, refused_by
         registry_from_dict(data)
 
     def parts():
-        modules = tuple(_load_module(m, f"modules[{i}]") for i, m in enumerate(data["modules"]))
-        return modules, _load_prompts(data["prompts"])
+        modules = checked(data, dict, lambda d: items(d, "modules", _load_module), CatalogError, "catalog")
+        return modules, checked(data, dict, lambda d: nested(d, "prompts", _load_prompts), CatalogError, "catalog")
 
     if refused_by == "loader":
         with pytest.raises(CatalogError) as direct:
@@ -724,7 +725,7 @@ def test_registry_accepts_a_template_that_names_fewer_placeholders():
 def _absolute_modules():
     """The bundled modules with the absolute URLs of the catalog file; a
     registry's own `modules` hold paths."""
-    return tuple(_load_module(m, f"modules[{i}]") for i, m in enumerate(_raw_catalog()["modules"]))
+    return items(_raw_catalog(), "modules", _load_module)
 
 
 def test_registry_built_directly_is_checked(registry):

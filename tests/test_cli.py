@@ -347,20 +347,19 @@ def test_task_file_of_wrong_json_types_is_an_error(tmp_path, monkeypatch, capsys
     feed(monkeypatch, "{(S1) – (S2)}")
     monkeypatch.chdir(tmp_path)
     assert main(argv + [str(path)]) == 1
-    assert capsys.readouterr().err == "error: task record must be a JSON object, got int\n"
+    assert capsys.readouterr().err == "error: [0]: expected object, got number\n"
 
 
 _SPEC = bundled_task_specs()[0].to_dict()
-_NOT_A_SAMPLE = "a corpus sample must be a JSON object with a completion_text string"
 
 
 @pytest.mark.parametrize(
     "corpus, message",
     [
-        ([1], _NOT_A_SAMPLE),
-        ([{"task_spec": 1, "completion_text": "x"}], "task record must be a JSON object, got int"),
-        ([{"task_spec": _SPEC}], _NOT_A_SAMPLE),
-        ([{"task_spec": _SPEC, "completion_text": 5}], _NOT_A_SAMPLE),
+        ([1], "[0]: expected object, got number"),
+        ([{"task_spec": 1, "completion_text": "x"}], "[0].task_spec: expected object, got number"),
+        ([{"task_spec": _SPEC}], "[0]: missing required key 'completion_text'"),
+        ([{"task_spec": _SPEC, "completion_text": 5}], "[0].completion_text: expected string, got number"),
     ],
     ids=["sample-number", "task-spec-number", "no-completion", "completion-number"],
 )
@@ -371,23 +370,19 @@ def test_corpus_of_wrong_json_types_is_an_error(tmp_path, capsys, corpus, messag
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-_NOT_A_LIST = "replay corpus must hold a list of records, got int"
-
-
 @pytest.mark.parametrize(
     "replay, message",
     [
-        (5, _NOT_A_LIST),
-        ({"records": 5}, _NOT_A_LIST),
-        ([{"prompt_hash": 1, "completion_text": "x"}], None),
-        ([{"prompt_hash": "h", "completion_text": 5}], None),
+        (5, "replay corpus: expected list or object, got number"),
+        ({"records": 5}, "records: expected list, got number"),
+        ([{"prompt_hash": 1, "completion_text": "x"}], "[0].prompt_hash: expected string, got number"),
+        ([{"prompt_hash": "h", "completion_text": 5}], "[0].completion_text: expected string, got number"),
     ],
     ids=["file-number", "records-number", "hash-number", "completion-number"],
 )
 def test_replay_file_of_wrong_json_types_is_an_error(tmp_path, capsys, replay, message):
     path = tmp_path / "replay.json"
     path.write_text(json.dumps(replay), "utf-8")
-    message = message or f"malformed replay record: {replay[0]!r}"
     assert main(["run-task", "--backend", "replay", "--task", "x", "--replay-file", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -490,7 +485,7 @@ def test_validate_refuses_a_step_number_no_int_holds(monkeypatch, capsys, step):
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: malformed step record: {'step': ")
+    assert captured.err == "error: [0].step: expected integer, got number\n"
     assert "Traceback" not in captured.err
 
 
@@ -563,6 +558,15 @@ def test_run_task_builds_one_registry(monkeypatch, tmp_path, capsys, registry, d
             service.stop()
     assert (rc, len(built)) == (0, 1)
     assert "outcome: completed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("plant_url", ["http://[x", "http://[::1:5010", "/plant"])
+def test_run_task_refuses_a_plant_url_that_is_not_absolute(capsys, plant_url):
+    """A URL `urlsplit` cannot split (an unclosed '[') is refused as not
+    absolute, as a relative one is, and nothing is run."""
+    assert main(["run-task", "--backend", "oracle", "--task", "x", "--plant-url", plant_url]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: base url must be absolute: {plant_url!r}\n")
 
 
 def test_run_task_traces_are_stable_across_hash_seeds(tmp_path):

@@ -193,12 +193,16 @@ def test_load_corpus_accepts_bare_list(tmp_path, corpus):
     assert load_corpus(path) == corpus[:2]
 
 
-@pytest.mark.parametrize("raw", [5, {"samples": 5}])
-def test_load_corpus_rejects_a_non_list(tmp_path, raw):
+@pytest.mark.parametrize("raw, message", [
+    (5, "corpus: expected list or object, got number"),
+    ({"samples": 5}, "samples: expected list, got number"),
+], ids=["5", "raw1"])
+def test_load_corpus_rejects_a_non_list(tmp_path, raw, message):
     path = tmp_path / "corpus.json"
     path.write_text(json.dumps(raw))
-    with pytest.raises(ValueError, match="expected a list of samples"):
+    with pytest.raises(ValueError) as refused:
         load_corpus(path)
+    assert str(refused.value) == message
 
 
 def test_load_corpus_missing_file(tmp_path):

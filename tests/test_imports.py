@@ -1,9 +1,11 @@
-"""No package module imports a name it never uses, or keeps a private name
-it never reads.
+"""No package module imports a name it never uses, keeps a private name it
+never reads, or catches `TypeError` or `AttributeError`.
 
 There is no linter in the Tier-1 run, so this stands in for the two rules
 of it that a refactor most often leaves broken: an import left behind, and
-a private helper or constant whose last reader went.
+a private helper or constant whose last reader went.  The third rule keeps
+catch-alls away from JSON reads: every loader checks a value's JSON type
+through `plantagents.jsonread`, so no read can raise either error.
 """
 
 import ast
@@ -81,3 +83,27 @@ def test_module_keeps_no_private_name_it_never_reads(path):
 ])
 def test_orphaned_private_names_finds_each_one_never_read(source, orphaned):
     assert orphaned_private_names(source) == orphaned
+
+
+def caught_type_errors(source: str) -> list[int]:
+    """The line of each `except` in `source` that names `TypeError` or
+    `AttributeError`, alone or in a tuple."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ExceptHandler)
+            and node.type is not None
+            and any(isinstance(n, ast.Name) and n.id in ("TypeError", "AttributeError") for n in ast.walk(node.type))]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_catches_no_type_or_attribute_error(path):
+    assert caught_type_errors(path.read_text("utf-8")) == []
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("try:\n    f()\nexcept TypeError:\n    pass\n", [3]),
+    ("try:\n    f()\nexcept (KeyError, AttributeError) as exc:\n    pass\n", [3]),
+    ("def g():\n    try:\n        f()\n    except (ValueError, TypeError):\n        pass\n", [4]),
+    ("try:\n    f()\nexcept ValueError:\n    pass\nexcept:\n    raise\n", []),
+    ("try:\n    f()\nexcept (OSError, json.JSONDecodeError):\n    pass\n", []),
+])
+def test_caught_type_errors_finds_each_except_that_names_one(source, lines):
+    assert caught_type_errors(source) == lines

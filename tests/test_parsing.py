@@ -77,18 +77,40 @@ def test_steps_json_roundtrip():
     assert steps_from_json(steps_to_json(steps)) == steps
 
 
-@pytest.mark.parametrize("field, value", [("url", 5), ("description", None), ("action", ["load"]), ("step", "one")])
-def test_steps_from_json_rejects_wrong_field_types(field, value):
-    record = json.loads(steps_to_json(parse_function_steps(TRANSPORT_OUTPUT)))[0]
-    record[field] = value
-    with pytest.raises(ParseError, match="malformed step record"):
-        steps_from_json(json.dumps([record]))
+@pytest.mark.parametrize("field, value, message", [
+    ("url", 5, "[1].url: expected string, got number"),
+    ("description", None, "[1].description: expected string, got null"),
+    ("action", ["load"], "[1].action: expected string, got list"),
+    ("step", "one", "[1].step: expected integer, got string"),
+    # A step number is a JSON integer: no boolean, numeric string or fraction is read as one.
+    ("step", True, "[1].step: expected integer, got boolean"),
+    ("step", False, "[1].step: expected integer, got boolean"),
+    ("step", "3", "[1].step: expected integer, got string"),
+    ("step", 3.7, "[1].step: expected integer, got number"),
+], ids=["url-5", "description-None", "action-value2", "step-one", "step-True", "step-False", "step-3", "step-3.7"])
+def test_steps_from_json_rejects_wrong_field_types(field, value, message):
+    records = json.loads(steps_to_json(parse_function_steps(TRANSPORT_OUTPUT)))
+    records[1][field] = value
+    with pytest.raises(ParseError) as refused:
+        steps_from_json(json.dumps(records))
+    assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("step", ["1e400", "-1e400", "NaN", "Infinity"])
 def test_steps_from_json_refuses_a_step_number_no_int_holds(step):
-    with pytest.raises(ParseError, match="malformed step record"):
+    with pytest.raises(ParseError, match=r"^\[0\]\.step: expected integer, got number$"):
         steps_from_json('[{"step": %s, "description": "d", "action": "a", "url": "u"}]' % step)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"step": 1}', "steps: expected list, got object"),
+    ("[5]", "[0]: expected object, got number"),
+    ('[{"step": 1, "description": "d", "action": "a"}]', "[0]: missing required key 'url'"),
+])
+def test_steps_from_json_names_the_json_path(text, message):
+    with pytest.raises(ParseError) as refused:
+        steps_from_json(text)
+    assert str(refused.value) == message
 
 
 def test_steps_from_json_refuses_a_number_of_too_many_digits():

@@ -77,7 +77,7 @@ def test_serialization_roundtrip(task_specs):
 
 
 def test_from_dict_missing_key():
-    with pytest.raises(TaskError, match="missing key"):
+    with pytest.raises(TaskError, match="^task: missing required key 'material'$"):
         TaskSpec.from_dict({"instruction": "x"})
 
 
@@ -90,33 +90,45 @@ def test_load_task_specs_file(tmp_path, drilled_spec):
     assert load_task_specs(p) == [drilled_spec]
 
 
+_TASK = {"instruction": "x", "material": "steel", "initial_location": "storage_module"}
+
+
 @pytest.mark.parametrize(
     "raw, message",
     [
-        (1, "must be a JSON object, got int"),
-        ({"instruction": 5, "material": "steel", "initial_location": "storage_module"}, "wrong type"),
-        ({"instruction": "x", "material": "steel", "initial_location": "storage_module", "goal_features": 3},
-         "wrong type"),
-        ({"instruction": "x", "material": "steel", "initial_location": "storage_module", "goal_features": [1]},
-         "wrong type"),
-        ({"instruction": "x", "material": "steel", "initial_location": "storage_module",
-          "goal_features": [{"kind": ["drilled"]}]}, "a feature needs a string kind"),
-        ({"instruction": "x", "material": "steel", "initial_location": "storage_module",
-          "required_checks": [{"kind": "raw_checked", "detail": {"a": 1}}]}, "a string or null detail"),
-        ({"id": ["a"], "instruction": "x", "material": "steel", "initial_location": "storage_module"},
-         "task id must be a string, got list"),
-        ({"instruction": "x", "material": "steel", "initial_location": ""}, "initial_location must name a module"),
+        (1, "task: expected object, got number"),
+        ({**_TASK, "instruction": 5}, "instruction: expected string, got number"),
+        ({**_TASK, "goal_features": 3}, "goal_features: expected list, got number"),
+        ({**_TASK, "goal_features": [1]}, "goal_features[0]: expected object, got number"),
+        ({**_TASK, "goal_features": [{"kind": ["drilled"]}]}, "goal_features[0].kind: expected string, got list"),
+        ({**_TASK, "required_checks": [{"kind": "raw_checked", "detail": {"a": 1}}]},
+         "required_checks[0].detail: expected string, got object"),
+        ({**_TASK, "id": ["a"]}, "id: expected string, got list"),
+        ({**_TASK, "initial_location": ""}, "task initial_location must name a module, got ''"),
+        ({**_TASK, "id": 5}, "id: expected string, got number"),
+        ({**_TASK, "goal_features": [{"kind": 5}]}, "goal_features[0].kind: expected string, got number"),
+        ({**_TASK, "id": None}, "id: expected string, got null"),
     ],
+    # The first eight ids are the cases' long-standing test names.
+    ids=["1-must be a JSON object, got int", "raw1-wrong type", "raw2-wrong type", "raw3-wrong type",
+         "raw4-a feature needs a string kind", "raw5-a string or null detail", "raw6-task id must be a string, got list",
+         "raw7-initial_location must name a module", "id-number", "feature-kind-number", "id-null"],
 )
 def test_from_dict_wrong_json_types(raw, message):
-    with pytest.raises(TaskError, match=message):
+    with pytest.raises(TaskError) as refused:
         TaskSpec.from_dict(raw)
+    assert str(refused.value) == message
+
+
+def test_from_dict_takes_a_null_detail_as_absent():
+    raw = {**_TASK, "goal_features": [{"kind": "drilled", "detail": None}, {"kind": "milled"}]}
+    assert TaskSpec.from_dict(raw).goal_features == (Feature("drilled"), Feature("milled"))
 
 
 def test_load_task_specs_rejects_a_non_list(tmp_path):
     p = tmp_path / "tasks.json"
     p.write_text("5")
-    with pytest.raises(TaskError, match="expected a task object or a list of them"):
+    with pytest.raises(TaskError, match="^tasks: expected list or object, got number$"):
         load_task_specs(p)
 
 
