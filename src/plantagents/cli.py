@@ -20,7 +20,7 @@ from .parsing import ParseError, parse_function_steps, parse_skill_sequence, ste
 from .plant import PlantSim
 from .prompts import build_manager_prompt, build_operator_prompt
 from .service import DEFAULT_PORT, LocalPlant, PlantService, serve_plant
-from .tasks import TaskError, TaskSpec, bundled_task_spec, bundled_task_specs, find_task_spec, load_task_specs
+from .tasks import TaskSpec, bundled_task_spec, bundled_task_specs, find_task_spec, load_task_specs
 from .validation import move_dock_target, validate_plan
 
 
@@ -149,10 +149,7 @@ def _cmd_validate(args) -> int:
     if args.task_id:
         spec = bundled_task_spec(args.task_id)
     else:
-        specs = load_task_specs(args.task_spec)
-        if not specs:
-            raise TaskError(f"{args.task_spec} holds no task specification")
-        spec = specs[0]
+        spec = load_task_specs(args.task_spec)[0]
     text = sys.stdin.read()
     stripped = text.strip()
     if stripped.startswith("["):

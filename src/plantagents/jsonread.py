@@ -1,5 +1,6 @@
-"""Typed reads of the JSON values the package loads: files, standard input
-and completion replies.  It imports no other module of the package.
+"""Typed reads of the JSON values the package loads: files, standard input,
+completion replies, and both ends of the plant link (request bodies and
+state replies).  It imports no other module of the package.
 
 Each read checks a value's JSON type where it stands, as `json.load` gives
 it.  A value that is absent or of the wrong type raises `JsonTypeError`,
@@ -70,6 +71,24 @@ def each(values: list, read=None, kind: type = dict) -> tuple:
         exc.keys.insert(0, len(out))
         raise
     return tuple(out)
+
+
+def members(raw: dict, key: str, read=None, kind: type = dict, default=_REQUIRED) -> dict:
+    """Each member of the object `raw[key]` by its name, checked and read as `each` checks and reads an item;
+    `default` if `key` is absent (or null, where `default` is None)."""
+    values = get(raw, key, dict, default)
+    if values is default:
+        return values
+    out = {}
+    try:
+        for name, value in values.items():
+            if type(value) is not kind:
+                _expect(value, kind)
+            out[name] = value if read is None else read(value)
+    except JsonTypeError as exc:
+        exc.keys[:0] = (key, name)
+        raise
+    return out
 
 
 def _within(key: str, read, *args):

@@ -13,12 +13,14 @@ import json
 import select
 import socket
 from collections.abc import Sequence
+from functools import partial
 from pathlib import Path
 from typing import Protocol
 from urllib.parse import urlsplit
 
 from .backends import BackendError, CompletionBackend, CompletionRequest
 from .catalog import CatalogError, Registry, canonical_url, is_request_path
+from .jsonread import checked, get, members
 from .parsing import FunctionStep, ParseError, parse_function_steps, parse_skill_sequence
 from .plant import ON_ROBOT, PlantFault
 from .prompts import (
@@ -111,8 +113,8 @@ class HttpPlant:
     """
 
     def __init__(self, base_url: str) -> None:
-        parts = urlsplit(base_url)
-        try:  # `port` raises ValueError for a port that is not a number from 0 to 65535
+        try:  # ValueError from `urlsplit` for an unclosed '[', from `port` for one not from 0 to 65535
+            parts = urlsplit(base_url)
             self._origin = parts.hostname, parts.port or 80
             if parts.scheme != "http" or not parts.hostname or not parts.netloc.isascii():
                 raise ValueError
@@ -308,22 +310,17 @@ def _run_on_port(
 ) -> ExecutionTrace:
     trace = ExecutionTrace(task_text=task_text, backend_id=backend.backend_id)
     try:
-        state = plant.state()
+        locations = checked(plant.state(), dict, partial(_read_state, trace, "start_state"), ValueError, "snapshot")
     except OrchestrationError as exc:
         return _abort(trace, "plant", f"plant unreachable: {exc}")
-    if not isinstance(state, dict):
-        return _abort(trace, "plant", f"plant state is not a JSON object: {type(state).__name__}")
-    trace.start_state = state
-    workpieces = state.get("workpieces", {})
-    if not isinstance(workpieces, dict) or not all(isinstance(wp, dict) for wp in workpieces.values()):
-        return _abort(trace, "plant", "plant state's workpieces must be an object of objects")
-    if len(workpieces) != 1:
-        return _abort(trace, "plant", f"plant must hold exactly one workpiece, found {len(workpieces)}")
-    wp_id, wp = next(iter(workpieces.items()))
-    wp_module = wp.get("location")
+    except ValueError as exc:
+        return _abort(trace, "plant", f"plant state: {exc}")
+    if len(locations) != 1:
+        return _abort(trace, "plant", f"plant must hold exactly one workpiece, found {len(locations)}")
+    [(wp_id, wp_module)] = locations.items()
     if wp_module == ON_ROBOT:
         return _abort(trace, "plant", "workpiece is already on the transport robot")
-    if not (isinstance(wp_module, str) and registry.has_module(wp_module)):
+    if not registry.has_module(wp_module):
         return _abort(trace, "plant", f"plant state puts the workpiece at no catalog module: {wp_module!r}")
 
     try:
@@ -383,14 +380,21 @@ def _run_on_port(
             return trace
 
     try:
-        trace.final_state = plant.state()
-    except OrchestrationError as exc:
+        checked(plant.state(), dict, partial(_read_state, trace, "final_state"), ValueError, "snapshot")
+    except (OrchestrationError, ValueError) as exc:
         return _abort(trace, "plant", f"plant state unavailable after completion: {exc}")
     trace.outcome = "completed"
     return trace
 
 
 # ---------------------------------------------------------------------------
+
+def _read_state(trace: ExecutionTrace, field: str, state: dict) -> dict[str, str]:
+    """Each workpiece's location by its id in a plant snapshot, which the trace keeps as its `field` once it
+    is an object: `workpieces` (absent: none) must be an object of objects, each with a string `location`."""
+    setattr(trace, field, state)
+    return members(state, "workpieces", lambda wp: get(wp, "location"), default={})
+
 
 def _abort(trace: ExecutionTrace, stage: str, reason: str) -> ExecutionTrace:
     trace.records.append(

@@ -33,6 +33,7 @@ from http import HTTPStatus
 from time import gmtime, monotonic
 
 from .catalog import CatalogError
+from .jsonread import checked, get, members
 from .plant import PlantFault, PlantSim
 
 DEFAULT_PORT = 5010
@@ -47,10 +48,6 @@ PLANT_TIMEOUT_SECONDS = 10.0  # to read a message once it has begun, to write, a
 _POST_ROUTE_RE = re.compile(r"^/([^/]+)/(functionalit(?:ies|y)|skills)/([^/]+)$")
 _MODULE_STATE_RE = re.compile(r"^/([^/]+)/state$")
 _HTTP_VERSION_RE = re.compile(r"HTTP/(\d{1,10})\.(\d{1,10})", re.ASCII)
-
-
-# The JSON type each request body field must have unless it is null.
-_FIELD_TYPES = {"params": dict, "workpiece_id": str, "detail": str}
 
 _json_decode = json.JSONDecoder().decode
 encode_json = json.JSONEncoder().encode  # `json.dumps(x)` without its per-call keyword handling
@@ -73,11 +70,19 @@ def call_result(status: int, payload: dict) -> dict:
     it: 200 is ok, 409 a fault (a violated precondition), anything else an
     error."""
     if status == 200:
-        return {"status": "ok", "reason": None, "state_version": payload.get("state_version")}
+        version = payload.get("state_version")
+        return {"status": "ok", "reason": None, "state_version": version if type(version) is int else None}
     reason = payload.get("reason")
     if not (isinstance(reason, str) and reason):
         reason = "precondition violated" if status == 409 else f"HTTP {status}"
     return {"status": "fault" if status == 409 else "error", "reason": reason, "state_version": None}
+
+
+def _read_request(body: dict) -> tuple[dict | None, str | None, str | None]:
+    """(params, workpiece_id, detail) of a request body: an object of strings, then two strings; each may
+    be null or absent."""
+    return (members(body, "params", kind=str, default=None), get(body, "workpiece_id", default=None),
+            get(body, "detail", default=None))
 
 
 class LocalPlant:
@@ -109,44 +114,34 @@ class LocalPlant:
         return 404, {"status": "error", "reason": f"no route {path}"}
 
     def post(self, path: str, body: object) -> tuple[int, dict]:
-        if not isinstance(body, dict):
-            return 400, {"status": "error", "reason": "request body is not a JSON object"}
-        for key, kind in _FIELD_TYPES.items():
-            if body.get(key) is not None and not isinstance(body[key], kind):
-                return 400, {"status": "error", "reason": f"{key} has the wrong JSON type"}
-        if not all(isinstance(value, str) for value in (body.get("params") or {}).values()):
-            return 400, {"status": "error", "reason": "params values must be strings"}
+        """A body whose values are not of the JSON types `_read_request` reads is a 400, whatever the route."""
+        try:
+            params, workpiece_id, detail = checked(body, dict, _read_request, ValueError, "request body")
+        except ValueError as exc:
+            return 400, {"status": "error", "reason": str(exc)}
         route = _post_route(path)
         if route is None:
             return 404, {"status": "error", "reason": f"no route {path}"}
         skill, module_id, name = route
-        return (self._skill if skill else self._functionality)(module_id, name, body)
-
-    def _functionality(self, module_id: str, name: str, body: dict) -> tuple[int, dict]:
         if not self.sim.registry.has_module(module_id):
             return 404, {"status": "error", "reason": f"unknown module {module_id!r}"}
         try:
-            self.sim.registry.functionality(module_id, name)
-            version = self.sim.apply_functionality(name, body.get("params") or {})
+            if skill:
+                version = self._skill(module_id, name, workpiece_id, detail)
+            else:
+                self.sim.registry.functionality(module_id, name)  # CatalogError unless the module offers it
+                version = self.sim.apply_functionality(name, params)
         except CatalogError as exc:
             return 409, {"status": "fault", "reason": str(exc)}
         except PlantFault as exc:
             return 409, {"status": "fault", "reason": exc.reason}
         return 200, {"status": "ok", "state_version": version}
 
-    def _skill(self, module_id: str, code: str, body: dict) -> tuple[int, dict]:
-        registry = self.sim.registry
-        if not registry.has_module(module_id):
-            return 404, {"status": "error", "reason": f"unknown module {module_id!r}"}
-        entry = registry.skill_entry(code)
+    def _skill(self, module_id: str, code: str, workpiece_id: str | None, detail: str | None) -> int:
+        entry = self.sim.registry.skill_entry(code)
         if entry is None or entry[0].id != module_id:
-            return 409, {"status": "fault", "reason": f"module {module_id} offers no skill {code}"}
-        try:
-            workpiece_id = body.get("workpiece_id") or self.sim.sole_workpiece().id
-            version = self.sim.apply_skill(code, workpiece_id, detail=body.get("detail"))
-        except PlantFault as exc:
-            return 409, {"status": "fault", "reason": exc.reason}
-        return 200, {"status": "ok", "state_version": version}
+            raise PlantFault(f"module {module_id} offers no skill {code}")
+        return self.sim.apply_skill(code, workpiece_id or self.sim.sole_workpiece().id, detail=detail)
 
 
 # ---------------------------------------------------------------------------

@@ -95,8 +95,11 @@ def _read_tasks(raw: list | dict) -> list[TaskSpec]:
 
 
 def load_task_specs(path: str | Path) -> list[TaskSpec]:
-    """The tasks of a task file: one object, or a list of them."""
-    return checked(read_json(path, "task file"), (list, dict), _read_tasks, TaskError, "tasks")
+    """The tasks of a task file: one object, or a list of at least one."""
+    specs = checked(read_json(path, "task file"), (list, dict), _read_tasks, TaskError, "tasks")
+    if not specs:
+        raise TaskError(f"{path} holds no task specification")
+    return specs
 
 
 def bundled_task_specs() -> list[TaskSpec]:

@@ -264,6 +264,21 @@ def test_validate_empty_task_spec_file(tmp_path, monkeypatch, capsys):
     assert captured.err == f"error: {path} holds no task specification\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["collect", "--n", "1", "--backend", "oracle", "--out", "{out}", "--tasks"],
+    ["run-task", "--backend", "oracle", "--task", "x", "--task-spec"],
+], ids=["collect", "run-task"])
+def test_a_task_file_of_no_task_is_an_error(tmp_path, capsys, argv):
+    """Every command that reads a task file refuses one that holds `[]`, as
+    `validate` does, and writes nothing."""
+    path, out = tmp_path / "none.json", tmp_path / "out.json"
+    path.write_text("[]", "utf-8")
+    assert main([arg.format(out=out) for arg in argv] + [str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {path} holds no task specification\n")
+    assert not out.exists()
+
+
 def _bundled_catalog_with(**changes):
     """The bundled catalog's JSON with top-level keys replaced."""
     data = json.loads(resources.files("plantagents.data").joinpath("catalog.json").read_text("utf-8"))

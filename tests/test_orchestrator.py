@@ -189,10 +189,12 @@ def test_abort_plant_unreachable(registry, task_specs):
     assert trace.exchanges == []
 
 
-@pytest.mark.parametrize("url", ["foo", "ftp://127.0.0.1:9", "http://127.0.0.1:99999", "http://:9", "http://plänt:9"])
+@pytest.mark.parametrize("url", ["foo", "ftp://127.0.0.1:9", "http://127.0.0.1:99999", "http://:9", "http://plänt:9",
+                                 "http://[x"])
 def test_abort_plant_url_not_usable(registry, url):
     trace = run_task("produce anything", ScriptedBackend([]), registry, url)
-    assert_single_failure(trace, "plant unreachable: ")
+    assert_single_failure(trace, f"plant unreachable: not an http:// plant URL: {url!r}")
+    assert trace.abort_reason == f"plant unreachable: not an http:// plant URL: {url!r}"
     assert trace.exchanges == []
 
 
@@ -245,6 +247,52 @@ def test_abort_plant_state_of_the_wrong_shape(registry, reply):
     assert_single_failure(trace, "plant state")
     assert trace.records[-1].name == "plant"
     assert trace.exchanges == []
+
+
+class StatePlant(LocalPlant):
+    """An in-process plant whose `state()` gives each of `replies` in turn, then its snapshots."""
+
+    def __init__(self, registry, replies):
+        super().__init__(PlantSim.standard_start(registry))
+        self.replies = list(replies)
+
+    def state(self):
+        return self.replies.pop(0) if self.replies else super().state()
+
+
+@pytest.mark.parametrize("reply, reason", [
+    ([], "plant state: snapshot: expected object, got list"),
+    ({"workpieces": None}, "plant state: workpieces: expected object, got null"),
+    ({"workpieces": {"wp1": 5}}, "plant state: workpieces.wp1: expected object, got number"),
+    ({"workpieces": {"wp1": {}}}, "plant state: workpieces.wp1: missing required key 'location'"),
+    ({"workpieces": {"wp1": {"location": "cnc_module"}, "wp2": {"location": 5}}},
+     "plant state: workpieces.wp2.location: expected string, got number"),
+    ({}, "plant must hold exactly one workpiece, found 0"),
+])
+def test_a_start_state_of_the_wrong_json_types_is_refused_with_its_json_path(registry, reply, reason):
+    """The start state is read through the loaders' typed reader: the abort
+    reason names the JSON path of the value of the wrong type, and the trace
+    keeps the state whenever it is a JSON object."""
+    trace = run_task("produce anything", ScriptedBackend([]), registry, StatePlant(registry, [reply]))
+    assert_single_failure(trace, reason)
+    assert trace.abort_reason == reason
+    assert trace.start_state == (reply if isinstance(reply, dict) else None)
+
+
+@pytest.mark.parametrize("reply, reason", [
+    ([1], "snapshot: expected object, got list"),
+    ("ok", "snapshot: expected object, got string"),
+    ({"workpieces": {"wp1": {"location": None}}}, "workpieces.wp1.location: expected string, got null"),
+])
+def test_a_final_state_of_the_wrong_json_types_aborts_the_run(registry, task_specs, drilled_spec, reply, reason):
+    """A final state that is no snapshot leaves the plan's ok records and
+    one final plant record, not a completed trace."""
+    plant = StatePlant(registry, [PlantSim.standard_start(registry).snapshot(), reply])
+    trace = run_task(drilled_spec.instruction, OracleBackend(registry, task_specs), registry, plant)
+    assert_single_failure(trace, f"plant state unavailable after completion: {reason}")
+    assert trace.abort_reason == f"plant state unavailable after completion: {reason}"
+    assert all(r.status == "ok" for r in trace.records[:-1]) and len(trace.records) > 1
+    assert trace.final_state == (reply if isinstance(reply, dict) else None)
 
 
 @pytest.mark.parametrize("status, reason", [(409, None), (409, ""), (409, 5), (503, None)])
@@ -945,6 +993,15 @@ def test_http_plant_call_reads_a_body_that_is_no_json_object_as_empty(status, re
         assert plant.call("/storage_module/skills/S1", {}) == result
 
 
+@pytest.mark.parametrize("version, recorded", [(7, 7), ("x", None), (True, None), ([1], None), (7.0, None), (None, None)])
+def test_http_plant_records_only_an_integer_state_version(version, recorded):
+    """An ok reply's `state_version` reaches the result only as a JSON
+    integer; any other value reads as null."""
+    with RawPlant([(_reply({"status": "ok", "state_version": version}), False)]) as stub, \
+            HttpPlant(stub.base_url) as plant:
+        assert plant.call("/storage_module/skills/S1", {}) == {"status": "ok", "reason": None, "state_version": recorded}
+
+
 def test_http_plant_gives_a_reply_one_deadline(monkeypatch):
     """A reply that trickles in a byte every 50 ms, each byte well inside
     the timeout, fails `state()` once `PLANT_TIMEOUT_SECONDS` have passed
@@ -998,7 +1055,8 @@ def test_http_plant_sends_each_path_under_the_origin_of_its_base_url(form):
     assert stub.requests == [f"GET /plant/state HTTP/1.1\r\nHost: {netloc}\r\n\r\n".encode()]
 
 
-@pytest.mark.parametrize("base_url", ["foo", "https://h:1", "ftp://h:1", "http://h:99999", "http://:9", "http://pl\u00e4nt:9"])
+@pytest.mark.parametrize("base_url", ["foo", "https://h:1", "ftp://h:1", "http://h:99999", "http://:9", "http://pl\u00e4nt:9",
+                                      "http://[x"])
 def test_http_plant_refuses_a_base_url_that_is_not_http(base_url):
     with pytest.raises(ValueError, match=f"^not an http:// plant URL: {re.escape(repr(base_url))}$"):
         HttpPlant(base_url)

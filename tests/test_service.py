@@ -256,6 +256,31 @@ def test_malformed_request_gets_400_json(service, path, body, length, ends_early
     assert r.json() == {"status": "ok", "state_version": 1}
 
 
+@pytest.mark.parametrize("path, body, reason", [
+    ("/storage_module/skills/S1", [], "request body: expected object, got list"),
+    ("/nope", "x", "request body: expected object, got string"),
+    ("/nope", {"detail": 5}, "detail: expected string, got number"),
+    ("/storage_module/skills/S1", {"workpiece_id": ["a"]}, "workpiece_id: expected string, got list"),
+    ("/robotino_7/functionalities/move_dock", {"params": ["x"]}, "params: expected object, got list"),
+    ("/robotino_7/functionalities/move_dock", {"params": {"target_module": 5}},
+     "params.target_module: expected string, got number"),
+    ("/robotino_7/functionalities/move_dock", {"params": {"target_module": "cnc_module", "speed": True}},
+     "params.speed: expected string, got boolean"),
+])
+def test_a_body_of_the_wrong_json_types_gets_a_400_naming_its_json_path(service, path, body, reason):
+    """The body is read before the route, so an unknown route with a bad
+    body is a 400 too; the plant is left as it was."""
+    r = _http("POST", service.base_url + path, body)
+    assert (r.status_code, r.json()) == (400, {"status": "error", "reason": reason})
+    assert _http("GET", f"{service.base_url}/plant/state").json()["version"] == 0
+
+
+@pytest.mark.parametrize("body", [{}, {"params": None}, {"workpiece_id": None, "detail": None}, {"other": [1]}])
+def test_a_body_without_values_or_with_null_ones_is_read_as_empty(service, body):
+    r = _http("POST", f"{service.base_url}/storage_module/skills/S1", body)
+    assert (r.status_code, r.json()) == (200, {"status": "ok", "state_version": 1})
+
+
 # A request that announces a 10-byte body and sends 2 bytes of it.
 SHORT_BODY_REQUEST = (
     b"POST /storage_module/skills/S1 HTTP/1.1\r\nHost: plant\r\n"

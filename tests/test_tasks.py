@@ -132,6 +132,14 @@ def test_load_task_specs_rejects_a_non_list(tmp_path):
         load_task_specs(p)
 
 
+def test_load_task_specs_rejects_a_file_of_no_task(tmp_path):
+    p = tmp_path / "tasks.json"
+    p.write_text("[]")
+    with pytest.raises(TaskError) as refused:
+        load_task_specs(p)
+    assert str(refused.value) == f"{p} holds no task specification"
+
+
 def test_load_task_specs_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_task_specs(tmp_path / "nope.json")
