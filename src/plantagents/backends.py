@@ -17,7 +17,7 @@ from typing import NamedTuple
 from urllib.parse import urlsplit
 
 from .catalog import CheckedRecord, Registry
-from .jsonread import checked, each, get, items, read_json
+from .jsonread import checked, decode_json, each, get, items, read_json
 from .parsing import ParseError
 from .planner import PlanningError, oracle_plan_skills
 from .prompts import PromptError, fill_transport_output, parse_transport_demand
@@ -288,7 +288,7 @@ class RemoteBackend(CompletionBackend):
                 ) from exc
             raise RemoteError(f"completion request failed: {exc}") from exc
         try:
-            body = json.loads(raw)
+            body = decode_json(raw)
         except ValueError as exc:
             raise RemoteError(f"malformed completion response: {exc}") from exc
         texts = checked(body, dict, lambda b: items(b, "choices", lambda c: get(c, "text")), RemoteError,

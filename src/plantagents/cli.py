@@ -206,13 +206,11 @@ def _cmd_run_task(args) -> int:
         if service is not None:
             service.stop()
 
-    rendered = json.dumps(trace.to_dict(), indent=2)
     if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as fh:
-            fh.write(rendered + "\n")
+        trace.save(args.trace_out)
         print(f"trace written to {args.trace_out}")
     else:
-        print(rendered)
+        sys.stdout.write(trace.to_json())
     print(f"outcome: {trace.outcome}", file=sys.stderr)
     return 0 if trace.outcome == "completed" else 1
 

@@ -2,6 +2,10 @@
 completion replies, and both ends of the plant link (request bodies and
 state replies).  It imports no other module of the package.
 
+Every such value is parsed by `decode_json`, which is `json.loads` but for
+JSON nested past the recursion limit: that is a ValueError, as any other
+invalid JSON is, rather than a RecursionError.
+
 Each read checks a value's JSON type where it stands, as `json.load` gives
 it.  A value that is absent or of the wrong type raises `JsonTypeError`,
 which `checked` raises as the loader's own error with the value's JSON path
@@ -15,6 +19,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+_scan_once = json.JSONDecoder().scan_once
 _NAMES = {dict: "object", list: "list", str: "string", bool: "boolean", int: "number", float: "number",
           type(None): "null"}
 _REQUIRED = object()
@@ -110,6 +115,28 @@ def checked(value, kind: type | tuple[type, ...], read, error: type[Exception], 
         raise error(f"{path.lstrip('.') or root}: {exc}") from None
 
 
+def decode_json(document: str | bytes):
+    """What `json.loads(document)` gives or raises, but a ValueError for a
+    document nested past the recursion limit.  Bytes that start with `{` and
+    whose second byte is not NUL are UTF-8 by `json.detect_encoding`'s rules;
+    the C scanner reads them without `json.loads`'s set-up, and a value that
+    ends where they end is the answer.  Any other document, or one that ends
+    in whitespace or has more after its value, goes through `json.loads`, so
+    its encoding, BOM and error messages are as there."""
+    try:
+        if type(document) is bytes and document[:1] == b"{" and document[1:2] != b"\0":
+            text = document.decode("utf-8", "surrogatepass")
+            try:
+                value, end = _scan_once(text, 0)
+                if end == len(text):
+                    return value
+            except StopIteration:  # a missing value inside, which `json.loads` words as "Expecting value"
+                pass
+        return json.loads(document)
+    except RecursionError as exc:
+        raise ValueError(f"nested too deeply: {exc}") from None
+
+
 def read_json(path: str | Path, what: str):
     """The JSON value in the file at `path`; `what` names the file in errors."""
     p = Path(path)
@@ -117,6 +144,6 @@ def read_json(path: str | Path, what: str):
         raise FileNotFoundError(f"{what} not found: {p}")
     with p.open("r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return decode_json(fh.read())
         except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
             raise ValueError(f"{what} is not valid JSON: {exc}") from exc

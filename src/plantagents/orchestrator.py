@@ -20,7 +20,7 @@ from urllib.parse import urlsplit
 
 from .backends import BackendError, CompletionBackend, CompletionRequest
 from .catalog import CatalogError, Registry, canonical_url, is_request_path
-from .jsonread import checked, get, members
+from .jsonread import checked, decode_json, get, members
 from .parsing import FunctionStep, ParseError, parse_function_steps, parse_skill_sequence
 from .plant import ON_ROBOT, PlantFault
 from .prompts import (
@@ -30,7 +30,7 @@ from .prompts import (
     render_transport_demand,
 )
 from . import service
-from .service import FramingError, SocketStream, call_result, decode_json, encode_json, read_reply
+from .service import FramingError, SocketStream, call_result, encode_json, read_reply
 from .tasks import TaskSpec, bundled_task_specs, find_task_spec
 from .validation import function_step_params, goal_details, plan_route, validate_grammar
 
@@ -79,9 +79,13 @@ class ExecutionTrace:
         d["records"] = [r.to_dict() for r in self.records]
         return d
 
+    def to_json(self) -> str:
+        """The trace as `run-task` prints it and `save` writes it: indented JSON and a final newline."""
+        return json.dumps(self.to_dict(), indent=2) + "\n"
+
     def save(self, path: str | Path) -> None:
-        """Write the trace as `run-task --trace-out` does: indented JSON and a final newline."""
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", "utf-8")
+        """Write `to_json()` to the file at `path`."""
+        Path(path).write_text(self.to_json(), "utf-8")
 
 
 class PlantPort(Protocol):

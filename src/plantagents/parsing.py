@@ -12,7 +12,7 @@ import json
 import re
 from typing import NamedTuple
 
-from .jsonread import checked, each, get
+from .jsonread import checked, decode_json, each, get
 
 
 class ParseError(ValueError):
@@ -116,7 +116,7 @@ def _read_step(raw: dict) -> FunctionStep:
 
 def steps_from_json(text: str) -> list[FunctionStep]:
     try:
-        payload = json.loads(text)
-    except ValueError as exc:  # also a number with more digits than `int` converts
+        payload = decode_json(text)
+    except ValueError as exc:  # also a number with more digits than `int` converts, and JSON nested too deeply
         raise ParseError(f"not valid JSON: {exc}") from exc
     return list(checked(payload, list, lambda steps: each(steps, _read_step), ParseError, "steps"))

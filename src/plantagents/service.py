@@ -30,10 +30,11 @@ import threading
 import time
 from functools import lru_cache
 from http import HTTPStatus
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from time import gmtime, monotonic
 
 from .catalog import CatalogError
-from .jsonread import checked, get, members
+from .jsonread import checked, decode_json, get, members
 from .plant import PlantFault, PlantSim
 
 DEFAULT_PORT = 5010
@@ -49,13 +50,16 @@ _POST_ROUTE_RE = re.compile(r"^/([^/]+)/(functionalit(?:ies|y)|skills)/([^/]+)$"
 _MODULE_STATE_RE = re.compile(r"^/([^/]+)/state$")
 _HTTP_VERSION_RE = re.compile(r"HTTP/(\d{1,10})\.(\d{1,10})", re.ASCII)
 
-_json_decode = json.JSONDecoder().decode
-encode_json = json.JSONEncoder().encode  # `json.dumps(x)` without its per-call keyword handling
+_encode_default = json.JSONEncoder().default
 
 
-def decode_json(raw: bytes):
-    """What `json.loads(raw)` gives or raises, without its per-call keyword handling."""
-    return _json_decode(raw.decode(json.detect_encoding(raw), "surrogatepass"))
+def encode_json(value) -> str:
+    """`json.dumps(value)`: the C encoder `json.dumps` builds, built with the same arguments but without
+    the Python set-up around it.  Its markers dict is new on each call, as there, so a circular value is
+    still a ValueError."""
+    # (markers, default, encoder, indent, key_separator, item_separator, sort_keys, skipkeys, allow_nan)
+    return "".join(c_make_encoder({}, _encode_default, encode_basestring_ascii, None, ": ", ", ", False, False,
+                                  True)(value, 0))
 
 
 @lru_cache(maxsize=256)
@@ -514,7 +518,7 @@ class _PlantHandler(JsonHandler):
         try:
             raw = self._read_body()
             body = decode_json(raw) if raw else {}
-        except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
+        except ValueError as exc:  # also JSONDecodeError, UnicodeDecodeError and JSON nested too deeply
             self._reply(400, {"status": "error", "reason": f"malformed request: {exc}"})
             return
         self._reply(*LocalPlant(self.server.sim).post(self.path, body))

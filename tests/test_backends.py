@@ -24,6 +24,7 @@ from plantagents.prompts import (
     fill_transport_output,
     render_transport_demand,
 )
+from plantagents.service import BackgroundServer, JsonHandler
 from stubserver import StubCompletionsServer
 
 
@@ -185,6 +186,22 @@ def test_remote_names_the_json_path_of_a_reply_value_of_the_wrong_type(text, mes
         with pytest.raises(RemoteError) as refused:
             backend.complete(CompletionRequest(prompt="p"))
         assert str(refused.value) == message
+
+
+class _DeepReplyHandler(JsonHandler):
+    """Answers each completion request with a body nested 100 000 deep."""
+
+    def do_POST(self):  # noqa: N802 (stdlib handler naming)
+        self._read_body()
+        body = b'{"choices": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+        self.rfile.raw.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body))
+
+
+def test_remote_refuses_a_reply_nested_past_the_recursion_limit():
+    with BackgroundServer(("127.0.0.1", 0), _DeepReplyHandler) as srv:
+        backend = RemoteBackend(endpoint_url=f"{srv.base_url}/v1/completions", model="m")
+        with pytest.raises(RemoteError, match="^malformed completion response: nested too deeply: "):
+            backend.complete(CompletionRequest(prompt="p"))
 
 
 def test_remote_rejects_empty_completion():

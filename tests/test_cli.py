@@ -279,6 +279,25 @@ def test_a_task_file_of_no_task_is_an_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["evaluate", "--corpus", "{deep}"], "corpus file"),
+    (["evaluate", "--catalog", "{deep}", "--corpus", "unread.json"], "catalog file"),
+    (["validate", "--task-spec", "{deep}"], "task file"),
+    (["run-task", "--backend", "replay", "--task", "x", "--replay-file", "{deep}"], "replay corpus"),
+], ids=["corpus", "catalog", "task-file", "replay-file"])
+def test_a_file_nested_past_the_recursion_limit_is_not_valid_json(tmp_path, capsys, argv, what):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, "utf-8")
+    assert main([arg.format(deep=deep) for arg in argv]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {what} is not valid JSON: nested too deeply: ")
+
+
+def test_validate_refuses_a_step_array_nested_past_the_recursion_limit(monkeypatch, capsys):
+    feed(monkeypatch, "[" * 100_000 + "]" * 100_000)
+    assert main(["validate", "--task-id", "drilled_sheet"]) == 1
+    assert capsys.readouterr().err.startswith("error: not valid JSON: nested too deeply: ")
+
+
 def _bundled_catalog_with(**changes):
     """The bundled catalog's JSON with top-level keys replaced."""
     data = json.loads(resources.files("plantagents.data").joinpath("catalog.json").read_text("utf-8"))

@@ -982,6 +982,15 @@ def test_http_plant_state_refuses_a_reply_that_is_no_snapshot(status, body, mess
             plant.state()
 
 
+def test_a_state_reply_nested_past_the_recursion_limit_aborts_the_run(registry):
+    deep = b'{"workpieces": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+    with RawPlant([(_status_reply(200, deep), False)]) as stub:
+        trace = run_task("produce anything", ScriptedBackend([]), registry.rebased(stub.base_url), stub.base_url)
+    reason = f"plant unreachable: non-JSON response from {stub.base_url}/plant/state"
+    assert_single_failure(trace, reason)
+    assert trace.abort_reason == reason
+
+
 @pytest.mark.parametrize("body", [b"<html>", b"[1]"], ids=["not-json", "not-an-object"])
 @pytest.mark.parametrize("status, result", [
     (200, {"status": "ok", "reason": None, "state_version": None}),

@@ -113,6 +113,11 @@ def test_steps_from_json_names_the_json_path(text, message):
     assert str(refused.value) == message
 
 
+def test_steps_from_json_refuses_an_array_nested_past_the_recursion_limit():
+    with pytest.raises(ParseError, match="^not valid JSON: nested too deeply: "):
+        steps_from_json("[" * 100_000 + "]" * 100_000)
+
+
 def test_steps_from_json_refuses_a_number_of_too_many_digits():
     with pytest.raises(ParseError, match="not valid JSON: "):
         steps_from_json('[{"step": %s, "description": "d", "action": "a", "url": "u"}]' % ("1" * 4301))

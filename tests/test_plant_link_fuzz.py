@@ -7,7 +7,7 @@ gives arbitrary JSON as its start or final state never raises, and its
 trace keeps both trace invariants.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jsontrees import JSON, json_path, positions, replaced
@@ -41,12 +41,16 @@ def test_any_json_body_gets_a_plant_reply(path, body):
 
 @settings(max_examples=300, deadline=None)
 @given(leaf=st.sampled_from(LEAVES), value=JSON)
+@example(leaf=LEAVES[0], value={"params": False})  # the whole body replaced: the reason names its field
 def test_a_value_of_the_wrong_type_in_a_body_is_refused_with_its_json_path(leaf, value):
+    """A 400 names the replaced value, or one inside it; where the whole
+    body is replaced, that is the body or a field of it."""
     path, body, keys = leaf
     status, payload = _answers(path, replaced(body, keys, value))
-    named = json_path(keys) or "request body"
-    if status == 400:  # the value itself, or one inside it
-        assert payload["reason"][:len(named) + 1] in (f"{named}:", f"{named}.", f"{named}["), (keys, payload)
+    names = [json_path(keys)] if keys else ["request body", *(value if isinstance(value, dict) else ())]
+    if status == 400:
+        reason = payload["reason"]
+        assert any(reason[:len(name) + 1] in (f"{name}:", f"{name}.", f"{name}[") for name in names), (keys, payload)
 
 
 @settings(max_examples=300, deadline=None)

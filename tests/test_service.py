@@ -256,6 +256,18 @@ def test_malformed_request_gets_400_json(service, path, body, length, ends_early
     assert r.json() == {"status": "ok", "state_version": 1}
 
 
+def test_a_body_nested_past_the_recursion_limit_gets_a_400_and_the_next_connection_is_served(service):
+    """A body nested 100 000 deep is invalid JSON like any other: a 400
+    JSON reply, not a dropped connection and a traceback."""
+    body = b'{"params": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+    request = (b"POST /robotino_7/functionalities/move_dock HTTP/1.1\r\nHost: plant\r\n"
+               b"Content-Length: %d\r\nConnection: close\r\n\r\n%s" % (len(body), body))
+    head, _, payload = _reply_to(service, request).partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert json.loads(payload)["reason"].startswith("malformed request: nested too deeply: ")
+    assert _http("GET", f"{service.base_url}/plant/state").json()["version"] == 0
+
+
 @pytest.mark.parametrize("path, body, reason", [
     ("/storage_module/skills/S1", [], "request body: expected object, got list"),
     ("/nope", "x", "request body: expected object, got string"),
