@@ -259,6 +259,8 @@ class RemoteBackend(CompletionBackend):
         import urllib.error
         import urllib.request
 
+        from .service import MAX_BODY_BYTES
+
         started = time.perf_counter()
         payload = {
             "model": self.model,
@@ -276,7 +278,12 @@ class RemoteBackend(CompletionBackend):
             # A new opener reads the proxy variables as they are now;
             # `urlopen` would keep those of its first call.
             with urllib.request.build_opener().open(http_request, timeout=self.timeout_seconds) as response:
-                raw = response.read()
+                # `length` is the reply's Content-Length, or None when it has none.
+                if response.length is not None and response.length > MAX_BODY_BYTES:
+                    raise RemoteError(f"completion response is over {MAX_BODY_BYTES} bytes")
+                raw = response.read(MAX_BODY_BYTES + 1)
+            if len(raw) > MAX_BODY_BYTES:
+                raise RemoteError(f"completion response is over {MAX_BODY_BYTES} bytes")
         except urllib.error.HTTPError as exc:  # any status but 2xx
             exc.close()
             raise RemoteError(f"completion endpoint returned {exc.code}") from None

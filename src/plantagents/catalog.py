@@ -26,6 +26,8 @@ MODULE_KINDS = ("storage", "inspection", "machining", "painting", "laser", "tran
 # Storage skills must declare which side of the inventory they drive.
 STORAGE_ROLES = ("retrieve", "store")
 
+_NO_PARAMS: Mapping[str, str] = MappingProxyType({})
+
 
 class CatalogError(Exception):
     """The catalog file is malformed or violates a registry invariant."""
@@ -207,6 +209,7 @@ class Registry:
             raise CatalogError(f"transport module {self._transport.id!r} exposes no functionalities")
         self._join(self.base_url)
         self._check_prompts()
+        self._transport_calls: dict[tuple[str, str], tuple] = {}  # filled by `transport_calls`
 
     def _path(self, url: str, where: str) -> str:
         """The path of a service URL; the first one sets `base_url`."""
@@ -232,7 +235,8 @@ class Registry:
 
     def _check_prompts(self) -> None:
         """Refuse prompt text a prompt builder could not use, so that every
-        prompt of a run can be built once the registry is."""
+        prompt of a run can be built once the registry is, and keep the
+        output template's functionalities as the steps of a transport."""
         p = self.prompts
         for agent, role_goal, instructions, examples in (
             ("manager", p.manager_role_goal, p.manager_instructions, p.manager_examples),
@@ -258,6 +262,13 @@ class Registry:
                                f"format spec, or no demand can be read back: {p.transport_demand_template!r}")
         names = {"start", "target", *self._output_urls}
         _check_template(p.transport_output_template, names, "operator output_template")
+        # A rebased registry fills in its URLs under its own base; one written out would still name this one.
+        if any(self.base_url in literal for literal, *_ in string.Formatter().parse(p.transport_output_template)):
+            raise CatalogError(f"operator output_template writes out the base URL {self.base_url!r}; it names each "
+                               f"functionality URL by its {{url_<name>}} placeholder")
+        # The plant routes a call by its URL, so a step calls the functionality that its URL names.
+        robot = self.module_functionalities(self._transport.id)
+        named = {canonical_url(self.base_url + fn.url): fn.name for fn in robot}
         # A run reads each transport's dock targets back from the operator's steps, as the examples show them.
         for i, example in enumerate(p.operator_examples, start=1):
             start, target = self._modules[example.start_module], self._modules[example.target_module]
@@ -271,6 +282,16 @@ class Registry:
             if docked != [start.id, target.id]:
                 raise CatalogError(f"operator example {i}: the output_template's move_dock steps do not dock at "
                                    f"{start.id} and then {target.id} (they read {docked})")
+            for s in steps:
+                name = named.get(canonical_url(s.url))
+                if name is None:
+                    raise CatalogError(f"operator example {i}: output_template step {s.step} calls {s.url!r}, which "
+                                       f"is no functionality URL of transport module {self._transport.id!r}")
+                if name != s.action:
+                    raise CatalogError(f"operator example {i}: output_template step {s.step} quotes functionality "
+                                       f"{s.action!r}, but its URL names {name!r}")
+            # The functionality of each step; the first move_dock docks at the start and the second at the target.
+            self._transport_steps = tuple(s.action for s in steps)
 
     def _single_kind(self, kind: str) -> Module:
         found = [m for m in self.modules if m.kind == kind]
@@ -332,6 +353,19 @@ class Registry:
         """`url_<name>` of each robot functionality, the operator output
         template's placeholders, in the singular spelling the examples use."""
         return self._output_urls
+
+    def transport_calls(self, start: str, target: str) -> tuple[tuple[str, Mapping[str, str]], ...]:
+        """The `(name, params)` calls of one transport from module `start` to module `target`, in the shape
+        `PlantSim.apply_functionalities` takes: the operator output template's steps, each the functionality
+        that its URL names.  The params are read-only, and each pair's calls are built once."""
+        calls = self._transport_calls.get((start, target))
+        if calls is None:
+            docks = iter((start, target))
+            calls = tuple((name, MappingProxyType({"target_module": next(docks)}) if name == "move_dock"
+                           else _NO_PARAMS) for name in self._transport_steps)
+            if start in self._modules and target in self._modules:  # so the cache holds at most modules² pairs
+                self._transport_calls[start, target] = calls
+        return calls
 
     def module_functionalities(self, module_id: str) -> tuple[Functionality, ...]:
         mod = self.module(module_id)

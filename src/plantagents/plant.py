@@ -286,13 +286,3 @@ _FUNCTIONALITIES = {
     "unload": PlantSim._fn_unload,
 }
 
-
-def transport_functionality_calls(start: str, target: str) -> list[tuple[str, dict]]:
-    """The canonical five-call expansion of one transport skill."""
-    return [
-        ("move_dock", {"target_module": start}),
-        ("load", {}),
-        ("undock", {}),
-        ("move_dock", {"target_module": target}),
-        ("unload", {}),
-    ]

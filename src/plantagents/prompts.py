@@ -96,7 +96,9 @@ def _demand_pattern(template: str) -> re.Pattern[str]:
 
 
 def fill_transport_output(registry: Registry, start_module: str, target_module: str) -> str:
-    """Canonical five-step operator answer for one transport.
+    """Canonical operator answer for one transport: the catalog's output
+    template, whose steps `Registry.transport_calls` reads as the
+    transport's functionality calls.
 
     Shared by the worked example in the operator prompt and the oracle
     backend, so generated and exemplified text cannot drift apart.  URLs

@@ -15,7 +15,7 @@ from typing import NamedTuple
 from .catalog import Registry, move_dock_target
 from .parsing import FunctionStep, ParseError, parse_skill_sequence
 from .planner import oracle_plan_skills
-from .plant import PlantFault, PlantSim, transport_functionality_calls
+from .plant import PlantFault, PlantSim
 from .tasks import TaskSpec
 
 # Start situation assumed for every judgment (the plant as a new task
@@ -176,7 +176,9 @@ def simulate_skill_plan(
 ) -> tuple[bool, str | None, PlantSim]:
     """Replay a skill plan on `plant`, changing it in place.
 
-    Each transport replays as one batch of its five functionality calls.
+    Each transport replays as one batch of the functionality calls that
+    the catalog's operator output template names
+    (`Registry.transport_calls`), the calls a run dispatches.
     Returns (executable, first fault reason, `plant` itself).  A caller who
     wants to keep its plant passes `plant.clone()`.
     """
@@ -186,7 +188,7 @@ def simulate_skill_plan(
         for code, transport, start, target in plan_route(registry, plan, wp.location):
             if transport:
                 assert start is not None and target is not None
-                plant.apply_functionalities(transport_functionality_calls(start, target))
+                plant.apply_functionalities(registry.transport_calls(start, target))
             else:
                 plant.apply_skill(code, wp.id, detail=details.get(code))
     except PlantFault as exc:

@@ -4,17 +4,17 @@ acceptance criterion, used by the plant and acceptance tests."""
 import itertools
 
 from plantagents.catalog import Registry
-from plantagents.plant import PlantFault, PlantSim, transport_functionality_calls
+from plantagents.plant import PlantFault, PlantSim
 
 
 def permutation_survey(registry: Registry, start: str, target: str) -> list[int]:
-    """Indices (into the 120 lexicographic permutations) that run fault-free.
+    """Indices (into the lexicographic permutations) that run fault-free.
 
-    Each permutation of the canonical five-call transport sequence is run
+    Each permutation of the catalog's transport calls is run
     from the standard start with the workpiece at the start module's
     hand-off point.  The expected survivor is the identity permutation.
     """
-    calls = transport_functionality_calls(start, target)
+    calls = registry.transport_calls(start, target)
     survivors = []
     for idx, perm in enumerate(itertools.permutations(range(len(calls)))):
         sim = PlantSim.standard_start(registry, location=start, in_inventory=False)

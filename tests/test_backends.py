@@ -1,5 +1,7 @@
 import json
 import socket
+import threading
+from contextlib import contextmanager
 
 import pytest
 
@@ -24,7 +26,9 @@ from plantagents.prompts import (
     fill_transport_output,
     render_transport_demand,
 )
-from plantagents.service import BackgroundServer, JsonHandler
+from plantagents.orchestrator import run_task
+from plantagents.plant import PlantSim
+from plantagents.service import MAX_BODY_BYTES, BackgroundServer, JsonHandler, LocalPlant
 from stubserver import StubCompletionsServer
 
 
@@ -202,6 +206,79 @@ def test_remote_refuses_a_reply_nested_past_the_recursion_limit():
         backend = RemoteBackend(endpoint_url=f"{srv.base_url}/v1/completions", model="m")
         with pytest.raises(RemoteError, match="^malformed completion response: nested too deeply: "):
             backend.complete(CompletionRequest(prompt="p"))
+
+
+@contextmanager
+def _raw_reply_server(reply: bytes, hold: bool):
+    """The completions URL of a server thread that answers one request on a
+    raw socket with the bytes of `reply`.  With `hold` it then waits for the
+    client to close the connection; without, it closes it."""
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn:
+            request = b""
+            while b"\r\n\r\n" not in request:
+                request += conn.recv(65536)
+            head, _, body = request.partition(b"\r\n\r\n")
+            length = int(next(line.split(b":")[1] for line in head.split(b"\r\n")
+                              if line.lower().startswith(b"content-length:")))
+            while len(body) < length:
+                body += conn.recv(65536)
+            try:
+                conn.sendall(reply)
+                while hold and conn.recv(65536):
+                    pass
+            except OSError:  # the client closed a reply it refused part-read
+                pass
+
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}/v1/completions"
+        thread.join(5)
+
+
+def _reply(size: int, content_length: bool) -> bytes:
+    """A 200 completion reply whose body, `{"choices": [{"text": "ok"}]}` padded with spaces, has `size` bytes."""
+    body = b'{"choices": [{"text": "ok"}]}'.ljust(size)
+    length = b"Content-Length: %d\r\n" % size if content_length else b""
+    return b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n%sConnection: close\r\n\r\n%s" % (length, body)
+
+
+@pytest.mark.parametrize("content_length", [True, False], ids=["content_length", "no_content_length"])
+def test_remote_takes_a_reply_of_exactly_the_cap(content_length):
+    with _raw_reply_server(_reply(MAX_BODY_BYTES, content_length), hold=False) as url:
+        assert RemoteBackend(endpoint_url=url, model="m").complete(CompletionRequest(prompt="p")).text == "ok"
+
+
+def test_remote_refuses_a_content_length_over_the_cap_unread():
+    """Only the head and 10 body bytes arrive, and the server then waits: a
+    client that read on would time out instead of refusing."""
+    reply = _reply(MAX_BODY_BYTES + 1, content_length=True)[:-MAX_BODY_BYTES + 9]
+    with _raw_reply_server(reply, hold=True) as url:
+        backend = RemoteBackend(endpoint_url=url, model="m", timeout_seconds=5)
+        with pytest.raises(RemoteError) as refused:
+            backend.complete(CompletionRequest(prompt="p"))
+    assert str(refused.value) == f"completion response is over {MAX_BODY_BYTES} bytes"
+
+
+def test_remote_stops_reading_a_reply_without_content_length_past_the_cap():
+    with _raw_reply_server(_reply(MAX_BODY_BYTES + 1, content_length=False), hold=False) as url:
+        with pytest.raises(RemoteError) as refused:
+            RemoteBackend(endpoint_url=url, model="m").complete(CompletionRequest(prompt="p"))
+    assert str(refused.value) == f"completion response is over {MAX_BODY_BYTES} bytes"
+
+
+@pytest.mark.parametrize("content_length", [True, False], ids=["content_length", "no_content_length"])
+def test_a_run_with_an_over_cap_completion_aborts_on_its_last_record(registry, drilled_spec, content_length):
+    with _raw_reply_server(_reply(2 * MAX_BODY_BYTES, content_length), hold=False) as url:
+        trace = run_task(drilled_spec.instruction, RemoteBackend(endpoint_url=url, model="m"), registry,
+                         LocalPlant(PlantSim.standard_start(registry)), drilled_spec)
+    reason = f"completion failed: completion response is over {MAX_BODY_BYTES} bytes"
+    assert (trace.outcome, trace.abort_reason) == ("aborted", reason)
+    assert [r.status == "ok" for r in trace.records] == [False]
+    assert trace.records[-1].reason == reason
 
 
 def test_remote_rejects_empty_completion():

@@ -129,6 +129,22 @@ def test_rebased_rewrites_host_only(registry):
     assert "http://129.69.102.129:5010/cnc_module/skills/M1" in registry.known_endpoints()
 
 
+def test_bundled_transport_calls_are_the_five_template_steps(registry):
+    """The bundled template's steps, read as the plant calls them, with
+    read-only params; a rebased copy gives the same calls."""
+    calls = registry.transport_calls("storage_module", "cnc_module")
+    assert calls == (
+        ("move_dock", {"target_module": "storage_module"}),
+        ("load", {}),
+        ("undock", {}),
+        ("move_dock", {"target_module": "cnc_module"}),
+        ("unload", {}),
+    )
+    with pytest.raises(TypeError):
+        calls[0][1]["target_module"] = "laser_module"
+    assert registry.rebased("http://127.0.0.1:9999").transport_calls("storage_module", "cnc_module") == calls
+
+
 @pytest.mark.parametrize("base", ['http://a"b:1', "http://a b:1", "http://h:1/a path", "http://h:1\t"])
 def test_rebased_refuses_a_base_url_a_prompt_cannot_carry(registry, base):
     """A prompt's URL ends at a space or a '"', so an operator's steps
@@ -297,6 +313,24 @@ def _move_dock_step_reworded(data):
     operator["output_template"] = first.replace(
         "Move the transport robot to the {start} module and dock it", "Dock the transport robot at the {start} station"
     ) + "\n(2)" + rest
+
+
+def _load_step_calls_unload(data):
+    operator = data["prompts"]["operator"]
+    operator["output_template"] = operator["output_template"].replace(
+        'functionality "load" using the URL "{url_load}"', 'functionality "load" using the URL "{url_unload}"')
+
+
+def _step_calls_a_url_elsewhere(data):
+    operator = data["prompts"]["operator"]
+    operator["output_template"] = operator["output_template"].replace(
+        '"{url_undock}"', '"http://10.0.0.1:5010/robotino_7/functionalities/undock"')
+
+
+def _step_writes_out_a_robot_url(data):
+    operator = data["prompts"]["operator"]
+    operator["output_template"] = operator["output_template"].replace(
+        '"{url_load}"', '"http://129.69.102.129:5010/robotino_7/functionality/load"')
 
 
 def _feature_and_role(data):
@@ -468,6 +502,16 @@ BROKEN_RULES = [
     # A run could not read the dock targets back from the operator's steps.
     (_move_dock_step_reworded, "operator example 1: the output_template's move_dock steps do not dock at "
                                "laser_module and then cnc_module"),
+    # A run calls the functionality that a step's URL names, and a transport calls only the robot's.
+    (_load_step_calls_unload, "operator example 1: output_template step 2 quotes functionality 'load', but its "
+                              "URL names 'unload'"),
+    (_step_calls_a_url_elsewhere, "operator example 1: output_template step 3 calls "
+                                  "'http://10.0.0.1:5010/robotino_7/functionalities/undock', which is no "
+                                  "functionality URL of transport module 'robotino_7'"),
+    # A rebased registry's runs call its own base, so the template names each URL by its placeholder.
+    (_step_writes_out_a_robot_url, "operator output_template writes out the base URL "
+                                   "'http://129.69.102.129:5010'; it names each functionality URL by its "
+                                   "{url_<name>} placeholder"),
     # Every service URL is a path under the catalog's one base URL.
     (_second_origin, "module cnc_module skill M2: 'http://10.0.0.1:5010/cnc_module/skills/M2' is not under the "
                      "catalog's one base URL 'http://129.69.102.129:5010'"),

@@ -12,13 +12,12 @@ from plantagents.plant import (
     PlantState,
     RobotState,
     Workpiece,
-    transport_functionality_calls,
 )
 from permutations import permutation_survey
 
 
 def run_transport(sim, start, target):
-    for name, params in transport_functionality_calls(start, target):
+    for name, params in sim.registry.transport_calls(start, target):
         sim.apply_functionality(name, params)
 
 
@@ -127,7 +126,7 @@ def test_unload_blocked_by_occupied_handoff(registry):
         registry, workpiece_id="wp2", location="cnc_module", in_inventory=False
     )
     sim.state.workpieces["wp2"] = blocker.state.workpieces["wp2"]
-    run_transport_prefix = transport_functionality_calls("storage_module", "cnc_module")[:-1]
+    run_transport_prefix = registry.transport_calls("storage_module", "cnc_module")[:-1]
     for name, params in run_transport_prefix:
         sim.apply_functionality(name, params)
     with pytest.raises(PlantFault, match="hand-off point occupied"):
